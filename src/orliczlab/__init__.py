@@ -48,7 +48,6 @@ from .groups import (
     subexp_weight,
     trivial_weight,
     weight_axioms_report,
-    weight_eval,
 )
 from .harness import (
     REGISTRY,

@@ -154,7 +154,7 @@ def _cmd_young(args) -> int:
     if args.young_command == "conjugate":
         pair = catalog_pair(args.phi)
         ys = np.array([float(v) for v in args.at.split(",")])
-        psi = pair.psi if pair.pairing_mode == "numeric_conjugate" else conjugate(pair.phi)
+        psi = pair.psi if pair.numeric_side == "psi" else conjugate(pair.phi)
         for y, val in zip(ys, np.atleast_1d(psi(ys))):
             print(f"conj({args.phi})({y:g}) = {float(val)!r}")
         return 0

@@ -35,15 +35,27 @@ class NonMonotoneGeneratorError(InputError):
 
 
 class BracketOverflowError(OrliczLabError):
-    """A search bracket expanded past its cap before enclosing the optimum."""
+    """A search bracket left [1/cap, cap] before enclosing the solution.
 
-    def __init__(self, y: float, cap: float):
+    Carries the offending target y, the cap, and what was being solved.
+    """
+
+    def __init__(self, y: float, cap: float, task: str):
         self.y = y
         self.cap = cap
+        self.task = task
         super().__init__(
-            f"bracket expansion exceeded cap {cap!r} while conjugating at y={y!r}; "
-            f"raise the cap in the search spec if the supremum really lives out there"
+            f"bracket left [1/{cap!r}, {cap!r}] while {task} at target {y!r}"
         )
+
+
+class SolverCapError(OrliczLabError):
+    """An iterative solver used up its step budget without converging."""
+
+    def __init__(self, task: str, steps: int):
+        self.task = task
+        self.steps = steps
+        super().__init__(f"no convergence within {steps} steps while {task}")
 
 
 class RadiusCapError(OrliczLabError):

@@ -51,7 +51,6 @@ __all__ = [
     "subexp_weight",
     "subexp_log_weight",
     "product_weight",
-    "weight_eval",
     "weight_axioms_report",
 ]
 
@@ -368,11 +367,6 @@ def product_weight(w1: Weight, w2: Weight) -> Weight:
         f"{w1.label}*{w2.label}",
         (w1, w2),
     )
-
-
-def weight_eval(w: Weight, g) -> float:
-    """Weight value at a group element (goes through the word length)."""
-    return w(g)
 
 
 @dataclass(frozen=True)

@@ -270,8 +270,11 @@ def parse_pair(spec: str) -> ComplementaryPair:
 
 
 def parse_vector_file(path: str, group: Group) -> OrliczVector:
-    """Line format: coord1,coord2,...,re,im (blank lines and # comments skipped)."""
-    data = {}
+    """Line format: coord1,coord2,...,re,im (blank lines and # comments skipped).
+
+    Repeated (or aliased) coordinates sum, as in every OrliczVector.
+    """
+    data = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -284,8 +287,7 @@ def parse_vector_file(path: str, group: Group) -> OrliczVector:
                 )
             coords = tuple(int(v) for v in parts[: group.dim])
             amp = complex(float(parts[-2]), float(parts[-1]))
-            g = group.element(coords)
-            data[g] = data.get(g, 0.0) + amp
+            data.append((coords, amp))
     return OrliczVector(group, data)
 
 

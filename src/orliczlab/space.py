@@ -9,21 +9,27 @@ modulars are exact finite sums
 
 Two norms are computed and cross-checked:
 
-- the Luxemburg (gauge) norm  N(f) = inf { k > 0 : modular(f/k) <= 1 },
-  found by bisection on k; the modular is continuous and strictly
-  decreasing in k for f != 0, so the infimum is the unique root of
-  modular(f/k) = 1;
+- the Luxemburg (gauge) norm  N(f) = inf { k > 0 : modular(f/k) <= 1 };
+  the modular of x f is continuous and strictly increasing in x for
+  f != 0, so 1/N(f) is the unique root of modular(x f) = 1;
 - the Orlicz (dual) norm  |f| = sup { sum |f v| : modular(Psi, v) <= 1 },
   computed two independent ways: (a) stationarity, where the optimal
-  dual vector is v_s = dens(|f_s| / lam) with dens the density of Phi and
-  lam chosen by bisection so the constraint binds, and (b) minimizing
-  k -> (1 + modular(Phi, k f)) / k by golden section (a computational
-  device whose agreement with (a) is enforced, not assumed).  The two
-  must agree to 1e-5 relative or a hard MethodDisagreementError fires.
+  dual vector is v_s = dens(mu |f_s|) with dens the density of Phi and
+  mu = 1/lam the root of the binding constraint sum Psi(v) = 1, and
+  (b) the Amemiya formula, minimizing k -> (1 + modular(Phi, k f)) / k
+  (a computational device whose agreement with (a) is enforced, not
+  assumed).  The two must agree to 1e-5 relative or a hard
+  MethodDisagreementError fires.
+
+Every root above is found by the shared root finder of the young module
+and the Amemiya minimum by its shared golden-section minimizer, so one
+stop rule and one overflow policy hold throughout: a bracket leaving
+[1e-300, 1e300] raises BracketOverflowError and a solve that runs out of
+steps raises SolverCapError; no solver returns an unconverged value.
 
 The norms satisfy N(f) <= |f| <= 2 N(f).  Batched variants run whole
-sweeps of vectors through the same bisection loops at once (rows padded
-with zeros, which are invisible to every modular since Phi(0) = 0).
+sweeps of vectors through the same solvers at once (rows padded with
+zeros, which are invisible to every modular since Phi(0) = 0).
 
 membership_diagnostic probes whether sum_s Psi(alpha h(s)) converges as
 the summation ball grows, for each requested alpha -- a finite-radius
@@ -39,9 +45,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BracketOverflowError, GroupMismatchError, InputError, MethodDisagreementError
+from .errors import GroupMismatchError, InputError, MethodDisagreementError, SolverCapError
 from .groups import Group, Weight
-from .young import ComplementaryPair, YoungFunction
+from .young import ComplementaryPair, YoungFunction, _find_root, _golden_min
 
 __all__ = [
     "OrliczVector",
@@ -61,8 +67,8 @@ __all__ = [
 ]
 
 _AGREEMENT_LIMIT = 1e-5
-_MODULAR_TARGET_TOL = 1e-12
-_MAX_BISECT = 200
+_NORM_CAP = 1e300  # norms outside [1/_NORM_CAP, _NORM_CAP] raise
+_AMEMIYA_EXPANSIONS = 8
 
 
 class OrliczVector:
@@ -73,12 +79,13 @@ class OrliczVector:
     def __init__(self, group: Group, data: Mapping | Iterable = ()):
         self.group = group
         items = data.items() if isinstance(data, Mapping) else data
+        # Aliased elements (e.g. (0,) and (7,) on Z_7) sum; exact zeros left
+        # after summing are pruned.
         store = {}
         for g, a in items:
-            a = complex(a)
-            if a != 0:
-                store[group.element(g)] = a
-        self._data = store
+            g, a = group.element(g), complex(a)
+            store[g] = store[g] + a if g in store else a
+        self._data = {g: a for g, a in store.items() if a != 0}
 
     # -- construction --------------------------------------------------------
 
@@ -150,9 +157,6 @@ class OrliczVector:
     def l1(self) -> float:
         return float(sum(abs(a) for a in self._data.values()))
 
-    def linf(self) -> float:
-        return float(max((abs(a) for a in self._data.values()), default=0.0))
-
     def pairing(self, other: "OrliczVector") -> complex:
         """Bilinear pairing sum_s f(s) h(s) -- no complex conjugation."""
         if self.group != other.group:
@@ -207,17 +211,30 @@ def modular(phi: YoungFunction, f: OrliczVector) -> float:
     return total if math.isfinite(total) else math.inf
 
 
+def _row_sums(vals: np.ndarray) -> np.ndarray:
+    """Row sums of nonnegative terms; NaN and overflow saturate to inf.
+
+    Summing first and then mending NaN sums equals mending NaN terms first,
+    since the terms are >= 0, and is much cheaper than np.nan_to_num.
+    """
+    sums = vals.sum(axis=1)
+    sums[np.isnan(sums)] = math.inf
+    return sums
+
+
 def _rows_modular(phi_fn: Callable, A: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(phi_fn(A), dtype=float)
-    return np.nan_to_num(vals, nan=math.inf, posinf=math.inf).sum(axis=1)
+        return _row_sums(np.asarray(phi_fn(A), dtype=float))
 
 
 def luxemburg_batch(phi: YoungFunction, A: np.ndarray) -> np.ndarray:
     """Luxemburg norms of the rows of a nonnegative amplitude matrix.
 
-    Zero-padded rows are fine: Phi(0) = 0 keeps padding invisible.
-    Bisection stops at |modular - 1| <= 1e-12 or 200 iterations.
+    Zero-padded rows are fine: Phi(0) = 0 keeps padding invisible.  Each
+    row solves modular(x f) = 1 for x = 1/N(f) with the shared root finder:
+    it stops at |modular - 1| <= 1e-12 (or a bracket 1e-14 x wide), raises
+    BracketOverflowError for a norm outside [1e-300, 1e300] and
+    SolverCapError when it runs out of steps.
     """
     A = np.asarray(A, dtype=float)
     out = np.zeros(A.shape[0])
@@ -225,35 +242,13 @@ def luxemburg_batch(phi: YoungFunction, A: np.ndarray) -> np.ndarray:
     if not np.any(live):
         return out
     B = A[live]
-
-    def mod(k):
-        return _rows_modular(phi.fn, B / k[:, None])
-
-    hi = np.ones(B.shape[0])
-    for _ in range(200):
-        need = mod(hi) > 1.0
-        if not np.any(need):
-            break
-        hi = np.where(need, hi * 2.0, hi)
-    else:
-        raise BracketOverflowError(float(np.max(B)), float(np.max(hi)))
-    lo = hi.copy()
-    for _ in range(1200):
-        need = mod(lo) < 1.0
-        if not np.any(need):
-            break
-        lo = np.where(need, lo * 0.5, lo)
-    else:
-        raise BracketOverflowError(float(np.max(B)), float(np.min(lo)))
-    mid = 0.5 * (lo + hi)
-    for _ in range(_MAX_BISECT):
-        m = mod(mid)
-        if np.max(np.abs(m - 1.0)) <= _MODULAR_TARGET_TOL:
-            break
-        lo = np.where(m > 1.0, mid, lo)
-        hi = np.where(m > 1.0, hi, mid)
-        mid = 0.5 * (lo + hi)
-    out[live] = mid
+    x = _find_root(
+        lambda x: _rows_modular(phi.fn, B * x[:, None]),
+        np.ones(B.shape[0]),
+        _NORM_CAP,
+        "solving for a Luxemburg norm",
+    )
+    out[live] = 1.0 / x
     return out
 
 
@@ -265,53 +260,34 @@ def luxemburg_norm(phi: YoungFunction, f: OrliczVector) -> float:
 
 
 def _stationarity_batch(pair: ComplementaryPair, A: np.ndarray) -> np.ndarray:
-    """Orlicz norms via the dual optimizer v = dens(|f|/lam).
+    """Orlicz norms via the dual optimizer v = dens(mu |f|).
 
-    The binding constraint sum Psi(v) = 1 is solved for lam by bisection.
-    When Psi has no closed form, Psi(dens(w)) is evaluated through the
-    equality case of the Young inequality, Psi(dens(w)) = w*dens(w) - Phi(w),
-    which is exactly what the numeric conjugate would return at these
-    points, minus its redundant inner root-find.
+    The binding constraint sum Psi(v) = 1 is solved for mu = 1/lam by the
+    shared root finder.  When Psi has no closed form, Psi(dens(w)) is
+    evaluated through the equality case of the Young inequality,
+    Psi(dens(w)) = w*dens(w) - Phi(w), which is exactly what the numeric
+    conjugate would return at these points, minus its redundant inner
+    root-find.
     """
     phi_fn = pair.phi.fn
     dens = pair.phi.derivative_or_numeric()
-    # When the partner is numerically built, dodge it: on the graph of the
-    # density, Psi(dens(w)) = w*dens(w) - Phi(w) by the Young equality.
     cheap_psi = pair.numeric_side != "psi"
     psi_fn = pair.psi.fn if cheap_psi else None
 
-    def constraint(lam):
+    def constraint(mu):
         with np.errstate(over="ignore", invalid="ignore"):
-            w = A / lam[:, None]
+            w = A * mu[:, None]
             v = np.asarray(dens(w), dtype=float)
             if cheap_psi:
                 s = np.asarray(psi_fn(v), dtype=float)
             else:
                 s = w * v - np.asarray(phi_fn(w), dtype=float)
-        return np.nan_to_num(s, nan=math.inf, posinf=math.inf).sum(axis=1)
+        return _row_sums(s)
 
-    n = A.shape[0]
-    hi = np.ones(n)
-    for _ in range(400):
-        need = constraint(hi) > 1.0
-        if not np.any(need):
-            break
-        hi = np.where(need, hi * 2.0, hi)
-    lo = hi.copy()
-    for _ in range(1200):
-        need = constraint(lo) < 1.0
-        if not np.any(need):
-            break
-        lo = np.where(need, lo * 0.5, lo)
-    mid = 0.5 * (lo + hi)
-    for _ in range(_MAX_BISECT):
-        c = constraint(mid)
-        if np.max(np.abs(c - 1.0)) <= _MODULAR_TARGET_TOL:
-            break
-        lo = np.where(c > 1.0, mid, lo)
-        hi = np.where(c > 1.0, hi, mid)
-        mid = 0.5 * (lo + hi)
-    v = np.asarray(dens(A / mid[:, None]), dtype=float)
+    mu = _find_root(
+        constraint, np.ones(A.shape[0]), _NORM_CAP, "solving the stationarity constraint"
+    )
+    v = np.asarray(dens(A * mu[:, None]), dtype=float)
     return (A * v).sum(axis=1)
 
 
@@ -319,8 +295,8 @@ def _amemiya_batch(pair: ComplementaryPair, A: np.ndarray, lux: np.ndarray) -> n
     """Orlicz norms as min_k (1 + modular(Phi, k f)) / k by golden section.
 
     The objective is the perspective of a convex function, hence unimodal;
-    the bracket sits around 1/N(f) and expands if a minimum pins to a
-    boundary.
+    the bracket sits around 1/N(f) and widens 16-fold when a minimum pins
+    to an edge, at most 8 times before SolverCapError.
     """
     phi_fn = pair.phi.fn
 
@@ -329,26 +305,13 @@ def _amemiya_batch(pair: ComplementaryPair, A: np.ndarray, lux: np.ndarray) -> n
 
     base = 1.0 / lux
     span = 256.0
-    for _ in range(8):
-        a = base / span
-        b = base * span
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = h(c), h(d)
-        for _ in range(120):
-            right = fc < fd
-            b = np.where(right, d, b)
-            a = np.where(right, a, c)
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-            fc, fd = h(c), h(d)
-        mid = 0.5 * (a + b)
-        on_edge = (mid < base / span * 1.05) | (mid > base * span * 0.95)
+    for _ in range(_AMEMIYA_EXPANSIONS):
+        k = _golden_min(h, base / span, base * span, "minimizing the Amemiya objective")
+        on_edge = (k < base / span * 1.05) | (k > base * span * 0.95)
         if not np.any(on_edge):
-            break
+            return h(k)
         span *= 16.0
-    return h(mid)
+    raise SolverCapError("bracketing the Amemiya minimum", _AMEMIYA_EXPANSIONS)
 
 
 def orlicz_batch(pair: ComplementaryPair, A: np.ndarray):

@@ -25,6 +25,7 @@ share across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -35,6 +36,7 @@ from .errors import (
     InputError,
     InvariantViolationError,
     NonMonotoneGeneratorError,
+    SolverCapError,
 )
 
 __all__ = [
@@ -76,14 +78,13 @@ class Tolerances:
 class SearchSpec:
     """Controls for conjugation searches.
 
-    The bracket starts at [0, 1] and the right endpoint doubles until the
-    optimum is enclosed; expansion past ``bracket_cap`` raises
-    BracketOverflowError naming the offending y and the cap.
+    The maximizer is bracketed geometrically from 1; a bracket that leaves
+    [1/bracket_cap, bracket_cap] raises BracketOverflowError naming the
+    offending y and the cap.  The stop rules are fixed and shared with the
+    norm solvers.
     """
 
     bracket_cap: float = 1e3
-    rel_tol: float = 1e-14
-    max_iter: int = 200
 
 
 @dataclass(frozen=True)
@@ -143,12 +144,11 @@ class ComplementaryPair:
 
     phi: YoungFunction
     psi: YoungFunction
-    pairing_mode: str = "closed_form"  # or "numeric_conjugate"
     numeric_side: str = "none"  # "phi" | "psi" | "none"
 
     def flip(self) -> "ComplementaryPair":
         swapped = {"phi": "psi", "psi": "phi"}.get(self.numeric_side, "none")
-        return ComplementaryPair(self.psi, self.phi, self.pairing_mode, swapped)
+        return ComplementaryPair(self.psi, self.phi, swapped)
 
 
 # ---------------------------------------------------------------------------
@@ -164,64 +164,100 @@ def _restore(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
-def _solve_increasing(f: Callable, targets: np.ndarray, spec: SearchSpec) -> np.ndarray:
-    """Solve f(x) = t per element for increasing f with f(0) = 0, t >= 0.
+# ---------------------------------------------------------------------------
+# the shared solvers: every root and every minimum in the package (conjugate
+# maximizers, generator inverses, Luxemburg gauges, stationarity multipliers,
+# Amemiya minima) goes through _find_root or _golden_min, elementwise on
+# arrays of any shape.
 
-    Doubles the right endpoint from 1 until f encloses each target, then
-    bisects.  Targets of 0 map to 0 exactly.
+_MAX_STEPS = 200
+_ROOT_RTOL = 1e-12  # converged once |f - t| <= _ROOT_RTOL * t
+_WIDTH_RTOL = 1e-14  # ... or once the bracket is this wide relative to x
+_STEEP_RTOL = 1e-6  # a collapsed bracket must still be this close (a jump is not)
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _bracket(f: Callable, t: np.ndarray, cap: float, task: str) -> np.ndarray:
+    """Per element an x with f(x) <= t <= f(2x), for increasing f.
+
+    The bracket [x, 2x] starts at [1, 2] and moves both ends, doubling or
+    halving; leaving [1/cap, cap] raises BracketOverflowError.  Elements
+    with t <= 0 stay at 1.
+    """
+    x = np.ones_like(t)
+    up = f(2.0 * x) < t  # never true where t <= 0, as f >= 0
+    while up.any():
+        x = np.where(up, 2.0 * x, x)
+        if (2.0 * x > cap).any():
+            raise BracketOverflowError(float(t[2.0 * x > cap][0]), cap, task)
+        up = f(2.0 * x) < t
+    live = ~(t <= 0.0)
+    down = live & (f(x) > t)
+    while down.any():
+        x = np.where(down, 0.5 * x, x)
+        if (x < 1.0 / cap).any():
+            raise BracketOverflowError(float(t[x < 1.0 / cap][0]), cap, task)
+        down = live & (f(x) > t)
+    return x
+
+
+def _find_root(f: Callable, targets, cap: float, task: str) -> np.ndarray:
+    """Solve f(x) = t per element for increasing f with f(0) = 0; t <= 0 gives 0.
+
+    Brackets with _bracket, then bisects until every element has
+    |f - t| <= 1e-12 t, or a bracket 1e-14 x wide with |f - t| <= 1e-6 t
+    (a steep f).  A jump across t meets neither, so a discontinuous f (or a
+    NaN target) runs out of steps and raises SolverCapError rather than
+    returning a midpoint.
     """
     t = np.asarray(targets, dtype=float)
-    hi = np.ones_like(t)
-    active = f(hi) < t
-    while np.any(active):
-        blown = active & (hi * 2.0 > spec.bracket_cap)
-        if np.any(blown):
-            bad = int(np.argmax(blown))
-            raise BracketOverflowError(float(np.ravel(t)[bad]), spec.bracket_cap)
-        hi = np.where(active, hi * 2.0, hi)
-        active = f(hi) < t
-    lo = np.zeros_like(t)
-    for _ in range(spec.max_iter):
+    dead = t <= 0.0
+    root_tol = np.where(dead, np.inf, _ROOT_RTOL * t)
+    steep_tol = _STEEP_RTOL * t
+    lo = _bracket(f, t, cap, task)
+    hi = 2.0 * lo
+    for _ in range(_MAX_STEPS):
         mid = 0.5 * (lo + hi)
-        below = f(mid) < t
+        fm = f(mid)
+        err = np.abs(fm - t)
+        steep = (hi - lo <= _WIDTH_RTOL * lo) & (err <= steep_tol)
+        if (steep | (err <= root_tol)).all():
+            return np.where(dead, 0.0, mid)
+        below = fm < t
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        if np.max(hi - lo) <= spec.rel_tol * max(1.0, float(np.max(hi))):
-            break
-    out = 0.5 * (lo + hi)
-    return np.where(t <= 0.0, 0.0, out)
+    raise SolverCapError(task, _MAX_STEPS)
 
 
-def _golden_max(objective: Callable[[float], float], cap: float, y: float) -> float:
-    """Maximize a concave objective over [0, hi] after doubling the bracket.
+def _golden_min(h: Callable, a, b, task: str) -> np.ndarray:
+    """Minimize a unimodal h per element on [a, b] by golden section.
 
-    The right endpoint doubles until the objective decreases there, per the
-    bracket policy; expansion past ``cap`` raises BracketOverflowError.
+    Keeps one interior point x and probes the other golden point of
+    [a, b], recomputed from the ends so rounding cannot drift it; each step
+    costs one evaluation of h.  Stops once every b - a <= 1e-14 b and
+    returns the midpoints; 200 steps without that raise SolverCapError.
     """
-    hi = 1.0
-    while objective(hi * 2.0) > objective(hi):
-        hi *= 2.0
-        if hi > cap:
-            raise BracketOverflowError(y, cap)
-    hi *= 2.0
-    lo = 0.0
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(120):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-        if b - a <= 1e-14 * max(1.0, b):
-            break
-    return 0.5 * (a + b)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    x = a + _INVPHI * (b - a)
+    fx = h(x)
+    x_right = np.ones(x.shape, dtype=bool)  # x is the right golden point
+    for _ in range(_MAX_STEPS):
+        width = b - a
+        if (width <= _WIDTH_RTOL * b).all():
+            return 0.5 * (a + b)
+        u = np.where(x_right, b - _INVPHI * width, a + _INVPHI * width)
+        fu = h(u)
+        # keep [a, max(x, u)] when the left point is no worse (ties, such
+        # as two overflowed values, go left), else [min(x, u), b]; the
+        # better point then sits right or left in the kept interval
+        keep_left = np.where(x_right, fu <= fx, fx <= fu)
+        better = keep_left == x_right
+        a = np.where(keep_left, a, np.minimum(x, u))
+        b = np.where(keep_left, np.maximum(x, u), b)
+        x = np.where(better, u, x)
+        fx = np.where(better, fu, fx)
+        x_right = keep_left
+    raise SolverCapError(task, _MAX_STEPS)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +268,13 @@ def conjugate(phi: YoungFunction, spec: SearchSpec | None = None) -> YoungFuncti
     """The complementary function y -> sup_x (x*y - Phi(x)).
 
     When phi carries a density the supremum is located by solving
-    gen(x) = y (bisection on a doubling bracket); otherwise each value is
-    found by golden-section search.  The returned function carries the
-    maximizer as its derivative, which is exact for conjugates of smooth
-    strictly convex functions.
+    gen(x) = y with the shared root finder; otherwise by golden section on
+    x*y - Phi(x), bracketed in [x, 4x] where the chord slope
+    (Phi(2x) - Phi(x))/x crosses y.  Both evaluate all y in one vectorized
+    call.  The returned function carries the maximizer as its derivative,
+    which is exact for conjugates of smooth strictly convex functions.
     """
-    spec = spec or SearchSpec()
+    cap = (spec or SearchSpec()).bracket_cap
     gen = phi.derivative
     fn = phi.fn
 
@@ -245,19 +282,23 @@ def conjugate(phi: YoungFunction, spec: SearchSpec | None = None) -> YoungFuncti
 
         def maximizer(y):
             arr, scalar = _as_1d(y)
-            return _restore(_solve_increasing(gen, arr, spec), scalar)
+            return _restore(_find_root(gen, arr, cap, "conjugating"), scalar)
 
     else:
 
+        def chord_slope(x):
+            return (np.asarray(fn(2.0 * x), dtype=float) - np.asarray(fn(x), dtype=float)) / x
+
         def maximizer(y):
+            # By convexity Phi'(x) <= chord_slope(x) <= Phi'(2x), so a chord
+            # bracket chord_slope(x) <= y <= chord_slope(2x) puts the
+            # maximizer in [x, 4x].
             arr, scalar = _as_1d(y)
-            out = np.empty_like(arr)
-            for i, yi in enumerate(arr):
-                if yi <= 0.0:
-                    out[i] = 0.0
-                    continue
-                out[i] = _golden_max(lambda x: x * yi - float(fn(x)), spec.bracket_cap, yi)
-            return _restore(out, scalar)
+            x = _bracket(chord_slope, arr, cap, "conjugating")
+            best = _golden_min(
+                lambda u: np.asarray(fn(u), dtype=float) - u * arr, x, 4.0 * x, "conjugating"
+            )
+            return _restore(np.where(arr <= 0.0, 0.0, best), scalar)
 
     def value(y):
         arr, scalar = _as_1d(y)
@@ -306,7 +347,7 @@ def build_from_generator(
     """Build a complementary pair from a strictly increasing density.
 
     Phi(x) = int_0^x gen and Psi(y) = int_0^y gen^{-1}, where gen^{-1} is
-    obtained by bisection.  The density is probed for strict monotonicity
+    obtained by the shared root finder.  The density is probed for strict monotonicity
     on the probe grid first; a violation raises with the offending sample
     pair.
     """
@@ -322,11 +363,11 @@ def build_from_generator(
             float(grid[i]), float(grid[i + 1]), float(vals[i]), float(vals[i + 1])
         )
 
-    inv_spec = SearchSpec(bracket_cap=spec.inverse_cap)
-
     def gen_inverse(x):
         arr, scalar = _as_1d(x)
-        return _restore(_solve_increasing(phi_gen, arr, inv_spec), scalar)
+        return _restore(
+            _find_root(phi_gen, arr, spec.inverse_cap, "inverting the generator"), scalar
+        )
 
     def phi_fn(x):
         arr, scalar = _as_1d(x)
@@ -340,7 +381,7 @@ def build_from_generator(
 
     phi = YoungFunction(fn=phi_fn, name="built", derivative=phi_gen)
     psi = YoungFunction(fn=psi_fn, name="built-conjugate", derivative=gen_inverse)
-    return ComplementaryPair(phi, psi, pairing_mode="numeric_conjugate", numeric_side="psi")
+    return ComplementaryPair(phi, psi, numeric_side="psi")
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +575,7 @@ def pnorm_pair(p: float) -> ComplementaryPair:
     psi = _pnorm_fn(q)
     phi = replace(phi, closed_form_conjugate=psi)
     psi = replace(psi, closed_form_conjugate=phi)
-    return ComplementaryPair(phi, psi, pairing_mode="closed_form")
+    return ComplementaryPair(phi, psi)
 
 
 def _xlog() -> YoungFunction:
@@ -598,20 +639,14 @@ def catalog_pair(name: str) -> ComplementaryPair:
         return pnorm_pair(float(name.split(":", 1)[1]))
     if name == "xlog":
         phi = _xlog()
-        return ComplementaryPair(
-            phi, conjugate(phi, _CATALOG_SEARCH), pairing_mode="numeric_conjugate",
-            numeric_side="psi",
-        )
+        return ComplementaryPair(phi, conjugate(phi, _CATALOG_SEARCH), numeric_side="psi")
     if name == "cosh":
         phi = _coshm()
-        return ComplementaryPair(
-            phi, conjugate(phi, _CATALOG_SEARCH), pairing_mode="numeric_conjugate",
-            numeric_side="psi",
-        )
+        return ComplementaryPair(phi, conjugate(phi, _CATALOG_SEARCH), numeric_side="psi")
     if name == "expm":
         phi = _expm()
         psi = _expm_conjugate()
         phi = replace(phi, closed_form_conjugate=psi)
         psi = replace(psi, closed_form_conjugate=phi)
-        return ComplementaryPair(phi, psi, pairing_mode="closed_form")
+        return ComplementaryPair(phi, psi)
     raise InputError(f"unknown Young-function name {name!r}")

@@ -7,6 +7,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see every line.
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -271,6 +272,13 @@ def test_13_lambda_transform():
             assert lhs.distance_l1(rhs) <= 1e-12
 
 
+# The default `orlicz-lab verify` report, committed as golden residuals.  A
+# change that moves a residual by more than GOLDEN_DRIFT of its law's
+# tolerance, or flips a verdict, regenerates the fixture and says why.
+GOLDEN = Path(__file__).parent / "fixtures" / "verify_default.lines"
+GOLDEN_DRIFT = 1e-2
+
+
 def test_14_determinism():
     with criterion(14, "determinism", 300.0):
         cfg = SuiteConfig(seed=42)
@@ -280,3 +288,17 @@ def test_14_determinism():
         assert first.encode("utf-8") == second.encode("utf-8")
         bad = [r for r in records if r.verdict != "pass"]
         assert not bad, [f"{r.suite}/{r.case}" for r in bad]
+
+        golden_lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+        header = [line for line in golden_lines if line.startswith("#")]
+        assert first.splitlines()[: len(header)] == header
+        golden = {}
+        for line in golden_lines[len(header):]:
+            suite, case, _law, residual, tolerance, verdict = line.split("\t")[:6]
+            golden[(suite, case)] = (float(residual), float(tolerance), verdict)
+        assert [(r.suite, r.case) for r in records] == list(golden)
+        for r in records:
+            residual, tolerance, verdict = golden[(r.suite, r.case)]
+            assert r.verdict == verdict, (r.suite, r.case)
+            drift = 0.0 if r.residual == residual else abs(r.residual - residual)
+            assert drift <= GOLDEN_DRIFT * tolerance, (r.suite, r.case, residual, r.residual)

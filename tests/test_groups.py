@@ -16,7 +16,6 @@ from orliczlab.groups import (
     subexp_weight,
     trivial_weight,
     weight_axioms_report,
-    weight_eval,
 )
 
 coord = st.integers(min_value=-6, max_value=6)
@@ -162,7 +161,7 @@ def test_growth_needs_six_radii():
 def test_weight_values():
     z2 = Group.free_abelian(2)
     w1 = polynomial_weight(z2, 1.0)
-    assert weight_eval(w1, (2, 1)) == 4.0
+    assert w1((2, 1)) == 4.0
     assert w1(z2.identity()) == 1.0
     sub = subexp_weight(z2, 0.5, 1.0)
     assert sub((2, 1)) == pytest.approx(math.exp(math.sqrt(3.0)), rel=1e-14)

@@ -88,6 +88,9 @@ def test_vector_file_round_trip(tmp_path):
     bad.write_text("1,2,3\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         parse_vector_file(str(bad), z2)
+    twice = tmp_path / "twice.vec"
+    twice.write_text("1,0,1.0,0.0\n1,0,2.0,0.5\n", encoding="utf-8")
+    assert dict(parse_vector_file(str(twice), z2).items()) == {(1, 0): 3.0 + 0.5j}
 
 
 def test_registry_matches_suite_order():

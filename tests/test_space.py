@@ -33,6 +33,15 @@ def test_vector_prunes_exact_zeros_and_orders_support():
     assert len(f) == 2
 
 
+def test_vector_aliased_entries_sum():
+    # (7,) is (0,) on Z_7: aliased keys sum instead of overwriting
+    assert OrliczVector(C7, {(0,): 1.0, (7,): 1.0}).amplitude((0,)) == 2.0
+    cancelled = OrliczVector(C7, {(0,): 1.0, (7,): -1.0})
+    assert cancelled.support == () and not cancelled
+    repeated = OrliczVector(C7, [((3,), 1.0), ((3,), 2.0), ((10,), 0.5j)])
+    assert dict(repeated.items()) == {(3,): 3.0 + 0.5j}
+
+
 def test_vector_algebra_and_pairing():
     f = OrliczVector(Z2, {(0, 0): 1.0 + 1.0j, (1, 0): 2.0})
     g = OrliczVector(Z2, {(0, 0): 3.0, (2, 0): -1.0})
@@ -151,9 +160,7 @@ def test_dual_sampling_lower_bound():
 def test_method_disagreement_is_a_hard_error():
     # A deliberately inconsistent "pair": psi is NOT the conjugate of phi,
     # so the stationarity route disagrees with the minimization route.
-    lying = ComplementaryPair(
-        catalog_pair("pnorm:2").phi, catalog_pair("pnorm:3").psi, "closed_form"
-    )
+    lying = ComplementaryPair(catalog_pair("pnorm:2").phi, catalog_pair("pnorm:3").psi)
     f = OrliczVector(Z2, {(0, 0): 3.0, (1, 0): 4.0})
     with pytest.raises(MethodDisagreementError):
         orlicz_norm(lying, f)

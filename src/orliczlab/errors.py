@@ -35,7 +35,7 @@ class NonMonotoneGeneratorError(InputError):
 
 
 class BracketOverflowError(OrliczLabError):
-    """A search bracket left [1/cap, cap] before enclosing the solution.
+    """A search bracket grew past its cap before enclosing the solution.
 
     Carries the offending target y, the cap, and what was being solved.
     """
@@ -45,7 +45,7 @@ class BracketOverflowError(OrliczLabError):
         self.cap = cap
         self.task = task
         super().__init__(
-            f"bracket left [1/{cap!r}, {cap!r}] while {task} at target {y!r}"
+            f"bracket grew past cap {cap!r} while {task} at target {y!r}"
         )
 
 

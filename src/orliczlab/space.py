@@ -23,9 +23,9 @@ Two norms are computed and cross-checked:
 
 Every root above is found by the shared root finder of the young module
 and the Amemiya minimum by its shared golden-section minimizer, so one
-stop rule and one overflow policy hold throughout: a bracket leaving
-[1e-300, 1e300] raises BracketOverflowError and a solve that runs out of
-steps raises SolverCapError; no solver returns an unconverged value.
+stop rule and one overflow policy hold throughout: a bracket growing past
+1e300 raises BracketOverflowError and a solve that runs out of steps
+raises SolverCapError; no solver returns an unconverged value.
 
 The norms satisfy N(f) <= |f| <= 2 N(f).  Batched variants run whole
 sweeps of vectors through the same solvers at once (rows padded with
@@ -233,7 +233,7 @@ def luxemburg_batch(phi: YoungFunction, A: np.ndarray) -> np.ndarray:
     Zero-padded rows are fine: Phi(0) = 0 keeps padding invisible.  Each
     row solves modular(x f) = 1 for x = 1/N(f) with the shared root finder:
     it stops at |modular - 1| <= 1e-12 (or a bracket 1e-14 x wide), raises
-    BracketOverflowError for a norm outside [1e-300, 1e300] and
+    BracketOverflowError for a norm below 1e-300 and
     SolverCapError when it runs out of steps.
     """
     A = np.asarray(A, dtype=float)
@@ -301,7 +301,8 @@ def _amemiya_batch(pair: ComplementaryPair, A: np.ndarray, lux: np.ndarray) -> n
     phi_fn = pair.phi.fn
 
     def h(k):
-        return (1.0 + _rows_modular(phi_fn, A * k[:, None])) / k
+        with np.errstate(over="ignore"):  # subnormal k for norms near 1e308
+            return (1.0 + _rows_modular(phi_fn, A * k[:, None])) / k
 
     base = 1.0 / lux
     span = 256.0

@@ -78,9 +78,9 @@ class Tolerances:
 class SearchSpec:
     """Controls for conjugation searches.
 
-    The maximizer is bracketed geometrically from 1; a bracket that leaves
-    [1/bracket_cap, bracket_cap] raises BracketOverflowError naming the
-    offending y and the cap.  The stop rules are fixed and shared with the
+    The maximizer is bracketed geometrically from 1; a bracket that grows
+    past bracket_cap raises BracketOverflowError naming the offending y and
+    the cap.  The stop rules are fixed and shared with the
     norm solvers.
     """
 
@@ -175,14 +175,16 @@ _ROOT_RTOL = 1e-12  # converged once |f - t| <= _ROOT_RTOL * t
 _WIDTH_RTOL = 1e-14  # ... or once the bracket is this wide relative to x
 _STEEP_RTOL = 1e-6  # a collapsed bracket must still be this close (a jump is not)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_TINY = np.finfo(float).tiny
 
 
-def _bracket(f: Callable, t: np.ndarray, cap: float, task: str) -> np.ndarray:
-    """Per element an x with f(x) <= t <= f(2x), for increasing f.
+def _bracket(f: Callable, t: np.ndarray, cap: float, task: str):
+    """Per element (lo, hi) with f(lo) <= t <= f(hi), for increasing f, f(0) = 0.
 
     The bracket [x, 2x] starts at [1, 2] and moves both ends, doubling or
-    halving; leaving [1/cap, cap] raises BracketOverflowError.  Elements
-    with t <= 0 stay at 1.
+    halving.  Doubling past cap raises BracketOverflowError.  Halving needs
+    no floor, since f(0) = 0 <= t: below the smallest normal double lo
+    falls back to 0.  Elements with t <= 0 stay at [1, 2].
     """
     x = np.ones_like(t)
     up = f(2.0 * x) < t  # never true where t <= 0, as f >= 0
@@ -191,14 +193,11 @@ def _bracket(f: Callable, t: np.ndarray, cap: float, task: str) -> np.ndarray:
         if (2.0 * x > cap).any():
             raise BracketOverflowError(float(t[2.0 * x > cap][0]), cap, task)
         up = f(2.0 * x) < t
-    live = ~(t <= 0.0)
-    down = live & (f(x) > t)
+    down = (t > 0.0) & (f(x) > t)
     while down.any():
         x = np.where(down, 0.5 * x, x)
-        if (x < 1.0 / cap).any():
-            raise BracketOverflowError(float(t[x < 1.0 / cap][0]), cap, task)
-        down = live & (f(x) > t)
-    return x
+        down &= (x >= _TINY) & (f(x) > t)
+    return np.where(x < _TINY, 0.0, x), 2.0 * x
 
 
 def _find_root(f: Callable, targets, cap: float, task: str) -> np.ndarray:
@@ -214,8 +213,7 @@ def _find_root(f: Callable, targets, cap: float, task: str) -> np.ndarray:
     dead = t <= 0.0
     root_tol = np.where(dead, np.inf, _ROOT_RTOL * t)
     steep_tol = _STEEP_RTOL * t
-    lo = _bracket(f, t, cap, task)
-    hi = 2.0 * lo
+    lo, hi = _bracket(f, t, cap, task)
     for _ in range(_MAX_STEPS):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -294,9 +292,9 @@ def conjugate(phi: YoungFunction, spec: SearchSpec | None = None) -> YoungFuncti
             # bracket chord_slope(x) <= y <= chord_slope(2x) puts the
             # maximizer in [x, 4x].
             arr, scalar = _as_1d(y)
-            x = _bracket(chord_slope, arr, cap, "conjugating")
+            lo, hi = _bracket(chord_slope, arr, cap, "conjugating")
             best = _golden_min(
-                lambda u: np.asarray(fn(u), dtype=float) - u * arr, x, 4.0 * x, "conjugating"
+                lambda u: np.asarray(fn(u), dtype=float) - u * arr, lo, 2.0 * hi, "conjugating"
             )
             return _restore(np.where(arr <= 0.0, 0.0, best), scalar)
 

@@ -9,7 +9,17 @@ from hypothesis import strategies as st
 
 from orliczlab.errors import BracketOverflowError, SolverCapError
 from orliczlab.space import _amemiya_batch, luxemburg_batch, orlicz_batch
-from orliczlab.young import _find_root, _golden_min, catalog_names, catalog_pair
+from orliczlab.young import (
+    SearchSpec,
+    YoungFunction,
+    _find_root,
+    _golden_min,
+    build_from_generator,
+    catalog_names,
+    catalog_pair,
+    conjugate,
+    strong_equivalence,
+)
 
 
 def test_root_finder_solves_elementwise_and_maps_zero_to_zero():
@@ -39,9 +49,33 @@ def test_root_finder_raises_when_f_never_reaches_t():
     assert "while testing" in str(err.value)
 
 
-def test_root_finder_raises_below_the_reciprocal_cap():
-    with pytest.raises(BracketOverflowError):
-        _find_root(lambda x: x, np.array([1e-9]), 1e3, "testing")
+def test_root_finder_has_no_lower_cap():
+    # the cap bounds only the upward search: roots far below 1/cap are found
+    t = np.array([1e-9, 1e-200, 1e-300])
+    assert np.allclose(_find_root(lambda x: x, t, 1e3, "testing"), t, rtol=1e-12, atol=0.0)
+
+
+def test_small_conjugate_arguments_do_not_raise():
+    phi = catalog_pair("pnorm:2").phi
+    assert conjugate(phi)(1e-3) == pytest.approx(5e-7, rel=1e-12)  # default cap 1e3
+    assert conjugate(phi)(1e-4) == pytest.approx(5e-9, rel=1e-12)
+    maximizer = conjugate(phi, SearchSpec(bracket_cap=1e200)).derivative
+    assert maximizer(1e-250) == pytest.approx(1e-250, rel=1e-12)
+    bare = YoungFunction(fn=lambda x: np.asarray(x, float) ** 2 / 2.0, name="bare")
+    assert conjugate(bare)(1e-4) == pytest.approx(5e-9, rel=1e-7)
+
+
+def test_built_conjugate_at_small_arguments():
+    # gen = y gives Psi(y) = y^2/2; quadrature nodes reach far below 1/inverse_cap
+    built = build_from_generator(lambda y: y)
+    assert built.psi(1e-9) == pytest.approx(5e-19, rel=1e-9)
+    assert built.psi(1e-12) == pytest.approx(5e-25, rel=1e-9)
+
+
+def test_strong_equivalence_of_a_conjugate_with_its_closed_form_on_small_arguments():
+    pair = catalog_pair("pnorm:2")
+    res = strong_equivalence(conjugate(pair.phi), pair.psi, grid=np.logspace(-4, 2, 40))
+    assert res.found and res.a == 1.0 and res.b == 1.0
 
 
 def test_minimizer_finds_interior_minima():

@@ -84,22 +84,43 @@ def _same_group(f: OrliczVector, g: OrliczVector) -> Group:
     return f.group
 
 
+def _kernel_sum(outer: OrliczVector, inner: OrliczVector, place: str, kernel=None) -> OrliczVector:
+    """Sum a * b * kernel over supp(outer) x supp(inner), one target per pair.
+
+    For x in supp(outer) with amplitude a and y in supp(inner) with
+    amplitude b, the target and the kernel's arguments are
+        place "xy":     t = x y,        kernel(x, y);
+        place "xy^-1":  s = x y^{-1},   kernel(s, y);
+        place "y^-1x":  s = y^{-1} x,   kernel(y, s).
+    With no kernel the term is a * b (no multiplication by a unit).
+    """
+    group = _same_group(outer, inner)
+    mul, inv = group.multiply, group.invert
+    acc: dict = {}
+    for x, a in outer.items():
+        for y, b in inner.items():
+            if place == "xy":
+                t = mul(x, y)
+                term = a * b if kernel is None else a * b * kernel(x, y)
+            elif place == "xy^-1":
+                t = mul(x, inv(y))
+                term = a * b * kernel(t, y)
+            else:
+                t = mul(inv(y), x)
+                term = a * b * kernel(y, t)
+            acc[t] = acc.get(t, 0.0) + term
+    return OrliczVector(group, acc)
+
+
 def twisted_convolve(om: Cocycle, f: OrliczVector, g: OrliczVector) -> OrliczVector:
     """(f * g)(t) = sum_s f(s) g(s^{-1}t) Om(s, s^{-1}t), support-pair form.
 
     Accumulates over supp(f) x supp(g) via t = s y, so the cocycle is
     evaluated at (s, y) directly; support lands inside supp(f)supp(g).
     """
-    group = _same_group(f, g)
-    if om.group != group:
+    if om.group != _same_group(f, g):
         raise GroupMismatchError("cocycle lives on a different group")
-    acc: dict = {}
-    mul = group.multiply
-    for s, a in f.items():
-        for y, b in g.items():
-            t = mul(s, y)
-            acc[t] = acc.get(t, 0.0) + a * b * om.value(s, y)
-    return OrliczVector(group, acc)
+    return _kernel_sum(f, g, "xy", om.value)
 
 
 def twisted_convolve_naive(om: Cocycle, f: OrliczVector, g: OrliczVector) -> OrliczVector:
@@ -121,14 +142,7 @@ def twisted_convolve_naive(om: Cocycle, f: OrliczVector, g: OrliczVector) -> Orl
 
 def convolve(f: OrliczVector, g: OrliczVector) -> OrliczVector:
     """Plain (untwisted) convolution."""
-    group = _same_group(f, g)
-    acc: dict = {}
-    mul = group.multiply
-    for s, a in f.items():
-        for y, b in g.items():
-            t = mul(s, y)
-            acc[t] = acc.get(t, 0.0) + a * b
-    return OrliczVector(group, acc)
+    return _kernel_sum(f, g, "xy")
 
 
 def l1_bound_gap(om: Cocycle, f: OrliczVector, g: OrliczVector) -> float:
@@ -154,26 +168,12 @@ def associativity_residual(
 
 def module_action_left(om: Cocycle, g: OrliczVector, h: OrliczVector) -> OrliczVector:
     """(g *' h)(s) = sum_t g(t) h(st) Om(s,t)."""
-    group = _same_group(g, h)
-    mul, inv = group.multiply, group.invert
-    acc: dict = {}
-    for u, hb in h.items():
-        for t, ga in g.items():
-            s = mul(u, inv(t))  # s t = u
-            acc[s] = acc.get(s, 0.0) + ga * hb * om.value(s, t)
-    return OrliczVector(group, acc)
+    return _kernel_sum(h, g, "xy^-1", om.value)
 
 
 def module_action_right(om: Cocycle, h: OrliczVector, g: OrliczVector) -> OrliczVector:
     """(h *' g)(s) = sum_t g(t) h(ts) Om(t,s)."""
-    group = _same_group(g, h)
-    mul, inv = group.multiply, group.invert
-    acc: dict = {}
-    for u, hb in h.items():
-        for t, ga in g.items():
-            s = mul(inv(t), u)  # t s = u
-            acc[s] = acc.get(s, 0.0) + ga * hb * om.value(t, s)
-    return OrliczVector(group, acc)
+    return _kernel_sum(h, g, "y^-1x", om.value)
 
 
 def module_action_left_naive(om: Cocycle, g: OrliczVector, h: OrliczVector) -> OrliczVector:
@@ -253,38 +253,17 @@ class SplitFactors:
 
 def xi(L: Callable, g: OrliczVector, h: OrliczVector) -> OrliczVector:
     """xi(g,h)(s) = sum_t g(t) h(st) L(s,t)."""
-    group = _same_group(g, h)
-    mul, inv = group.multiply, group.invert
-    acc: dict = {}
-    for u, hb in h.items():
-        for t, ga in g.items():
-            s = mul(u, inv(t))
-            acc[s] = acc.get(s, 0.0) + ga * hb * L(s, t)
-    return OrliczVector(group, acc)
+    return _kernel_sum(h, g, "xy^-1", L)
 
 
 def eta(L: Callable, f: OrliczVector, h: OrliczVector) -> OrliczVector:
     """eta(f,h)(t) = sum_s f(s) h(st) L(s,t)."""
-    group = _same_group(f, h)
-    mul, inv = group.multiply, group.invert
-    acc: dict = {}
-    for u, hb in h.items():
-        for s, fa in f.items():
-            t = mul(inv(s), u)
-            acc[t] = acc.get(t, 0.0) + fa * hb * L(s, t)
-    return OrliczVector(group, acc)
+    return _kernel_sum(h, f, "y^-1x", L)
 
 
 def zeta(L: Callable, f: OrliczVector, g: OrliczVector) -> OrliczVector:
     """zeta(f,g)(t) = sum_s f(s) g(s^{-1}t) L(s, s^{-1}t)."""
-    group = _same_group(f, g)
-    mul = group.multiply
-    acc: dict = {}
-    for s, a in f.items():
-        for y, b in g.items():
-            t = mul(s, y)
-            acc[t] = acc.get(t, 0.0) + a * b * L(s, y)
-    return OrliczVector(group, acc)
+    return _kernel_sum(f, g, "xy", L)
 
 
 def splitting_residual(

@@ -237,17 +237,29 @@ def _pair_table(om: Cocycle, radius: int):
     return outer, inner_idx, W, prod_idx
 
 
+_BLOCK_BYTES = 16 * 2**20  # size cap of each temporary in the triple scan
+
+
 def cocycle_identity_residual(om: Cocycle, radius: int) -> float:
-    """max over ball triples of |Om(r,s)Om(rs,t) - Om(s,t)Om(r,st)|."""
-    _, inner, W, prod_idx = _pair_table(om, radius)
-    I = inner
-    RS = prod_idx[np.ix_(I, I)]  # index of r*s in the outer ball
+    """max over ball triples of |Om(r,s)Om(rs,t) - Om(s,t)Om(r,st)|.
+
+    The scan runs over blocks of r so that no (r, s, t) temporary exceeds
+    _BLOCK_BYTES; the max is exact, so blocking does not change the value.
+    """
+    _, I, W, prod_idx = _pair_table(om, radius)
+    RS = prod_idx[np.ix_(I, I)]  # index of r*s (and of s*t) in the outer ball
     if np.any(RS < 0):
         raise InvariantViolationError("product fell outside the doubled ball")
-    lhs = W[np.ix_(I, I)][:, :, None] * W[RS[:, :, None], I[None, None, :]]
-    ST = prod_idx[np.ix_(I, I)]
-    rhs = W[np.ix_(I, I)][None, :, :] * W[I[:, None, None], ST[None, :, :]]
-    return float(np.abs(lhs - rhs).max())
+    W_II = W[np.ix_(I, I)]
+    n = len(I)
+    step = max(1, _BLOCK_BYTES // (16 * n * n))
+    block_max = []
+    for r0 in range(0, n, step):
+        r = slice(r0, r0 + step)
+        lhs = W_II[r, :, None] * W[RS[r, :, None], I[None, None, :]]
+        rhs = W_II[None, :, :] * W[I[r, None, None], RS[None, :, :]]
+        block_max.append(np.abs(lhs - rhs).max())
+    return float(np.max(block_max))
 
 
 def normalization_residual(om: Cocycle, radius: int) -> float:

@@ -7,6 +7,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see every line.
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -281,8 +282,19 @@ GOLDEN_DRIFT = 1e-2
 
 def test_14_determinism():
     with criterion(14, "determinism", 300.0):
-        cfg = SuiteConfig(seed=42)
+        reads = set()
+
+        class ReadRecordingConfig(SuiteConfig):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        cfg = ReadRecordingConfig(seed=42)
+        reads.clear()
         records = run_all(cfg)
+        # every key the report header echoes is one the run actually used
+        unread = {f.name for f in fields(SuiteConfig)} - reads
+        assert not unread, sorted(unread)
         first = emit_report(records, "lines", cfg=cfg)
         second = emit_report(run_all(cfg), "lines", cfg=cfg)
         assert first.encode("utf-8") == second.encode("utf-8")

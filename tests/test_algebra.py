@@ -33,6 +33,13 @@ def test_convolution_is_group_law_for_trivial_cocycle():
     assert dict(out.items()) == {(0,): 1.0 + 0.0j}
 
 
+def test_plain_convolution_multiplies_by_no_unit_kernel():
+    # (inf + 0j) * (1 + 0j) is inf + nan*j, so a unit kernel would show here
+    big = OrliczVector.delta(C2, (1,), 1e200)
+    out = algebra.convolve(big, big)
+    assert out.amplitude((0,)) == complex(math.inf, 0.0)
+
+
 def test_sign_cocycle_on_z2mod():
     om = bilinear_phase(C2, np.array([[1]]), math.pi)
     d1 = OrliczVector.delta(C2, (1,))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from orliczlab import cocycles
 from orliczlab.cocycles import (
     bilinear_phase,
     coboundary_from_weight,
@@ -85,6 +86,27 @@ def test_identity_residual_on_cyclic_phase():
     # an incompatible angle breaks the identity on the quotient
     bad = bilinear_phase(c5, np.array([[1]]), 1.0)
     assert cocycle_identity_residual(bad, 2) > 1e-2
+
+
+def test_identity_residual_blocks_match_the_unblocked_scan(monkeypatch):
+    """Scanning r in blocks gives exactly the value of the one-shot scan."""
+    oms = [
+        coboundary_from_weight(polynomial_weight(Z2, 1.0)),
+        product_cocycle(
+            coboundary_from_weight(subexp_weight(Z2, 0.5, 1.0)),
+            bilinear_phase(Z2, PHASE_B, math.pi),
+        ),
+        perturbed(coboundary_from_weight(polynomial_weight(Z2, 1.0)), (1, 0), (0, 1), 1.1),
+    ]
+    radius = 3  # 25 ball elements; a 25 x 25 x 2 block is 20000 bytes
+    monkeypatch.setattr(cocycles, "_BLOCK_BYTES", 16 * 25 * 25 * 2)
+    for om in oms:
+        _, I, W, prod_idx = cocycles._pair_table(om, radius)
+        RS = prod_idx[np.ix_(I, I)]
+        lhs = W[np.ix_(I, I)][:, :, None] * W[RS[:, :, None], I[None, None, :]]
+        rhs = W[np.ix_(I, I)][None, :, :] * W[I[:, None, None], RS[None, :, :]]
+        unblocked = float(np.abs(lhs - rhs).max())
+        assert cocycle_identity_residual(om, radius) == unblocked, om.label
 
 
 def test_perturbed_cocycle_detected():

@@ -4,15 +4,14 @@ import math
 
 import pytest
 
-from orliczlab import cli
-from orliczlab.errors import ConfigError
+from orliczlab import cli, harness
+from orliczlab.errors import ConfigError, OrliczLabError
 from orliczlab.groups import Group
 from orliczlab.harness import (
     REGISTRY,
     SUITE_ORDER,
     SuiteConfig,
     VerificationRecord,
-    _Recorder,
     emit_report,
     format_vector,
     parse_cocycle,
@@ -31,7 +30,7 @@ def test_config_round_trip_is_byte_identical():
     text = cfg.to_text()
     assert SuiteConfig.from_text(text) == cfg
     assert SuiteConfig.from_text(text).to_text() == text
-    custom = SuiteConfig(group="heis", samples=15, seed=9, tol_abs=2.5e-10)
+    custom = SuiteConfig(pair="xlog", samples=15, seed=9, tol_abs=2.5e-10)
     assert SuiteConfig.from_text(custom.to_text()) == custom
 
 
@@ -46,6 +45,14 @@ def test_config_rejects_unknown_keys_and_sections():
         SuiteConfig.from_text("[mystery]\nx = 1\n")
     with pytest.raises(ConfigError):
         SuiteConfig.from_text("[suite]\nradius = lots\n")
+    with pytest.raises(ConfigError):
+        SuiteConfig.from_text("[suite]\npair = bogus\n")
+
+
+@pytest.mark.parametrize("line", ["group = z2", "weight = poly:1", "cocycle = poly:1"])
+def test_removed_config_keys_are_unknown(line):
+    with pytest.raises(ConfigError, match="unknown config key"):
+        SuiteConfig.from_text(f"[suite]\n{line}\n")
 
 
 def test_parse_group_specs():
@@ -112,18 +119,41 @@ def test_individual_suites_pass_and_cover_registry(suite):
         assert (r.residual <= r.tolerance) == (r.verdict == "pass")
 
 
-def test_failure_isolation_records_error_text():
-    rec = _Recorder(SuiteConfig(), "demo")
+def test_failure_isolation_records_error_text(monkeypatch):
+    monkeypatch.setattr(harness, "_LAWS", [])
+    monkeypatch.setitem(harness.REGISTRY, "membership", ("explodes", "fine"))
 
-    def boom(_seed):
+    @harness._law("membership", "explodes", "law text", 1.0)
+    def boom(_run, _seed):
         raise RuntimeError("deliberate")
 
-    rec.case("explodes", "law text", 1.0, boom)
-    rec.case("fine", "law text", 1.0, lambda _s: 0.0)
-    first, second = rec.records
+    harness._law("membership", "fine", "law text", 1.0)(lambda _run, _seed: 0.0)
+    first, second = run_suite(SuiteConfig(), "membership")
     assert first.verdict == "fail" and "deliberate" in first.note
     assert math.isinf(first.residual)
     assert second.verdict == "pass"  # later cases still ran
+
+
+def test_fixture_error_fails_only_the_cases_that_need_it(monkeypatch):
+    def no_witness(*_args, **_kwargs):
+        raise RuntimeError("witness search disabled")
+
+    monkeypatch.setattr(harness, "decomposition_witness", no_witness)
+    records = run_suite(SuiteConfig(samples=100), "splitting")
+    assert tuple(r.case for r in records) == REGISTRY["splitting"]
+    needs_witness = {"identity-weighted", "xi-eta-oracle", "zeta-crosscheck", "xi-pointwise-bound"}
+    for r in records:
+        if r.case in needs_witness:
+            assert r.verdict == "fail" and math.isinf(r.residual)
+            assert r.note == "RuntimeError: witness search disabled"
+        else:  # the halves and random-uv splittings never use the witness
+            assert r.verdict == "pass", r.note
+
+
+def test_law_outside_the_registry_is_an_error(monkeypatch):
+    monkeypatch.setitem(harness.REGISTRY, "membership", REGISTRY["membership"][:-1])
+    with pytest.raises(OrliczLabError):
+        run_suite(SuiteConfig(samples=60), "membership")
 
 
 def test_lines_report_is_deterministic_and_structured():
@@ -156,7 +186,7 @@ def test_table_report_counts():
 def test_empty_config_report_header_echoes_defaults():
     cfg = SuiteConfig.from_text("")
     text = emit_report([], "lines", cfg=cfg)
-    assert "# group = z2" in text
+    assert "# pair = pnorm:2" in text
     assert text.endswith("note\n")  # header only, no records
 
 
@@ -210,6 +240,17 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     bad.write_text("[suite]\nwhat = 1\n", encoding="utf-8")
     assert cli.main(["verify", "--suite", "membership", "--config", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("suite", ["lambda", "membership"])
+@pytest.mark.parametrize(
+    "line", ["group = nonsense", "weight = ???", "cocycle = !!", "pair = bogus"]
+)
+def test_cli_verify_rejects_bad_or_removed_keys(tmp_path, capsys, suite, line):
+    cfgfile = tmp_path / "cfg.ini"
+    cfgfile.write_text(f"[suite]\nsamples = 100\n{line}\n", encoding="utf-8")
+    assert cli.main(["verify", "--suite", suite, "--config", str(cfgfile)]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_cli_verify_out_file(tmp_path):

@@ -49,6 +49,7 @@ from .errors import GroupMismatchError, InputError, InvariantViolationError, Wit
 from .groups import (
     Group,
     Weight,
+    locate,
     product_weight,
     subexp_log_weight,
     subexp_weight,
@@ -154,13 +155,7 @@ def coboundary_from_weight(w: Weight) -> Cocycle:
         return w(group.multiply(s, t)) / (w(s) * w(t))
 
     def table_fn(elems):
-        X = group.coords_array(elems)
-        tau = group.tau_array(X)
-        vals = w.tau_values(tau)
-        prods = group.product_array(X, X)
-        group.ensure_radius(2 * int(tau.max(initial=0)))
-        wst = w.tau_values(group.tau_array(prods))
-        return (wst / np.multiply.outer(vals, vals)).astype(complex)
+        return w.coboundary_table(group.coords_array(elems)).astype(complex)
 
     return Cocycle(group, "coboundary", fn, f"coboundary({w.label})", weight=w, table_fn=table_fn)
 
@@ -225,16 +220,10 @@ def _pair_table(om: Cocycle, radius: int):
     """
     group = om.group
     outer = group.ball(2 * radius)
-    index = {g: i for i, g in enumerate(outer)}
-    inner_idx = np.array([index[g] for g in group.ball(radius)], dtype=np.int64)
     W = om.table(outer)
     X = group.coords_array(outer)
-    prods = group.product_array(X, X)
-    flat = prods.reshape(-1, group.dim)
-    prod_idx = np.array(
-        [index.get(tuple(int(v) for v in row), -1) for row in flat], dtype=np.int64
-    ).reshape(len(outer), len(outer))
-    return outer, inner_idx, W, prod_idx
+    inner_idx = locate(X, group.coords_array(group.ball(radius)))
+    return outer, inner_idx, W, locate(X, group.product_array(X, X))
 
 
 _BLOCK_BYTES = 16 * 2**20  # size cap of each temporary in the triple scan
@@ -336,30 +325,10 @@ class DecompositionWitness:
     description: str
 
 
-def _verify_radial(om: Cocycle, w: Weight, u_tau, v_tau, radius: int):
-    """Max of |Om| - u - v over the ball when |Om| is the coboundary of w."""
-    group = om.group
-    elems = group.ball(radius)
-    X = group.coords_array(elems)
-    tau = group.tau_array(X)
-    group.ensure_radius(2 * radius)
-    tau_st = group.tau_array(group.product_array(X, X))
-    wv = w.tau_values(tau)
-    mod = w.tau_values(tau_st) / np.multiply.outer(wv, wv)
-    viol = mod - u_tau(tau)[:, None] - v_tau(tau)[None, :]
-    k = int(np.argmax(viol))
-    i, j = divmod(k, len(elems))
-    return float(viol[i, j]), (elems[i], elems[j])
-
-
-def _verify_generic(om: Cocycle, u, v, radius: int):
-    elems = om.group.ball(radius)
-    mod = np.abs(om.table(elems))
-    uv = np.array([u(g) for g in elems], dtype=float)
-    vv = np.array([v(g) for g in elems], dtype=float)
-    viol = mod - uv[:, None] - vv[None, :]
-    k = int(np.argmax(viol))
-    i, j = divmod(k, len(elems))
+def _worst_pair(elems, mod, u_vals, v_vals):
+    """Max of |Om| - u - v over elems x elems and the pair attaining it."""
+    viol = mod - u_vals[:, None] - v_vals[None, :]
+    i, j = divmod(int(np.argmax(viol)), len(elems))
     return float(viol[i, j]), (elems[i], elems[j])
 
 
@@ -379,7 +348,12 @@ def decomposition_witness(
     if u is not None or v is not None:
         if u is None or v is None:
             raise InputError("supply both u and v, or neither")
-        violation, worst = _verify_generic(om, u, v, radius)
+        elems = group.ball(radius)
+        violation, worst = _worst_pair(
+            elems, np.abs(om.table(elems)),
+            np.array([u(g) for g in elems], dtype=float),
+            np.array([v(g) for g in elems], dtype=float),
+        )
         if violation > 0.0:
             raise WitnessSearchError(worst, violation, "user-supplied")
         return DecompositionWitness(
@@ -423,9 +397,14 @@ def decomposition_witness(
     else:
         raise WitnessSearchError(None, math.inf, f"no recipe for weight kind {w.kind!r}")
 
+    # |Om| is the coboundary of w, so one table serves every candidate
+    elems = group.ball(radius)
+    X = group.coords_array(elems)
+    tau = group.tau_array(X)
+    mod = w.coboundary_table(X)
     best = None
     for desc, u_tau, v_tau in candidates:
-        violation, worst = _verify_radial(om, w, u_tau, v_tau, radius)
+        violation, worst = _worst_pair(elems, mod, u_tau(tau), v_tau(tau))
         if violation <= 0.0:
             u_fn = lambda g, f=u_tau: float(f(np.asarray(float(group.word_length(g)))))
             v_fn = lambda g, f=v_tau: float(f(np.asarray(float(group.word_length(g)))))

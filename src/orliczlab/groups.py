@@ -12,8 +12,17 @@ The word length tau(g) is the least number of generators whose product
 is g; it is symmetric and subadditive.  It is computed by breadth-first
 search from the identity with a memoized length table; for Z^d and Z_n
 a closed form (validated against BFS in the test suite) is used instead.
-Balls are returned in lexicographic coordinate order so every report is
-reproducible byte for byte.
+
+Array lookups go through one sorted index.  locate(K, Q) finds each
+coordinate row of Q in a lexicographically sorted (n, d) array K: rows
+are offset into K's bounding box, linearised in mixed radix (so the
+order of keys is the order of rows) and found with one searchsorted.
+The group keeps a sorted view of its BFS table (coordinates plus
+lengths), rebuilt only when the table grows.  Balls are read from that
+view, in lexicographic coordinate order so every report is reproducible
+byte for byte, and tau_array on H3 looks word lengths up in it; on a miss
+it grows the table by BFS up to the first missing element (or raises
+RadiusCapError) and looks again.
 
 Weights are strictly positive functions of the word length with value 1
 at the identity.  The built-in families are
@@ -29,6 +38,7 @@ convention so that every weight satisfies w(e) = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -43,6 +53,7 @@ from .errors import (
 
 __all__ = [
     "Group",
+    "locate",
     "Weight",
     "GrowthFit",
     "WeightAxiomsReport",
@@ -55,6 +66,36 @@ __all__ = [
 ]
 
 Element = tuple
+
+
+def locate(K: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Row index in the nonempty, lexicographically sorted (n, d) array K of
+    each row of Q (shape (..., d)), or -1 where the row is absent.
+
+    Coordinates are clipped into K's bounding box widened by one on each
+    side, so a row outside the box lands on a border key that no row of K
+    has.  Keys are built column by column, so no temporary is larger than
+    one column of Q.
+    """
+    Q = np.asarray(Q, dtype=np.int64)
+    lo = K.min(axis=0) - 1
+    span = K.max(axis=0) + 2 - lo
+    if math.prod(span.tolist()) >= 2**62:
+        raise InputError("coordinate box too large to linearise")
+
+    def keys(A):
+        key = np.zeros(len(A), dtype=np.int64)
+        for j, n in enumerate(span):
+            c = A[:, j] - lo[j]
+            key *= n
+            key += np.clip(c, 0, n - 1, out=c)
+        return key
+
+    kk, key = keys(K), keys(Q.reshape(-1, Q.shape[-1]))
+    pos = np.searchsorted(kk, key)
+    np.minimum(pos, len(kk) - 1, out=pos)
+    pos[kk[pos] != key] = -1
+    return pos.reshape(Q.shape[:-1])
 
 
 class Group:
@@ -78,6 +119,7 @@ class Group:
         self._lengths: dict = {self.identity(): 0}
         self._frontier: list = [self.identity()]
         self._built_radius = 0
+        self._sorted = None  # (coords, lengths) of _lengths in row order
 
     # -- construction ------------------------------------------------------
 
@@ -211,20 +253,27 @@ class Group:
         self._frontier = nxt
         self._built_radius = r
 
-    def ensure_radius(self, radius: int) -> None:
+    def _view(self, radius: int = 0):
+        """Coordinates and lengths of the BFS table, grown to at least the
+        radius (when the group reaches it), rows in lexicographic order."""
         while self._built_radius < radius and self._frontier:
             self._grow_one_level()
+        if self._sorted is None or len(self._sorted[1]) != len(self._lengths):
+            K = self.coords_array(list(self._lengths))
+            L = np.fromiter(self._lengths.values(), dtype=np.int64, count=len(K))
+            order = np.lexsort(K.T[::-1])
+            self._sorted = (K[order], L[order])
+        return self._sorted
 
     def ball(self, radius: int) -> list:
         """All elements of word length <= radius, lexicographically sorted."""
         if radius < 0:
             raise InputError("radius must be nonnegative")
-        self.ensure_radius(radius)
-        return sorted(g for g, n in self._lengths.items() if n <= radius)
+        K, L = self._view(radius)
+        return list(map(tuple, K[L <= radius].tolist()))
 
     def ball_count(self, radius: int) -> int:
-        self.ensure_radius(radius)
-        return sum(1 for n in self._lengths.values() if n <= radius)
+        return int(np.count_nonzero(self._view(radius)[1] <= radius))
 
     # -- vectorized helpers ---------------------------------------------------
 
@@ -248,9 +297,13 @@ class Group:
         if self.kind == "cyclic":
             k = coords[..., 0] % self.param
             return np.minimum(k, self.param - k)
-        flat = coords.reshape(-1, 3)
-        out = np.array([self.word_length_bfs(tuple(int(v) for v in row)) for row in flat])
-        return out.reshape(coords.shape[:-1])
+        while True:
+            K, L = self._view()
+            idx = locate(K, coords)
+            missing = np.flatnonzero(idx < 0)
+            if not missing.size:
+                return L[idx]
+            self.word_length_bfs(coords.reshape(-1, 3)[missing[0]])  # grows or raises
 
     # -- growth ---------------------------------------------------------------
 
@@ -314,6 +367,12 @@ class Weight:
 
     def __call__(self, g) -> float:
         return float(self.tau_fn(float(self.group.word_length(g))))
+
+    def coboundary_table(self, X: np.ndarray) -> np.ndarray:
+        """w(st) / (w(s) w(t)) over all pairs of rows of the coordinate array X."""
+        group = self.group
+        vals = self.tau_values(group.tau_array(X))
+        return self.tau_values(group.tau_array(group.product_array(X, X))) / np.multiply.outer(vals, vals)
 
 
 def trivial_weight(group: Group) -> Weight:
@@ -380,16 +439,9 @@ def weight_axioms_report(w: Weight, radius: int) -> WeightAxiomsReport:
     """Probe the weight axioms on a ball: w(e)=1, bounded reciprocal, and
     the submultiplicativity ratio sup w(st)/(w(s)w(t))."""
     group = w.group
-    elems = group.ball(radius)
-    X = group.coords_array(elems)
-    tau = group.tau_array(X)
-    vals = w.tau_values(tau)
-    prods = group.product_array(X, X)
-    group.ensure_radius(2 * radius)
-    tau_prod = group.tau_array(prods)
-    ratio = w.tau_values(tau_prod) / np.multiply.outer(vals, vals)
+    X = group.coords_array(group.ball(radius))
     return WeightAxiomsReport(
         identity_ok=abs(w(group.identity()) - 1.0) < 1e-12,
-        inverse_bound=float((1.0 / vals).max()),
-        submult_sup=float(ratio.max()),
+        inverse_bound=float((1.0 / w.tau_values(group.tau_array(X))).max()),
+        submult_sup=float(w.coboundary_table(X).max()),
     )

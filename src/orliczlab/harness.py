@@ -127,8 +127,9 @@ class SuiteConfig:
     """Knobs the suites read; every field has a default.
 
     The canonical text form (to_text) round-trips byte-identically
-    through from_text.  An unknown pair name is a ConfigError here, so a
-    bad config fails before any suite runs.
+    through from_text.  An unknown pair name, or a radius or samples
+    below 1, is a ConfigError here, so a bad config fails before any
+    suite runs.
     """
 
     pair: str = "pnorm:2"
@@ -140,6 +141,9 @@ class SuiteConfig:
 
     def __post_init__(self):
         parse_pair(self.pair)
+        for name in ("radius", "samples"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
 
     def to_text(self) -> str:
         blocks = []

@@ -483,7 +483,8 @@ def strong_equivalence(
     2^{-1/2} are representable).  a is the largest candidate with
     Phi1(a x) <= Phi2(x) on the whole grid, b the smallest with
     Phi2(x) <= Phi1(b x); failure reports the nearest candidate and its
-    worst grid point.
+    worst grid point, or gap inf with no candidate when every candidate
+    overflows.
     """
     tol = tol or Tolerances()
     xs = np.asarray(grid if grid is not None else np.logspace(-3, 3, 61), dtype=float)
@@ -491,55 +492,34 @@ def strong_equivalence(
         v2 = np.asarray(phi2(xs), dtype=float)
     cands = 2.0 ** (np.arange(-60, 61) / 4.0)
 
-    def lower_ok(a: float) -> float:
-        # max violation of Phi1(a x) <= Phi2(x); <= 0 means pass.  A blown
-        # conjugation bracket means phi1(a x) is astronomically large, so
-        # the candidate simply fails.
-        try:
-            with np.errstate(over="ignore"):
-                v1 = np.asarray(phi1(a * xs), dtype=float)
-        except BracketOverflowError:
-            return np.inf
-        return float(np.max(v1 - v2 - tol.slack(v2)))
+    def first_pass(order, lower: bool):
+        """The first candidate c that passes, else None, and the best failure
+        as (gap, c, worst grid index).  The gap is the max violation of
+        Phi1(c x) <= Phi2(x) (lower) or Phi2(x) <= Phi1(c x); <= 0 passes.
+        A blown conjugation bracket means phi1(c x) is astronomically large,
+        so the candidate simply fails."""
+        best = (np.inf, None, None)
+        for c in map(float, order):
+            try:
+                with np.errstate(over="ignore"):
+                    v1 = np.asarray(phi1(c * xs), dtype=float)
+            except BracketOverflowError:
+                continue
+            diff, slack = (v1 - v2, tol.slack(v2)) if lower else (v2 - v1, tol.slack(v1))
+            gap = float(np.max(diff - slack))
+            if gap <= 0.0:
+                return c, best
+            if gap < best[0]:
+                best = (gap, c, int(np.argmax(diff)))
+        return None, best
 
-    def upper_ok(b: float) -> float:
-        try:
-            with np.errstate(over="ignore"):
-                v1 = np.asarray(phi1(b * xs), dtype=float)
-        except BracketOverflowError:
-            return np.inf
-        return float(np.max(v2 - v1 - tol.slack(v1)))
-
-    a_star = None
-    best_a, best_a_gap = None, np.inf
-    for a in cands[::-1]:
-        gap = lower_ok(float(a))
-        if gap <= 0.0:
-            a_star = float(a)
-            break
-        if gap < best_a_gap:
-            best_a, best_a_gap = float(a), gap
-    b_star = None
-    best_b, best_b_gap = None, np.inf
-    for b in cands:
-        gap = upper_ok(float(b))
-        if gap <= 0.0:
-            b_star = float(b)
-            break
-        if gap < best_b_gap:
-            best_b, best_b_gap = float(b), gap
+    a_star, best_a = first_pass(cands[::-1], True)
+    b_star, best_b = first_pass(cands, False)
     if a_star is not None and b_star is not None and a_star <= b_star:
         return EquivalenceResult(True, a_star, b_star)
-    if a_star is None:
-        cand, gap = best_a, best_a_gap
-        v1 = np.asarray(phi1(cand * xs), dtype=float)
-        worst = int(np.argmax(v1 - v2))
-    else:
-        cand, gap = best_b, best_b_gap
-        v1 = np.asarray(phi1(cand * xs), dtype=float)
-        worst = int(np.argmax(v2 - v1))
+    gap, cand, worst = best_a if a_star is None else best_b
     return EquivalenceResult(
-        False, failing_candidate=cand, failing_x=float(xs[worst]), gap=gap
+        False, failing_candidate=cand, failing_x=None if worst is None else float(xs[worst]), gap=gap
     )
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orliczlab import cocycles
 from orliczlab.cocycles import (
@@ -231,3 +233,32 @@ def test_witness_through_product_with_phase():
     )
     wit = decomposition_witness(om, 10)
     assert wit.max_violation <= 0.0
+
+
+PAIR_GROUPS = (Z2, Group.heisenberg(), Group.cyclic(7))
+
+
+def test_pair_table_indices_match_a_dict_index():
+    for group in PAIR_GROUPS:
+        om = coboundary_from_weight(polynomial_weight(group, 1.0))
+        outer, I, W, prod_idx = cocycles._pair_table(om, 2)
+        index = {g: i for i, g in enumerate(outer)}
+        assert I.tolist() == [index[g] for g in group.ball(2)]
+        want = [[index.get(group.multiply(s, t), -1) for t in outer] for s in outer]
+        assert prod_idx.tolist() == want, group
+        assert W.shape == (len(outer), len(outer))
+    assert np.all(prod_idx >= 0)  # Z_7: the doubled ball is the whole group
+
+
+def test_heisenberg_identity_residual_at_radius_4():
+    om = coboundary_from_weight(polynomial_weight(Group.heisenberg(), 1.0))
+    assert cocycle_identity_residual(om, 4) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(group=st.sampled_from(PAIR_GROUPS), data=st.data(), factor=st.floats(1.5, 3.0))
+def test_perturbed_cocycles_are_detected_on_every_group(group, data, factor):
+    small = st.sampled_from([g for g in group.ball(2) if g != group.identity()])
+    s, t = data.draw(small), data.draw(small)
+    bad = perturbed(coboundary_from_weight(polynomial_weight(group, 1.0)), s, t, factor)
+    assert cocycle_identity_residual(bad, 2) > 1e-6

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from orliczlab.errors import GroupMismatchError, InputError, MemoryCapError, RadiusCapError
 from orliczlab.groups import (
     Group,
+    locate,
     polynomial_weight,
     product_weight,
     subexp_log_weight,
@@ -222,3 +223,44 @@ def test_tau_array_matches_word_length():
         X = group.coords_array(ball)
         taus = group.tau_array(X)
         assert [int(t) for t in taus] == [group.word_length(g) for g in ball]
+
+
+def test_locate_matches_a_dict_oracle():
+    rng = np.random.default_rng(7)
+    K = np.unique(rng.integers(-5, 6, size=(60, 2)), axis=0)  # lexicographically sorted
+    index = {tuple(row): i for i, row in enumerate(K.tolist())}
+    lo, hi = K.min(axis=0), K.max(axis=0)
+    box = [(a, b) for a in range(lo[0], hi[0] + 1) for b in range(lo[1], hi[1] + 1)]
+    absent = [g for g in box if g not in index]
+    assert absent  # 60 draws cannot fill the 11 x 11 box
+    outside = [(lo[0] - 1, lo[1]), (hi[0] + 1, hi[1]), (lo[0], lo[1] - 1), (hi[0], hi[1] + 1),
+               (lo[0] - 40, hi[1] + 40), (hi[0] + 3, lo[1] - 9)]
+    # rows pushed past the box in the last coordinate by whole box widths:
+    # a linearisation that did not clip would read them as a neighbouring row
+    width = int(hi[1] - lo[1]) + 3
+    outside += [(a, b + k * width) for a, b in index for k in (-1, 1)]
+    Q = np.array(list(index) + absent + outside, dtype=np.int64)
+    rng.shuffle(Q)
+    want = [index.get(tuple(row), -1) for row in Q.tolist()]
+    assert locate(K, Q).tolist() == want
+    assert locate(K, np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+    # 3-coordinate rows, queried as a (4, 5, 3) array
+    K3 = np.unique(rng.integers(-3, 4, size=(80, 3)), axis=0)
+    index3 = {tuple(row): i for i, row in enumerate(K3.tolist())}
+    Q3 = rng.integers(-4, 5, size=(4, 5, 3))
+    got = locate(K3, Q3)
+    assert got.shape == (4, 5)
+    assert got.ravel().tolist() == [index3.get(tuple(r), -1) for r in Q3.reshape(-1, 3).tolist()]
+
+
+def test_tau_array_grows_the_heisenberg_table_on_a_miss():
+    heis, oracle = Group.heisenberg(), Group.heisenberg()
+    X3, X6 = (heis.coords_array(heis.ball(r)) for r in (3, 6))
+    P = heis.product_array(X3, X6)  # lengths up to 9, past the built radius 6
+    taus = heis.tau_array(P)
+    assert taus.shape == P.shape[:-1] and int(taus.max()) == 9
+    assert taus.ravel().tolist() == [oracle.word_length_bfs(g) for g in P.reshape(-1, 3).tolist()]
+    capped = Group.heisenberg()
+    capped.radius_cap = 3
+    with pytest.raises(RadiusCapError):
+        capped.tau_array(np.array([[0, 0, 0], [5, 0, 0]]))

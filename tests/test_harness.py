@@ -47,6 +47,11 @@ def test_config_rejects_unknown_keys_and_sections():
         SuiteConfig.from_text("[suite]\nradius = lots\n")
     with pytest.raises(ConfigError):
         SuiteConfig.from_text("[suite]\npair = bogus\n")
+    for line in ("samples = 0", "samples = -3", "radius = 0", "radius = -1"):
+        with pytest.raises(ConfigError, match=">= 1"):
+            SuiteConfig.from_text(f"[suite]\n{line}\n")
+    with pytest.raises(ConfigError):
+        SuiteConfig(samples=0)
 
 
 @pytest.mark.parametrize("line", ["group = z2", "weight = poly:1", "cocycle = poly:1"])
@@ -240,6 +245,24 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     bad.write_text("[suite]\nwhat = 1\n", encoding="utf-8")
     assert cli.main(["verify", "--suite", "membership", "--config", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_cli_verify_rejects_samples_and_radius_below_one(tmp_path, capsys):
+    assert cli.main(["verify", "--suite", "duality", "--samples", "0"]) == 2
+    assert "samples must be >= 1" in capsys.readouterr().err
+    cfgfile = tmp_path / "cfg.ini"
+    cfgfile.write_text("[suite]\nradius = -1\n", encoding="utf-8")
+    assert cli.main(["verify", "--suite", "cocycle", "--config", str(cfgfile)]) == 2
+    assert "radius must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_young_equiv_when_every_candidate_overflows(capsys):
+    # every a-candidate blows the conjugate's bracket, so no failing
+    # candidate exists: the command reports gap inf instead of crashing
+    rc = cli.main(["young", "equiv", "--phi1", "conj:xlog", "--phi2", "pnorm:2", "--xmax", "1e8"])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert out.startswith("not equivalent on the grid: candidate None") and "by inf" in out
 
 
 @pytest.mark.parametrize("suite", ["lambda", "membership"])

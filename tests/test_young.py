@@ -197,6 +197,17 @@ def test_strong_equivalence_failure_reports_witness_point():
     )
     assert not res.found
     assert res.failing_x is not None and res.gap > 0
+    assert res.failing_candidate == 2.0**-15 and res.failing_x == 100.0
+    assert res.gap == pytest.approx(2.6881171418161356e43, rel=1e-12)
+
+
+def test_strong_equivalence_all_candidates_overflow():
+    res = strong_equivalence(
+        catalog_pair("xlog").psi, catalog_pair("pnorm:2").phi, grid=np.logspace(-2, 8, 40)
+    )
+    assert not res.found
+    assert res.gap == np.inf
+    assert res.failing_candidate is None and res.failing_x is None
 
 
 def test_biconjugation_across_catalog():

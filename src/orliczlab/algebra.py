@@ -4,10 +4,15 @@ For a cocycle Om the twisted convolution of finitely supported vectors is
 
     (f * g)(t) = sum_s f(s) g(s^{-1} t) Om(s, s^{-1} t),
 
-an exact finite sum here (no truncation, no FFT: correctness over speed,
-with the naive double loop kept as the oracle for the support-pair
-implementation).  Deltas multiply as delta_s * delta_t = Om(s,t) delta_{st},
-so associativity of the convolution is the cocycle identity in disguise.
+an exact finite sum here (no truncation, no FFT), with the naive double
+loop kept as the oracle for the support-pair implementation.  That
+implementation, shared by every product below, forms all pairs of the two
+supports at once: the target rows with Group.multiply_array, the kernel
+values with the cocycle's array evaluator, the terms (a b) k with complex
+products formed part by part, and then the scatter-add of the space
+module, in the pair order of a double loop over the sorted supports.
+Deltas multiply as delta_s * delta_t = Om(s,t) delta_{st}, so
+associativity of the convolution is the cocycle identity in disguise.
 
 The dual-side module actions are
 
@@ -49,7 +54,7 @@ import numpy as np
 from .cocycles import Cocycle, DecompositionWitness
 from .errors import FactorizationError, GroupMismatchError
 from .groups import Group, Weight
-from .space import OrliczVector, orlicz_norm, random_vector
+from .space import OrliczVector, cmul, orlicz_norm, random_vector
 from .young import ComplementaryPair
 
 __all__ = [
@@ -92,24 +97,35 @@ def _kernel_sum(outer: OrliczVector, inner: OrliczVector, place: str, kernel=Non
         place "xy":     t = x y,        kernel(x, y);
         place "xy^-1":  s = x y^{-1},   kernel(s, y);
         place "y^-1x":  s = y^{-1} x,   kernel(y, s).
-    With no kernel the term is a * b (no multiplication by a unit).
+    The kernel maps two (n, d) coordinate arrays to the n complex values at
+    their pairs.  With no kernel the term is a * b (no multiplication by a
+    unit).  Pairs run over the sorted outer support, then the sorted inner
+    support, and the terms are scatter-added in that order.
     """
     group = _same_group(outer, inner)
-    mul, inv = group.multiply, group.invert
-    acc: dict = {}
-    for x, a in outer.items():
-        for y, b in inner.items():
-            if place == "xy":
-                t = mul(x, y)
-                term = a * b if kernel is None else a * b * kernel(x, y)
-            elif place == "xy^-1":
-                t = mul(x, inv(y))
-                term = a * b * kernel(t, y)
-            else:
-                t = mul(inv(y), x)
-                term = a * b * kernel(y, t)
-            acc[t] = acc.get(t, 0.0) + term
-    return OrliczVector(group, acc)
+    p, q = np.divmod(np.arange(len(outer) * len(inner)), max(len(inner), 1))
+    p, q = outer._order()[p], inner._order()[q]  # the pairs, in double-loop order
+    X, Y = outer._rows[p], inner._rows[q]
+    if place == "xy":
+        T = group.multiply_array(X, Y)
+        S, R = X, Y
+    elif place == "xy^-1":
+        T = group.multiply_array(X, group.invert_array(Y))
+        S, R = T, Y
+    else:
+        T = group.multiply_array(group.invert_array(Y), X)
+        S, R = Y, T
+    terms = cmul(outer._amps[p], inner._amps[q])
+    if kernel is not None:
+        terms = cmul(terms, kernel(S, R))
+    return OrliczVector._summed(group, T, terms)
+
+
+def _pointwise(L: Callable) -> Callable:
+    """The array form of a scalar kernel L(s, t): one call per pair."""
+    return lambda S, T: np.array(
+        [L(tuple(s), tuple(t)) for s, t in zip(S.tolist(), T.tolist())], dtype=complex
+    )
 
 
 def twisted_convolve(om: Cocycle, f: OrliczVector, g: OrliczVector) -> OrliczVector:
@@ -120,7 +136,7 @@ def twisted_convolve(om: Cocycle, f: OrliczVector, g: OrliczVector) -> OrliczVec
     """
     if om.group != _same_group(f, g):
         raise GroupMismatchError("cocycle lives on a different group")
-    return _kernel_sum(f, g, "xy", om.value)
+    return _kernel_sum(f, g, "xy", om.values)
 
 
 def twisted_convolve_naive(om: Cocycle, f: OrliczVector, g: OrliczVector) -> OrliczVector:
@@ -149,7 +165,8 @@ def l1_bound_gap(om: Cocycle, f: OrliczVector, g: OrliczVector) -> float:
     """sup|Om| * |f|_1 * |g|_1 - |f*g|_1 over the pairs the sum touches."""
     if not f or not g:
         return 0.0
-    sup = max(abs(om.value(s, y)) for s, _ in f.items() for y, _ in g.items())
+    W = om.values(f._rows[:, None], g._rows[None, :])
+    sup = float(np.hypot(W.real, W.imag).max())
     return sup * f.l1() * g.l1() - twisted_convolve(om, f, g).l1()
 
 
@@ -168,12 +185,12 @@ def associativity_residual(
 
 def module_action_left(om: Cocycle, g: OrliczVector, h: OrliczVector) -> OrliczVector:
     """(g *' h)(s) = sum_t g(t) h(st) Om(s,t)."""
-    return _kernel_sum(h, g, "xy^-1", om.value)
+    return _kernel_sum(h, g, "xy^-1", om.values)
 
 
 def module_action_right(om: Cocycle, h: OrliczVector, g: OrliczVector) -> OrliczVector:
     """(h *' g)(s) = sum_t g(t) h(ts) Om(t,s)."""
-    return _kernel_sum(h, g, "y^-1x", om.value)
+    return _kernel_sum(h, g, "y^-1x", om.values)
 
 
 def module_action_left_naive(om: Cocycle, g: OrliczVector, h: OrliczVector) -> OrliczVector:
@@ -253,17 +270,17 @@ class SplitFactors:
 
 def xi(L: Callable, g: OrliczVector, h: OrliczVector) -> OrliczVector:
     """xi(g,h)(s) = sum_t g(t) h(st) L(s,t)."""
-    return _kernel_sum(h, g, "xy^-1", L)
+    return _kernel_sum(h, g, "xy^-1", _pointwise(L))
 
 
 def eta(L: Callable, f: OrliczVector, h: OrliczVector) -> OrliczVector:
     """eta(f,h)(t) = sum_s f(s) h(st) L(s,t)."""
-    return _kernel_sum(h, f, "y^-1x", L)
+    return _kernel_sum(h, f, "y^-1x", _pointwise(L))
 
 
 def zeta(L: Callable, f: OrliczVector, g: OrliczVector) -> OrliczVector:
     """zeta(f,g)(t) = sum_s f(s) g(s^{-1}t) L(s, s^{-1}t)."""
-    return _kernel_sum(f, g, "xy", L)
+    return _kernel_sum(f, g, "xy", _pointwise(L))
 
 
 def splitting_residual(

@@ -29,8 +29,18 @@ twisted convolution to a Banach-algebra multiplication.  Witnesses:
                                         shrunken copy of the same family
 
 each verified pair-by-pair on the requested ball (the searches certify,
-they do not prove).  Evaluators are pure; values are cached per pair, so
-concurrent readers need no coordination.
+they do not prove).
+
+Every cocycle carries two evaluators, written independently: value(s, t)
+on element tuples, the oracle, and values(S, T) on broadcastable int64
+coordinate arrays, which tables, the identity scan and the twisted
+products read.  The array evaluators form complex products from real and
+imaginary parts, moduli with hypot and phases by dividing each part, so
+they equal value bit for bit.  Coboundaries can differ in the last bit
+where numpy's array power rounds otherwise than Python's pow, as it does
+for the polynomial weight of exponent 1.5.
+Nothing is cached, so evaluators are pure and concurrent readers need no
+coordination.
 
 The groups here are discrete, so the continuity a bounded cocycle's
 unimodular part would otherwise have to satisfy holds automatically and
@@ -48,13 +58,14 @@ import numpy as np
 from .errors import GroupMismatchError, InputError, InvariantViolationError, WitnessSearchError
 from .groups import (
     Group,
+    RowIndex,
     Weight,
-    locate,
     product_weight,
     subexp_log_weight,
     subexp_weight,
     trivial_weight,
 )
+from .space import cmul, complex_array
 
 __all__ = [
     "Cocycle",
@@ -73,17 +84,23 @@ __all__ = [
 
 
 class Cocycle:
-    """A 2-cocycle evaluator with construction metadata and a pair cache."""
+    """A 2-cocycle: a scalar evaluator, an array evaluator and construction
+    metadata.
+
+    value(s, t) calls the scalar evaluator; values(S, T) evaluates the whole
+    pair grid of broadcastable coordinate arrays at once.  The two are
+    written independently, and the scalar one is the oracle for the other.
+    """
 
     def __init__(
         self,
         group: Group,
         kind: str,
         fn: Callable,
+        values: Callable,
         label: str,
         weight: Optional[Weight] = None,
         factors: tuple = (),
-        table_fn: Optional[Callable] = None,
     ):
         self.group = group
         self.kind = kind
@@ -91,34 +108,33 @@ class Cocycle:
         self.weight = weight
         self.factors = factors
         self._fn = fn
-        self._table_fn = table_fn
-        self._cache: dict = {}
+        self._values = values
 
     def __repr__(self) -> str:
         return f"Cocycle({self.label} on {self.group!r})"
 
     def value(self, s, t) -> complex:
-        key = (s, t)
-        got = self._cache.get(key)
-        if got is None:
-            got = complex(self._fn(s, t))
-            if got == 0.0:
-                raise InvariantViolationError(
-                    f"{self.label}: vanishes at {key!r}; cocycles take nonzero values"
-                )
-            self._cache[key] = got
+        got = complex(self._fn(s, t))
+        if got == 0.0:
+            raise InvariantViolationError(
+                f"{self.label}: vanishes at {(s, t)!r}; cocycles take nonzero values"
+            )
         return got
 
-    def table(self, elems) -> np.ndarray:
-        """Dense value table over elems x elems (vectorized when possible)."""
-        if self._table_fn is not None:
-            return self._table_fn(elems)
-        n = len(elems)
-        out = np.empty((n, n), dtype=complex)
-        for i, s in enumerate(elems):
-            for j, t in enumerate(elems):
-                out[i, j] = self.value(s, t)
+    def values(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """Om(s, t) for the rows s of S and t of T, broadcastable (..., d)
+        coordinate arrays; the result has their broadcast shape minus d."""
+        out = self._values(np.asarray(S, dtype=np.int64), np.asarray(T, dtype=np.int64))
+        if np.count_nonzero(out) < out.size:
+            raise InvariantViolationError(
+                f"{self.label}: vanishes on the pairs evaluated; cocycles take nonzero values"
+            )
         return out
+
+    def table(self, elems) -> np.ndarray:
+        """Dense value table over elems x elems."""
+        X = self.group.coords_array(elems)
+        return self.values(X[:, None], X[None, :])
 
     def modulus_weight(self) -> Optional[Weight]:
         """The weight whose coboundary is |Om|, when the construction shows it."""
@@ -141,10 +157,10 @@ class Cocycle:
 
 
 def trivial_cocycle(group: Group) -> Cocycle:
-    def table_fn(elems):
-        return np.ones((len(elems), len(elems)), dtype=complex)
+    def values(S, T):
+        return np.ones(np.broadcast_shapes(S.shape, T.shape)[:-1], dtype=complex)
 
-    return Cocycle(group, "trivial", lambda s, t: 1.0 + 0.0j, "trivial", table_fn=table_fn)
+    return Cocycle(group, "trivial", lambda s, t: 1.0 + 0.0j, values, "trivial")
 
 
 def coboundary_from_weight(w: Weight) -> Cocycle:
@@ -154,10 +170,10 @@ def coboundary_from_weight(w: Weight) -> Cocycle:
     def fn(s, t):
         return w(group.multiply(s, t)) / (w(s) * w(t))
 
-    def table_fn(elems):
-        return w.coboundary_table(group.coords_array(elems)).astype(complex)
+    def values(S, T):
+        return w.coboundary(S, T).astype(complex)
 
-    return Cocycle(group, "coboundary", fn, f"coboundary({w.label})", weight=w, table_fn=table_fn)
+    return Cocycle(group, "coboundary", fn, values, f"coboundary({w.label})", weight=w)
 
 
 def bilinear_phase(group: Group, B, theta: float) -> Cocycle:
@@ -173,12 +189,11 @@ def bilinear_phase(group: Group, B, theta: float) -> Cocycle:
         form = int(np.dot(np.dot(np.asarray(s, dtype=np.int64), Bm), np.asarray(t, dtype=np.int64)))
         return complex(math.cos(theta * form), math.sin(theta * form))
 
-    def table_fn(elems):
-        X = group.coords_array(elems).astype(np.int64)
-        form = X @ Bm @ X.T
+    def values(S, T):
+        form = ((S @ Bm) * T).sum(axis=-1)
         return np.exp(1j * theta * form)
 
-    return Cocycle(group, "bilinear_phase", fn, f"phase:{theta:g}", table_fn=table_fn)
+    return Cocycle(group, "bilinear_phase", fn, values, f"phase:{theta:g}")
 
 
 def product_cocycle(a: Cocycle, b: Cocycle) -> Cocycle:
@@ -188,10 +203,10 @@ def product_cocycle(a: Cocycle, b: Cocycle) -> Cocycle:
     def fn(s, t):
         return a.value(s, t) * b.value(s, t)
 
-    def table_fn(elems):
-        return a.table(elems) * b.table(elems)
+    def values(S, T):
+        return cmul(a.values(S, T), b.values(S, T))
 
-    return Cocycle(a.group, "product", fn, f"{a.label}*{b.label}", factors=(a, b), table_fn=table_fn)
+    return Cocycle(a.group, "product", fn, values, f"{a.label}*{b.label}", factors=(a, b))
 
 
 def perturbed(base: Cocycle, s, t, factor: float) -> Cocycle:
@@ -205,7 +220,12 @@ def perturbed(base: Cocycle, s, t, factor: float) -> Cocycle:
         v = base.value(x, y)
         return v * factor if (x, y) == (s, t) else v
 
-    return Cocycle(base.group, "perturbed", fn, f"{base.label}!@{s},{t}")
+    def values(S, T):
+        v = base.values(S, T)
+        hit = (S == s).all(axis=-1) & (T == t).all(axis=-1)
+        return np.where(hit, cmul(v, np.complex128(factor)), v)
+
+    return Cocycle(base.group, "perturbed", fn, values, f"{base.label}!@{s},{t}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +233,22 @@ def perturbed(base: Cocycle, s, t, factor: float) -> Cocycle:
 
 
 def _pair_table(om: Cocycle, radius: int):
-    """Value table over the ball of twice the radius, plus index helpers.
+    """What the triple scan reads on the ball B_R of the given radius.
 
-    Products of two radius-R elements have length <= 2R, so the 2R ball
-    indexes every pair the triple scan touches.
+    Returns (I, RS, A, B): I[r] is the row of r in B_2R, RS[r, s] the row of
+    rs in B_2R (products of two radius-R elements have length <= 2R), and
+    A and B are the value blocks of Om over B_2R x B_R and B_R x B_2R.
     """
     group = om.group
-    outer = group.ball(2 * radius)
-    W = om.table(outer)
-    X = group.coords_array(outer)
-    inner_idx = locate(X, group.coords_array(group.ball(radius)))
-    return outer, inner_idx, W, locate(X, group.product_array(X, X))
+    X = group.coords_array(group.ball(radius))
+    index = RowIndex(group.coords_array(group.ball(2 * radius)))
+    X2 = index.rows
+    return (
+        index.locate(X),
+        index.locate(group.product_array(X, X)),
+        om.values(X2[:, None], X[None, :]),
+        om.values(X[:, None], X2[None, :]),
+    )
 
 
 _BLOCK_BYTES = 16 * 2**20  # size cap of each temporary in the triple scan
@@ -235,18 +260,17 @@ def cocycle_identity_residual(om: Cocycle, radius: int) -> float:
     The scan runs over blocks of r so that no (r, s, t) temporary exceeds
     _BLOCK_BYTES; the max is exact, so blocking does not change the value.
     """
-    _, I, W, prod_idx = _pair_table(om, radius)
-    RS = prod_idx[np.ix_(I, I)]  # index of r*s (and of s*t) in the outer ball
+    I, RS, A, B = _pair_table(om, radius)
     if np.any(RS < 0):
         raise InvariantViolationError("product fell outside the doubled ball")
-    W_II = W[np.ix_(I, I)]
+    W_II = B[:, I]  # Om(r, s) on B_R x B_R
     n = len(I)
     step = max(1, _BLOCK_BYTES // (16 * n * n))
     block_max = []
     for r0 in range(0, n, step):
         r = slice(r0, r0 + step)
-        lhs = W_II[r, :, None] * W[RS[r, :, None], I[None, None, :]]
-        rhs = W_II[None, :, :] * W[I[r, None, None], RS[None, :, :]]
+        lhs = W_II[r, :, None] * A[RS[r]]  # Om(r,s) Om(rs,t)
+        rhs = W_II[None, :, :] * B[r][:, RS]  # Om(s,t) Om(r,st)
         block_max.append(np.abs(lhs - rhs).max())
     return float(np.max(block_max))
 
@@ -269,30 +293,26 @@ def polar_decompose(om: Cocycle):
     """
 
     def mod_fn(s, t):
-        v = abs(om.value(s, t))
-        if v == 0.0:
-            raise InvariantViolationError(f"{om.label}: zero modulus at {(s, t)!r}")
-        return complex(v)
+        return complex(abs(om.value(s, t)))  # value raises on a zero
 
     def phase_fn(s, t):
         v = om.value(s, t)
         return v / abs(v)
 
-    def mod_table(elems):
-        return np.abs(om.table(elems)).astype(complex)
+    def mod_values(S, T):
+        W = om.values(S, T)
+        return np.hypot(W.real, W.imag).astype(complex)
 
-    def phase_table(elems):
-        W = om.table(elems)
-        mags = np.abs(W)
-        if np.any(mags == 0.0):
-            raise InvariantViolationError(f"{om.label}: zero modulus in table")
-        return W / mags
+    def phase_values(S, T):
+        W = om.values(S, T)
+        mags = np.hypot(W.real, W.imag)
+        return complex_array(W.real / mags, W.imag / mags)
 
     modulus = Cocycle(
-        om.group, "modulus_factor", mod_fn, f"|{om.label}|",
-        weight=om.modulus_weight(), table_fn=mod_table,
+        om.group, "modulus_factor", mod_fn, mod_values, f"|{om.label}|",
+        weight=om.modulus_weight(),
     )
-    phase = Cocycle(om.group, "phase_factor", phase_fn, f"phase({om.label})", table_fn=phase_table)
+    phase = Cocycle(om.group, "phase_factor", phase_fn, phase_values, f"phase({om.label})")
     return modulus, phase
 
 
@@ -401,7 +421,7 @@ def decomposition_witness(
     elems = group.ball(radius)
     X = group.coords_array(elems)
     tau = group.tau_array(X)
-    mod = w.coboundary_table(X)
+    mod = w.coboundary(X[:, None], X[None, :])
     best = None
     for desc, u_tau, v_tau in candidates:
         violation, worst = _worst_pair(elems, mod, u_tau(tau), v_tau(tau))

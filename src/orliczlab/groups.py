@@ -13,16 +13,19 @@ is g; it is symmetric and subadditive.  It is computed by breadth-first
 search from the identity with a memoized length table; for Z^d and Z_n
 a closed form (validated against BFS in the test suite) is used instead.
 
-Array lookups go through one sorted index.  locate(K, Q) finds each
-coordinate row of Q in a lexicographically sorted (n, d) array K: rows
-are offset into K's bounding box, linearised in mixed radix (so the
-order of keys is the order of rows) and found with one searchsorted.
-The group keeps a sorted view of its BFS table (coordinates plus
-lengths), rebuilt only when the table grows.  Balls are read from that
-view, in lexicographic coordinate order so every report is reproducible
-byte for byte, and tau_array on H3 looks word lengths up in it; on a miss
-it grows the table by BFS up to the first missing element (or raises
-RadiusCapError) and looks again.
+Array lookups go through one sorted index.  A RowIndex holds a
+lexicographically sorted (n, d) array K with its keys: rows offset into
+K's bounding box and linearised in mixed radix, so the order of keys is
+the order of rows; locate finds each row of a query with one searchsorted.
+The group keeps a RowIndex of its BFS table plus the lengths, rebuilt only
+when the table grows.  Balls are read from that index, in lexicographic
+coordinate order so every report is reproducible byte for byte, and
+tau_array on H3 looks word lengths up in it; on a miss it grows the table
+by BFS up to the first missing element (or raises RadiusCapError) and
+looks again.
+
+multiply_array and invert_array apply the group law to broadcastable
+(..., d) coordinate arrays.
 
 Weights are strictly positive functions of the word length with value 1
 at the identity.  The built-in families are
@@ -53,6 +56,7 @@ from .errors import (
 
 __all__ = [
     "Group",
+    "RowIndex",
     "locate",
     "Weight",
     "GrowthFit",
@@ -68,34 +72,39 @@ __all__ = [
 Element = tuple
 
 
-def locate(K: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Row index in the nonempty, lexicographically sorted (n, d) array K of
-    each row of Q (shape (..., d)), or -1 where the row is absent.
+class RowIndex:
+    """A nonempty, lexicographically sorted (n, d) coordinate array K with its
+    linearised keys, built once for any number of lookups.
 
     Coordinates are clipped into K's bounding box widened by one on each
     side, so a row outside the box lands on a border key that no row of K
-    has.  Keys are built column by column, so no temporary is larger than
-    one column of Q.
+    has, and then linearised in mixed radix, so the order of keys is the
+    order of rows.
     """
-    Q = np.asarray(Q, dtype=np.int64)
-    lo = K.min(axis=0) - 1
-    span = K.max(axis=0) + 2 - lo
-    if math.prod(span.tolist()) >= 2**62:
-        raise InputError("coordinate box too large to linearise")
 
-    def keys(A):
-        key = np.zeros(len(A), dtype=np.int64)
-        for j, n in enumerate(span):
-            c = A[:, j] - lo[j]
-            key *= n
-            key += np.clip(c, 0, n - 1, out=c)
-        return key
+    def __init__(self, K: np.ndarray):
+        self.rows = K
+        self._lo, self._hi = K.min(axis=0) - 1, K.max(axis=0) + 1
+        span = (self._hi + 1 - self._lo).tolist()
+        if math.prod(span) >= 2**62:
+            raise InputError("coordinate box too large to linearise")
+        self._radix = np.array([math.prod(span[j + 1:]) for j in range(len(span))])
+        self._keys = self._linearise(K)
 
-    kk, key = keys(K), keys(Q.reshape(-1, Q.shape[-1]))
-    pos = np.searchsorted(kk, key)
-    np.minimum(pos, len(kk) - 1, out=pos)
-    pos[kk[pos] != key] = -1
-    return pos.reshape(Q.shape[:-1])
+    def _linearise(self, A: np.ndarray) -> np.ndarray:
+        return (np.clip(A, self._lo, self._hi) - self._lo) @ self._radix
+
+    def locate(self, Q: np.ndarray) -> np.ndarray:
+        """Row index in K of each row of Q (shape (..., d)), or -1 where absent."""
+        key = self._linearise(np.asarray(Q, dtype=np.int64))
+        pos = np.minimum(np.searchsorted(self._keys, key), len(self._keys) - 1)
+        return np.where(self._keys[pos] == key, pos, -1)
+
+
+def locate(K: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Row index in the nonempty, lexicographically sorted (n, d) array K of
+    each row of Q (shape (..., d)), or -1 where the row is absent."""
+    return RowIndex(K).locate(Q)
 
 
 class Group:
@@ -119,7 +128,7 @@ class Group:
         self._lengths: dict = {self.identity(): 0}
         self._frontier: list = [self.identity()]
         self._built_radius = 0
-        self._sorted = None  # (coords, lengths) of _lengths in row order
+        self._sorted = None  # (RowIndex, lengths) of _lengths in row order
 
     # -- construction ------------------------------------------------------
 
@@ -254,7 +263,7 @@ class Group:
         self._built_radius = r
 
     def _view(self, radius: int = 0):
-        """Coordinates and lengths of the BFS table, grown to at least the
+        """Sorted index and lengths of the BFS table, grown to at least the
         radius (when the group reaches it), rows in lexicographic order."""
         while self._built_radius < radius and self._frontier:
             self._grow_one_level()
@@ -262,15 +271,15 @@ class Group:
             K = self.coords_array(list(self._lengths))
             L = np.fromiter(self._lengths.values(), dtype=np.int64, count=len(K))
             order = np.lexsort(K.T[::-1])
-            self._sorted = (K[order], L[order])
+            self._sorted = (RowIndex(K[order]), L[order])
         return self._sorted
 
     def ball(self, radius: int) -> list:
         """All elements of word length <= radius, lexicographically sorted."""
         if radius < 0:
             raise InputError("radius must be nonnegative")
-        K, L = self._view(radius)
-        return list(map(tuple, K[L <= radius].tolist()))
+        index, L = self._view(radius)
+        return list(map(tuple, index.rows[L <= radius].tolist()))
 
     def ball_count(self, radius: int) -> int:
         return int(np.count_nonzero(self._view(radius)[1] <= radius))
@@ -280,26 +289,38 @@ class Group:
     def coords_array(self, elems) -> np.ndarray:
         return np.asarray(list(elems), dtype=np.int64).reshape(len(elems), self.dim)
 
+    def multiply_array(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Elementwise products of broadcastable (..., d) coordinate arrays."""
+        out = A + B
+        if self.kind == "cyclic":
+            out %= self.param
+        elif self.kind == "heisenberg3":
+            out[..., 2] += A[..., 0] * B[..., 1]
+        return out
+
+    def invert_array(self, A: np.ndarray) -> np.ndarray:
+        """Elementwise inverses of a (..., d) coordinate array."""
+        out = -A
+        if self.kind == "cyclic":
+            out %= self.param
+        elif self.kind == "heisenberg3":
+            out[..., 2] += A[..., 0] * A[..., 1]
+        return out
+
     def product_array(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """All pairwise products: (N, d) x (M, d) -> (N, M, d)."""
-        if self.kind == "free_abelian":
-            return A[:, None, :] + B[None, :, :]
-        if self.kind == "cyclic":
-            return (A[:, None, :] + B[None, :, :]) % self.param
-        out = A[:, None, :] + B[None, :, :]
-        out[..., 2] += A[:, None, 0] * B[None, :, 1]
-        return out
+        return self.multiply_array(A[:, None, :], B[None, :, :])
 
     def tau_array(self, coords: np.ndarray) -> np.ndarray:
         """Word lengths of a coordinate array of shape (..., d)."""
         if self.kind == "free_abelian":
-            return np.abs(coords).sum(axis=-1)
+            return np.add.reduce(np.abs(coords), axis=-1)
         if self.kind == "cyclic":
             k = coords[..., 0] % self.param
             return np.minimum(k, self.param - k)
         while True:
-            K, L = self._view()
-            idx = locate(K, coords)
+            index, L = self._view()
+            idx = index.locate(coords)
             missing = np.flatnonzero(idx < 0)
             if not missing.size:
                 return L[idx]
@@ -368,11 +389,12 @@ class Weight:
     def __call__(self, g) -> float:
         return float(self.tau_fn(float(self.group.word_length(g))))
 
-    def coboundary_table(self, X: np.ndarray) -> np.ndarray:
-        """w(st) / (w(s) w(t)) over all pairs of rows of the coordinate array X."""
-        group = self.group
-        vals = self.tau_values(group.tau_array(X))
-        return self.tau_values(group.tau_array(group.product_array(X, X))) / np.multiply.outer(vals, vals)
+    def coboundary(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """w(st) / (w(s) w(t)) for broadcastable (..., d) coordinate arrays S, T."""
+        group, w = self.group, self.tau_values
+        return w(group.tau_array(group.multiply_array(S, T))) / (
+            w(group.tau_array(S)) * w(group.tau_array(T))
+        )
 
 
 def trivial_weight(group: Group) -> Weight:
@@ -443,5 +465,5 @@ def weight_axioms_report(w: Weight, radius: int) -> WeightAxiomsReport:
     return WeightAxiomsReport(
         identity_ok=abs(w(group.identity()) - 1.0) < 1e-12,
         inverse_bound=float((1.0 / w.tau_values(group.tau_array(X))).max()),
-        submult_sup=float(w.coboundary_table(X).max()),
+        submult_sup=float(w.coboundary(X[:, None], X[None, :]).max()),
     )

@@ -27,6 +27,13 @@ stop rule and one overflow policy hold throughout: a bracket growing past
 1e300 raises BracketOverflowError and a solve that runs out of steps
 raises SolverCapError; no solver returns an unconverged value.
 
+A vector is stored as an (n, d) int64 array of distinct coordinate rows
+and an (n,) complex array of amplitudes, in the order of first insertion.
+The constructor, + and the kernels of the algebra module all end in one
+scatter-add: equal rows sum from 0.0 in input order, rows keep the order
+of their first occurrence, and exact zeros are pruned.  l1 and pairing sum
+in insertion order; items, support and abs_amplitudes sort on demand.
+
 The norms satisfy N(f) <= |f| <= 2 N(f).  Batched variants run whole
 sweeps of vectors through the same solvers at once (rows padded with
 zeros, which are invisible to every modular since Phi(0) = 0).
@@ -71,21 +78,71 @@ _NORM_CAP = 1e300  # norms outside [1/_NORM_CAP, _NORM_CAP] raise
 _AMEMIYA_EXPANSIONS = 8
 
 
-class OrliczVector:
-    """Finitely supported complex amplitudes on group elements."""
+def complex_array(re, im) -> np.ndarray:
+    """The complex array with these real and imaginary parts, bit for bit."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
-    __slots__ = ("group", "_data")
+
+def cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise a * b of complex arrays, formed from the real and imaginary
+    parts in the order CPython uses, so each entry equals the Python complex
+    product bit for bit (numpy's own complex multiply may round otherwise)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, silently, as in Python
+        return complex_array(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _scatter_add(rows: np.ndarray, amps: np.ndarray):
+    """Sum the amplitudes of equal coordinate rows.
+
+    Each sum starts from 0.0 and adds its amplitudes in input order; the
+    distinct rows keep the order of their first occurrence; sums that are
+    exactly zero are dropped.
+    """
+    order = np.lexsort(rows.T[::-1])  # stable, so equal rows stay in input order
+    srt = rows[order]
+    head = np.ones(len(rows), dtype=bool)  # first entry of a run of equal rows
+    head[1:] = np.logical_or.reduce(srt[1:] != srt[:-1], axis=1)
+    if np.count_nonzero(head) == len(head):
+        sums = amps + 0.0
+    else:
+        run = head.cumsum() - 1
+        sums = complex_array(np.bincount(run, amps.real[order]), np.bincount(run, amps.imag[order]))
+        first = order[head].argsort()  # the runs in order of first occurrence
+        sums, rows = sums[first], srt[head][first]
+    keep = sums != 0
+    return rows[keep], sums[keep]
+
+
+class OrliczVector:
+    """Finitely supported complex amplitudes on group elements.
+
+    The store is an (n, d) int64 array of distinct coordinate rows and an
+    (n,) complex array of their amplitudes, in the order of first insertion.
+    """
+
+    __slots__ = ("group", "_rows", "_amps")
 
     def __init__(self, group: Group, data: Mapping | Iterable = ()):
-        self.group = group
         items = data.items() if isinstance(data, Mapping) else data
+        rows, amps = [], []
+        for g, a in items:
+            rows.append(group.element(g))
+            amps.append(complex(a))
         # Aliased elements (e.g. (0,) and (7,) on Z_7) sum; exact zeros left
         # after summing are pruned.
-        store = {}
-        for g, a in items:
-            g, a = group.element(g), complex(a)
-            store[g] = store[g] + a if g in store else a
-        self._data = {g: a for g, a in store.items() if a != 0}
+        self.group = group
+        self._rows, self._amps = _scatter_add(group.coords_array(rows), np.array(amps, dtype=complex))
+
+    @classmethod
+    def _summed(cls, group: Group, rows: np.ndarray, amps: np.ndarray) -> "OrliczVector":
+        """The vector of coordinate rows made inside the package, so already
+        normalised; equal rows sum as in the constructor."""
+        f = cls.__new__(cls)
+        f.group = group
+        f._rows, f._amps = _scatter_add(rows, amps)
+        return f
 
     # -- construction --------------------------------------------------------
 
@@ -99,73 +156,79 @@ class OrliczVector:
 
     # -- views ---------------------------------------------------------------
 
+    def _order(self) -> np.ndarray:
+        """Positions of the entries in support order."""
+        return np.lexsort(self._rows.T[::-1])
+
+    def _entries(self, idx=slice(None)):
+        """(element, amplitude) pairs at the positions idx, in insertion order by default."""
+        return zip(map(tuple, self._rows[idx].tolist()), self._amps[idx].tolist())
+
     @property
     def support(self) -> tuple:
-        return tuple(sorted(self._data))
+        return tuple(g for g, _ in self.items())
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._amps)
 
     def __bool__(self) -> bool:
-        return bool(self._data)
+        return len(self) > 0
 
     def __repr__(self) -> str:
-        return f"OrliczVector({len(self._data)} points on {self.group!r})"
+        return f"OrliczVector({len(self)} points on {self.group!r})"
 
     def amplitude(self, g) -> complex:
-        return self._data.get(g, 0.0 + 0.0j)
+        return dict(self._entries()).get(g, 0.0 + 0.0j)
 
     def items(self):
         """(element, amplitude) pairs in deterministic support order."""
-        for g in sorted(self._data):
-            yield g, self._data[g]
+        return self._entries(self._order())
 
     def abs_amplitudes(self) -> np.ndarray:
-        return np.array([abs(self._data[g]) for g in sorted(self._data)], dtype=float)
+        a = self._amps[self._order()]
+        return np.hypot(a.real, a.imag)
 
     # -- algebra ---------------------------------------------------------------
 
     def scale(self, c: complex) -> "OrliczVector":
-        return OrliczVector(self.group, {g: c * a for g, a in self._data.items()})
+        return OrliczVector._summed(self.group, self._rows, cmul(self._amps, np.complex128(c)))
 
     def __add__(self, other: "OrliczVector") -> "OrliczVector":
         if self.group != other.group:
             raise GroupMismatchError("vectors live on different groups")
-        out = dict(self._data)
-        for g, a in other._data.items():
-            out[g] = out.get(g, 0.0) + a
-        return OrliczVector(self.group, out)
+        return OrliczVector._summed(
+            self.group,
+            np.concatenate([self._rows, other._rows]),
+            np.concatenate([self._amps, other._amps]),
+        )
 
     def __sub__(self, other: "OrliczVector") -> "OrliczVector":
         return self + other.scale(-1.0)
 
     def pointwise_mul(self, fn: Callable) -> "OrliczVector":
         """Multiply each amplitude by fn(element)."""
-        return OrliczVector(self.group, {g: a * fn(g) for g, a in self._data.items()})
+        return OrliczVector(self.group, {g: a * fn(g) for g, a in self._entries()})
 
     def pointwise_div(self, fn: Callable) -> "OrliczVector":
-        return OrliczVector(self.group, {g: a / fn(g) for g, a in self._data.items()})
+        return OrliczVector(self.group, {g: a / fn(g) for g, a in self._entries()})
 
     def reverse(self) -> "OrliczVector":
         """g -> f(g^{-1})."""
-        inv = self.group.invert
-        return OrliczVector(self.group, {inv(g): a for g, a in self._data.items()})
+        return OrliczVector._summed(self.group, self.group.invert_array(self._rows), self._amps)
 
     def abs(self) -> "OrliczVector":
-        return OrliczVector(self.group, {g: abs(a) for g, a in self._data.items()})
+        return OrliczVector(self.group, {g: abs(a) for g, a in self._entries()})
 
     def l1(self) -> float:
-        return float(sum(abs(a) for a in self._data.values()))
+        return float(sum(abs(a) for a in self._amps.tolist()))
 
     def pairing(self, other: "OrliczVector") -> complex:
         """Bilinear pairing sum_s f(s) h(s) -- no complex conjugation."""
         if self.group != other.group:
             raise GroupMismatchError("vectors live on different groups")
         small, big = (self, other) if len(self) <= len(other) else (other, self)
-        return sum(
-            (a * big._data[g] for g, a in small._data.items() if g in big._data),
-            0.0 + 0.0j,
-        )
+        at = dict(big._entries())
+        return sum((a * at[g] for g, a in small._entries() if g in at), 0.0 + 0.0j)
 
     def distance_l1(self, other: "OrliczVector") -> float:
         return (self - other).l1()
@@ -178,10 +241,8 @@ def random_vector(
     ball = group.ball(radius)
     k = min(size, len(ball))
     idx = rng.choice(len(ball), size=k, replace=False)
-    amps = rng.uniform(-1.0, 1.0, size=(k, 2))
-    return OrliczVector(
-        group, {ball[int(i)]: complex(a, b) for i, (a, b) in zip(idx, amps)}
-    )
+    amps = rng.uniform(-1.0, 1.0, size=(k, 2)).view(complex).ravel()  # a + bj, exactly
+    return OrliczVector._summed(group, group.coords_array([ball[i] for i in idx]), amps)
 
 
 def amplitude_matrix(vectors) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Cocycle tests: constructors, the identity scan, polar splitting, witnesses."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,9 +103,13 @@ def test_identity_residual_blocks_match_the_unblocked_scan(monkeypatch):
     ]
     radius = 3  # 25 ball elements; a 25 x 25 x 2 block is 20000 bytes
     monkeypatch.setattr(cocycles, "_BLOCK_BYTES", 16 * 25 * 25 * 2)
+    outer = Z2.ball(2 * radius)
+    index = {g: i for i, g in enumerate(outer)}
+    I = np.array([index[g] for g in Z2.ball(radius)])
+    RS = np.array([[index[Z2.multiply(outer[r], outer[s])] for s in I] for r in I])
     for om in oms:
-        _, I, W, prod_idx = cocycles._pair_table(om, radius)
-        RS = prod_idx[np.ix_(I, I)]
+        # the one-shot scan over the full B_2R x B_2R table, as it was first written
+        W = om.table(outer)
         lhs = W[np.ix_(I, I)][:, :, None] * W[RS[:, :, None], I[None, None, :]]
         rhs = W[np.ix_(I, I)][None, :, :] * W[I[:, None, None], RS[None, :, :]]
         unblocked = float(np.abs(lhs - rhs).max())
@@ -136,6 +141,67 @@ def test_table_matches_pointwise_values():
     for i, s in enumerate(elems):
         for j, t in enumerate(elems):
             assert table[i, j] == pytest.approx(om.value(s, t), abs=1e-14)
+
+
+def _phase(group):
+    B = PHASE_B if group.dim == 2 else np.array([[1]])
+    return bilinear_phase(group, B, 2.0 * math.pi / 7.0)
+
+
+def _polar(k):
+    def make(group):
+        other = (
+            coboundary_from_weight(subexp_weight(group, 0.5, 1.0))
+            if group.kind == "heisenberg3"
+            else _phase(group)
+        )
+        base = product_cocycle(coboundary_from_weight(polynomial_weight(group, 1.0)), other)
+        return polar_decompose(base)[k]
+
+    return make
+
+
+# Every constructor.  Polynomial weights are taken with integer exponents:
+# for some others (1.5 is one) numpy's array power and Python's scalar pow
+# round differently, so those coboundaries disagree in the last bit.
+EVALUATOR_CASES = {
+    "trivial": trivial_cocycle,
+    "coboundary(poly:1)": lambda g: coboundary_from_weight(polynomial_weight(g, 1.0)),
+    "coboundary(poly:2)": lambda g: coboundary_from_weight(polynomial_weight(g, 2.0)),
+    "coboundary(subexp:0.5:1)": lambda g: coboundary_from_weight(subexp_weight(g, 0.5, 1.0)),
+    "coboundary(subexplog:1:1)": lambda g: coboundary_from_weight(subexp_log_weight(g, 1.0, 1.0)),
+    "product(coboundaries)": lambda g: product_cocycle(
+        coboundary_from_weight(polynomial_weight(g, 1.0)),
+        coboundary_from_weight(subexp_weight(g, 0.5, 1.0)),
+    ),
+    "perturbed": lambda g: perturbed(
+        coboundary_from_weight(polynomial_weight(g, 1.0)), g.ball(1)[-1], g.ball(2)[0], 1.7
+    ),
+    "phase": _phase,
+    "phase*phase": lambda g: product_cocycle(_phase(g), _phase(g)),
+    "polar-modulus": _polar(0),
+    "polar-phase": _polar(1),
+}
+EVALUATOR_GROUPS = {"Z2": (Z2, 4), "H3": (Group.heisenberg(), 3), "Z7": (Group.cyclic(7), 3)}
+
+
+@pytest.mark.parametrize(
+    "where, case",
+    [(where, case) for where in sorted(EVALUATOR_GROUPS) for case in sorted(EVALUATOR_CASES)
+     if not (where == "H3" and case.startswith("phase"))],  # phases need an abelian group
+)
+def test_values_and_table_equal_value_bitwise(where, case):
+    group, radius = EVALUATOR_GROUPS[where]
+    om = EVALUATOR_CASES[case](group)
+    elems = group.ball(radius)
+    want = np.array([[om.value(s, t) for t in elems] for s in elems]).view(np.uint64)
+    X = group.coords_array(elems)
+    assert np.array_equal(om.table(elems).view(np.uint64), want)
+    assert np.array_equal(om.values(X[:, None], X[None, :]).view(np.uint64), want)
+    # a flat list of pairs gives the same bits as the grid
+    i, j = np.divmod(np.arange(len(elems) ** 2), len(elems))
+    flat = om.values(X[i], X[j]).view(np.uint64).reshape(want.shape)
+    assert np.array_equal(flat, want)
 
 
 def test_polar_decomposition_recovers_factors():
@@ -241,18 +307,28 @@ PAIR_GROUPS = (Z2, Group.heisenberg(), Group.cyclic(7))
 def test_pair_table_indices_match_a_dict_index():
     for group in PAIR_GROUPS:
         om = coboundary_from_weight(polynomial_weight(group, 1.0))
-        outer, I, W, prod_idx = cocycles._pair_table(om, 2)
+        I, RS, A, B = cocycles._pair_table(om, 2)
+        outer, ball = group.ball(4), group.ball(2)
         index = {g: i for i, g in enumerate(outer)}
-        assert I.tolist() == [index[g] for g in group.ball(2)]
-        want = [[index.get(group.multiply(s, t), -1) for t in outer] for s in outer]
-        assert prod_idx.tolist() == want, group
-        assert W.shape == (len(outer), len(outer))
-    assert np.all(prod_idx >= 0)  # Z_7: the doubled ball is the whole group
+        assert I.tolist() == [index[g] for g in ball]
+        assert RS.tolist() == [[index[group.multiply(s, t)] for t in ball] for s in ball], group
+        # the two blocks are the B_2R x B_R and B_R x B_2R parts of the full table
+        W = om.table(outer)
+        assert np.array_equal(A, W[:, I]) and np.array_equal(B, W[I, :]), group
 
 
 def test_heisenberg_identity_residual_at_radius_4():
-    om = coboundary_from_weight(polynomial_weight(Group.heisenberg(), 1.0))
-    assert cocycle_identity_residual(om, 4) <= 1e-10
+    heis = Group.heisenberg()
+    om = coboundary_from_weight(polynomial_weight(heis, 1.0))
+    heis.ball(12)  # grow the BFS table first: the scan reads lengths up to 3R
+    tracemalloc.start()
+    try:
+        residual = cocycle_identity_residual(om, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-10
+    assert peak <= 128 * 2**20, peak
 
 
 @settings(max_examples=30, deadline=None)

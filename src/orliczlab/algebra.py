@@ -143,13 +143,14 @@ def twisted_convolve_naive(om: Cocycle, f: OrliczVector, g: OrliczVector) -> Orl
     """Literal transcription of the defining sum; the oracle."""
     group = _same_group(f, g)
     mul, inv = group.multiply, group.invert
-    targets = sorted({mul(s, y) for s, _ in f.items() for y, _ in g.items()})
+    at = dict(g.items())
+    targets = sorted({mul(s, y) for s, _ in f.items() for y in at})
     out = {}
     for t in targets:
         total = 0.0 + 0.0j
         for s, a in f.items():
             y = mul(inv(s), t)
-            b = g.amplitude(y)
+            b = at.get(y, 0j)
             if b != 0:
                 total += a * b * om.value(s, y)
         out[t] = total
@@ -196,12 +197,13 @@ def module_action_right(om: Cocycle, h: OrliczVector, g: OrliczVector) -> Orlicz
 def module_action_left_naive(om: Cocycle, g: OrliczVector, h: OrliczVector) -> OrliczVector:
     group = _same_group(g, h)
     mul, inv = group.multiply, group.invert
-    candidates = sorted({mul(u, inv(t)) for u, _ in h.items() for t, _ in g.items()})
+    at = dict(h.items())
+    candidates = sorted({mul(u, inv(t)) for u in at for t, _ in g.items()})
     out = {}
     for s in candidates:
         total = 0.0 + 0.0j
         for t, ga in g.items():
-            hb = h.amplitude(mul(s, t))
+            hb = at.get(mul(s, t), 0j)
             if hb != 0:
                 total += ga * hb * om.value(s, t)
         out[s] = total
@@ -211,12 +213,13 @@ def module_action_left_naive(om: Cocycle, g: OrliczVector, h: OrliczVector) -> O
 def module_action_right_naive(om: Cocycle, h: OrliczVector, g: OrliczVector) -> OrliczVector:
     group = _same_group(g, h)
     mul, inv = group.multiply, group.invert
-    candidates = sorted({mul(inv(t), u) for u, _ in h.items() for t, _ in g.items()})
+    at = dict(h.items())
+    candidates = sorted({mul(inv(t), u) for u in at for t, _ in g.items()})
     out = {}
     for s in candidates:
         total = 0.0 + 0.0j
         for t, ga in g.items():
-            hb = h.amplitude(mul(t, s))
+            hb = at.get(mul(t, s), 0j)
             if hb != 0:
                 total += ga * hb * om.value(t, s)
         out[s] = total
@@ -255,17 +258,17 @@ class SplitFactors:
         return cls(L, u, v)
 
     def verify(self, om: Cocycle, pairs) -> None:
-        """Check the factorization on the given pairs; raise on mismatch."""
-        worst, worst_pair = 0.0, None
+        """Check the factorization on the given pairs; raise on mismatch or NaN."""
+        pairs = list(pairs)
+        devs = []
         for s, t in pairs:
             Lv = self.L(s, t)
-            if abs(Lv) > 1.0 + 1e-12:
+            if not abs(Lv) <= 1.0 + 1e-12:
                 raise FactorizationError((s, t), abs(Lv) - 1.0)
-            dev = abs(om.value(s, t) - Lv * (self.u(s) + self.v(t)))
-            if dev > worst:
-                worst, worst_pair = dev, (s, t)
-        if worst > 1e-10:
-            raise FactorizationError(worst_pair, worst)
+            devs.append(abs(om.value(s, t) - Lv * (self.u(s) + self.v(t))))
+        if devs and not np.max(devs) <= 1e-10:
+            i = int(np.argmax(devs))  # the worst pair, or the first NaN
+            raise FactorizationError(pairs[i], devs[i])
 
 
 def xi(L: Callable, g: OrliczVector, h: OrliczVector) -> OrliczVector:
@@ -329,11 +332,12 @@ def unit_check(
     group = om.group
     rng = np.random.default_rng(seed)
     e = OrliczVector.delta(group, group.identity())
-    worst_l = worst_r = 0.0
+    left, right = [], []
     for _ in range(samples):
         f = random_vector(group, rng, radius, support)
-        worst_l = max(worst_l, twisted_convolve(om, e, f).distance_l1(f))
-        worst_r = max(worst_r, twisted_convolve(om, f, e).distance_l1(f))
+        left.append(twisted_convolve(om, e, f).distance_l1(f))
+        right.append(twisted_convolve(om, f, e).distance_l1(f))
+    worst_l, worst_r = (float(np.max(d, initial=0.0)) for d in (left, right))  # NaN propagates
     return UnitReport(worst_l, worst_r, samples, seed)
 
 
@@ -367,7 +371,7 @@ def submultiplicativity_probe(
     rows = []
     for i, radius in enumerate(spec.radii):
         rng = np.random.default_rng((spec.seed, i))  # per-radius derived seed
-        worst = 0.0
+        ratios = []
         for _ in range(spec.samples):
             f = random_vector(group, rng, radius, spec.support)
             g = random_vector(group, rng, radius, spec.support)
@@ -376,6 +380,6 @@ def submultiplicativity_probe(
             num = orlicz_norm(pair, twisted_convolve(om, f, g))
             den = orlicz_norm(pair, f) * orlicz_norm(pair, g)
             if den > 0.0:
-                worst = max(worst, num / den)
-        rows.append((radius, worst, spec.samples))
+                ratios.append(num / den)
+        rows.append((radius, float(np.max(ratios, initial=0.0)), spec.samples))  # NaN propagates
     return ProbeReport(tuple(rows), spec)

@@ -278,10 +278,8 @@ def cocycle_identity_residual(om: Cocycle, radius: int) -> float:
 def normalization_residual(om: Cocycle, radius: int) -> float:
     """max over the ball of |Om(g,e) - 1| and |Om(e,g) - 1|."""
     e = om.group.identity()
-    worst = 0.0
-    for g in om.group.ball(radius):
-        worst = max(worst, abs(om.value(g, e) - 1.0), abs(om.value(e, g) - 1.0))
-    return worst
+    devs = [abs(om.value(x, y) - 1.0) for g in om.group.ball(radius) for x, y in ((g, e), (e, g))]
+    return float(np.max(devs, initial=0.0))  # NaN-propagating, unlike max()
 
 
 def polar_decompose(om: Cocycle):

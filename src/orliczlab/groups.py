@@ -42,7 +42,7 @@ convention so that every weight satisfies w(e) = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -373,8 +373,11 @@ class Weight:
     """A radial weight: a function of the word length with value 1 at e.
 
     tau_fn maps an array of word lengths to weight values; calling the
-    weight on a group element routes through group.word_length.  All
-    built-in families take values >= 1, so reciprocals stay bounded by 1.
+    weight on a group element takes its scalar group.word_length and
+    evaluates tau_fn on a one-element array, so w(g) is bit for bit the
+    tau_values entry of its length.  Those values are kept per length,
+    one float for each length called so far.  All built-in families take
+    values >= 1, so reciprocals stay bounded by 1.
     """
 
     group: Group
@@ -382,12 +385,16 @@ class Weight:
     tau_fn: Callable
     label: str
     params: tuple = ()
+    _by_length: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def tau_values(self, tau):
         return self.tau_fn(np.asarray(tau, dtype=float))
 
     def __call__(self, g) -> float:
-        return float(self.tau_fn(float(self.group.word_length(g))))
+        tau = self.group.word_length(g)
+        if tau not in self._by_length:
+            self._by_length[tau] = float(self.tau_values([tau])[0])
+        return self._by_length[tau]
 
     def coboundary(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
         """w(st) / (w(s) w(t)) for broadcastable (..., d) coordinate arrays S, T."""

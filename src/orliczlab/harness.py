@@ -11,6 +11,12 @@ parallel) and still reproduce the same report bytes.  A failing or
 crashing case becomes a failed record carrying the error text; it never
 stops the remaining cases.
 
+A law yields residuals, each a number or a numpy array, and keeps no
+running maximum of its own: the record's residual is the np.max over all
+of them, taken in one place, and the law passes when it is <= tolerance.
+A NaN anywhere makes the residual NaN, and a law that yields nothing is
+an error; either way the law fails.
+
 Values that several cases share (the twisted-convolution setups, the Z^2
 catalog cocycles, the splitting witness, the norm sandwich statistics)
 are fixtures: built lazily by the first case that asks for one and kept
@@ -336,7 +342,7 @@ class _Law:
     case: str
     law: str
     tolerance: float
-    fn: Callable  # fn(run, seed) -> residual; passes when residual <= tolerance
+    fn: Callable  # fn(run, seed) yields residuals; fails on a NaN or on none at all
 
 
 _LAWS: List[_Law] = []
@@ -363,7 +369,7 @@ class _Run:
         seed = _derive_seed(self.cfg.seed, law.suite, law.case)
         note = ""
         try:
-            residual = float(law.fn(self, seed))
+            residual = _fold(law.fn(self, seed))
         except Exception as exc:  # failed case, never a crash
             residual = math.inf
             note = f"{type(exc).__name__}: {exc}"
@@ -371,6 +377,14 @@ class _Run:
         return VerificationRecord(
             law.suite, law.case, law.law, residual, law.tolerance, verdict, seed, note
         )
+
+
+def _fold(residuals) -> float:
+    """np.max over the residuals (numbers or arrays), so a NaN anywhere is NaN."""
+    peaks = [np.max(r) if isinstance(r, np.ndarray) else r for r in residuals]
+    if not peaks:
+        raise OrliczLabError("the law yielded no residuals")
+    return float(np.max(peaks))
 
 
 def _fixture(build):
@@ -392,21 +406,19 @@ def _sample_vectors(group: Group, rng, count: int, radius: int, support: int):
     return [random_vector(group, rng, radius, support) for _ in range(count)]
 
 
-def _worst(rng, group, radius, support, draws, arity, residual, worst=0.0):
-    """max(worst, residual(*vectors)) over draws of arity random vectors.
+def _draws(rng, group, radius, support, count, arity):
+    """count tuples of arity random vectors.
 
     rng is a Generator or a seed; each draw takes its vectors from it in
-    argument order, so the stream matches a hand-written draw loop.
+    tuple order, so the stream matches a hand-written draw loop.
     """
     rng = np.random.default_rng(rng)
-    for _ in range(draws):
-        vectors = [random_vector(group, rng, radius, support) for _ in range(arity)]
-        worst = max(worst, residual(*vectors))
-    return worst
+    for _ in range(count):
+        yield tuple(random_vector(group, rng, radius, support) for _ in range(arity))
 
 
-def _rel_err(values, ref) -> float:
-    return float(np.max(np.abs(values - ref) / np.maximum(ref, 1e-300)))
+def _rel_err(values, ref) -> np.ndarray:
+    return np.abs(values - ref) / np.maximum(ref, 1e-300)
 
 
 def _catalog():
@@ -424,25 +436,21 @@ _C7, _Z2 = partial(Group.cyclic, 7), partial(Group.free_abelian, 2)
 # suite: young
 
 
-def _closed_form_gap(grid, side, ref) -> float:
-    """Worst relative gap of conj(side(pair)) from ref(pair) over the closed-form families."""
-    worst = 0.0
+def _closed_form_gaps(grid, side, ref):
+    """Relative gaps of conj(side(pair)) from ref(pair) over the closed-form families."""
     for name in ("pnorm:1.5", "pnorm:2", "pnorm:3", "expm"):
         pair = catalog_pair(name)
         num = conjugate(side(pair), SearchSpec(bracket_cap=1e200))
-        worst = max(worst, _rel_err(num(grid), np.asarray(ref(pair), dtype=float)))
-    return worst
+        yield _rel_err(num(grid), np.asarray(ref(pair), dtype=float))
 
 
 @_law("young", "biconjugation", "conj(conj(Phi)) == Phi on the probe grid (relative)", 1e-6)
 def _biconjugation(_run, _seed):
     probe = np.logspace(-2, 1, 30)
     spec = SearchSpec(bracket_cap=1e200)
-    worst = 0.0
     for pair in _catalog():
         bi = conjugate(conjugate(pair.phi, spec), spec)
-        worst = max(worst, _rel_err(bi(probe), np.asarray(pair.phi(probe), dtype=float)))
-    return worst
+        yield _rel_err(bi(probe), np.asarray(pair.phi(probe), dtype=float))
 
 
 @_law(
@@ -453,7 +461,7 @@ def _biconjugation(_run, _seed):
 )
 def _conjugate_closed_forms(_run, _seed):
     grid = np.logspace(-2, 2, 100)
-    return _closed_form_gap(
+    yield from _closed_form_gaps(
         grid, lambda pair: pair.phi, lambda pair: pair.phi.closed_form_conjugate(grid)
     )
 
@@ -461,21 +469,17 @@ def _conjugate_closed_forms(_run, _seed):
 @_law("young", "young-inequality", "x*y <= Phi(x) + Psi(y) on random sweeps of [0,50]^2", 1e-9)
 def _young_inequality(_run, seed):
     rng = np.random.default_rng(seed)
-    worst = -math.inf
     for pair in _catalog():
         xy = rng.uniform(0.0, 50.0, size=(10_000, 2))
-        worst = max(worst, float(-np.min(young_gap(pair, xy[:, 0], xy[:, 1]))))
-    return worst
+        yield -young_gap(pair, xy[:, 0], xy[:, 1])
 
 
 @_law("young", "young-equality-locus", "gap vanishes at y = Phi'(x)", 1e-8)
 def _young_equality_locus(_run, _seed):
     xs = np.logspace(-2, 1, 40)
-    worst = 0.0
     for pair in _catalog():
         ys = np.asarray(pair.phi.derivative(xs), dtype=float)
-        worst = max(worst, float(np.max(np.abs(young_gap(pair, xs, ys)))))
-    return worst
+        yield np.abs(young_gap(pair, xs, ys))
 
 
 @_law(
@@ -492,7 +496,7 @@ def _monotone_conjugacy(_run, _seed):
         derivative=lambda x: 2.0 * np.asarray(x, float),
     )
     ys = np.logspace(-2, 1, 30)
-    return float(np.max(np.asarray(conjugate(big)(ys)) - np.asarray(conjugate(small)(ys))))
+    yield np.asarray(conjugate(big)(ys)) - np.asarray(conjugate(small)(ys))
 
 
 @_law(
@@ -500,30 +504,24 @@ def _monotone_conjugacy(_run, _seed):
 )
 def _catalog_roundtrip(run, _seed):
     grid = np.logspace(-2, 2, 60)
-    worst = _closed_form_gap(grid, lambda pair: pair.psi, lambda pair: pair.phi(grid))
+    yield from _closed_form_gaps(grid, lambda pair: pair.psi, lambda pair: pair.phi(grid))
     short = np.logspace(-2, np.log10(30.0), 40)
     for name, partner in (("xlog", catalog_pair("cosh").phi), ("cosh", catalog_pair("xlog").phi)):
         res = strong_equivalence(catalog_pair(name).psi, partner, grid=short, tol=_tols(run.cfg))
-        if not res.found:
-            return math.inf
-    return worst
+        yield 0.0 if res.found else math.inf
 
 
 @_law("young", "delta2-pnorm", "Phi(2x) <= 2^p Phi(x) exactly for x^p/p", 1e-9)
 def _delta2_pnorm(_run, _seed):
-    worst = 0.0
     for p in (1.5, 2.0, 3.0):
         est = delta2_estimate(catalog_pair(f"pnorm:{p:g}").phi)
-        if not est.bounded:
-            return math.inf
-        worst = max(worst, abs(est.constant - 2.0**p))
-    return worst
+        yield abs(est.constant - 2.0**p) if est.bounded else math.inf
 
 
 @_law("young", "delta2-xlog", "doubling constant of x ln(1+x) is 4, attained toward x -> 0", 1e-3)
 def _delta2_xlog(_run, _seed):
     est = delta2_estimate(catalog_pair("xlog").phi)
-    return abs(est.constant - 4.0) if est.bounded else math.inf
+    yield abs(est.constant - 4.0) if est.bounded else math.inf
 
 
 @_law(
@@ -535,10 +533,11 @@ def _delta2_xlog(_run, _seed):
 def _delta2_expm_unbounded(_run, _seed):
     est = delta2_estimate(catalog_pair("expm").phi)
     if est.bounded:
-        return 1.0
+        yield 1.0
+        return
     lo = float(est.ratios[np.searchsorted(est.grid, 5.0)])
     hi = float(est.ratios[np.searchsorted(est.grid, 20.0)])
-    return 0.0 if hi > 1e6 * lo else 1.0
+    yield 0.0 if hi > 1e6 * lo else 1.0
 
 
 @_law(
@@ -550,7 +549,7 @@ def _delta2_expm_unbounded(_run, _seed):
 def _equivalence_identity(run, _seed):
     phi = catalog_pair("pnorm:2").phi
     res = strong_equivalence(phi, phi, tol=_tols(run.cfg))
-    return abs(res.a - 1.0) + abs(res.b - 1.0) if res.found else math.inf
+    yield abs(res.a - 1.0) + abs(res.b - 1.0) if res.found else math.inf
 
 
 @_law("young", "equivalence-scaling", "x^2 vs x^2/2 has witnesses (2^-1/2, 2^-1/2)", 1e-12)
@@ -558,10 +557,7 @@ def _equivalence_scaling(run, _seed):
     phi1 = YoungFunction(fn=lambda x: np.asarray(x, dtype=float) ** 2, name="x^2")
     phi2 = catalog_pair("pnorm:2").phi  # x^2/2
     res = strong_equivalence(phi1, phi2, tol=_tols(run.cfg))
-    if not res.found:
-        return math.inf
-    root_half = 2.0 ** (-0.5)
-    return max(abs(res.a - root_half), abs(res.b - root_half))
+    yield np.abs(np.array([res.a, res.b]) - 2.0 ** (-0.5)) if res.found else math.inf
 
 
 @_law(
@@ -575,7 +571,7 @@ def _equivalence_xlog_cosh(run, _seed):
     res = strong_equivalence(
         catalog_pair("xlog").psi, catalog_pair("cosh").phi, grid=short, tol=_tols(run.cfg)
     )
-    return 0.0 if res.found else 1.0
+    yield 0.0 if res.found else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -584,26 +580,24 @@ def _equivalence_xlog_cosh(run, _seed):
 
 @_fixture
 def _norm_stats(cfg):
-    """(worst sandwich violation, worst method gap), drawn with the sandwich seed."""
+    """(sandwich violations, method gaps), arrays drawn with the sandwich seed."""
     rng = np.random.default_rng(_derive_seed(cfg.seed, "norms", "sandwich"))
     per_pair = max(100, cfg.samples)
-    worst_sandwich = -math.inf
-    worst_gap = 0.0
+    violations, gaps = [], []
     groups = (_C7(), _Z2())
     for pair in _catalog():
         for group in groups:
             A = _amp_matrix(_sample_vectors(group, rng, per_pair, 6, 8))
             lux = luxemburg_batch(pair.phi, A)
-            orl, gaps = orlicz_batch(pair, A)
-            viol = np.maximum(lux - orl, orl - 2.0 * lux)
-            worst_sandwich = max(worst_sandwich, float(viol.max()))
-            worst_gap = max(worst_gap, float(gaps.max()))
-    return worst_sandwich, worst_gap
+            orl, gap = orlicz_batch(pair, A)
+            violations.append(np.maximum(lux - orl, orl - 2.0 * lux))
+            gaps.append(gap)
+    return violations, gaps
 
 
 @_law("norms", "sandwich", "N_Phi(f) <= |f|_Phi <= 2 N_Phi(f) on random vectors", 1e-9)
 def _sandwich(run, _seed):
-    return _norm_stats(run)[0]
+    yield from _norm_stats(run)[0]
 
 
 @_law(
@@ -613,14 +607,14 @@ def _sandwich(run, _seed):
     1e-5,
 )
 def _method_agreement(run, _seed):
-    return _norm_stats(run)[1]
+    yield from _norm_stats(run)[1]
 
 
 @_law("norms", "unit-ball", "N_Phi(f) <= 1 exactly when modular(f) <= 1", 1e-9)
 def _unit_ball(run, seed):
     rng = np.random.default_rng(seed)
     pair = catalog_pair(run.cfg.pair)
-    worst = 0.0
+    yield 0.0
     for f in _sample_vectors(_C7(), rng, 100, 2, 5):
         if not f:
             continue
@@ -630,34 +624,27 @@ def _unit_ball(run, seed):
             m = modular(pair.phi, fc)
             nc = luxemburg_norm(pair.phi, fc)
             if nc <= 1.0 and m > 1.0:
-                worst = max(worst, m - 1.0)
+                yield m - 1.0
             if m <= 1.0 and nc > 1.0:
-                worst = max(worst, nc - 1.0)
-    return worst
+                yield nc - 1.0
 
 
 @_law("norms", "homogeneity", "both norms scale by |c| under f -> c f (relative)", 1e-9)
 def _homogeneity(_run, seed):
     rng = np.random.default_rng(seed)
     group = _Z2()
-    worst = 0.0
     for pair in _catalog()[:4]:
         vecs = _sample_vectors(group, rng, 50, 4, 6)
         for c in (0.3, 2.5, 0.7 + 0.4j):
             A, As = _amp_matrix(vecs), _amp_matrix([v.scale(c) for v in vecs])
-            for base, sc in (
-                (luxemburg_batch(pair.phi, A), luxemburg_batch(pair.phi, As)),
-                (orlicz_batch(pair, A)[0], orlicz_batch(pair, As)[0]),
-            ):
-                worst = max(worst, _rel_err(sc, abs(c) * base))
-    return worst
+            yield _rel_err(luxemburg_batch(pair.phi, As), abs(c) * luxemburg_batch(pair.phi, A))
+            yield _rel_err(orlicz_batch(pair, As)[0], abs(c) * orlicz_batch(pair, A)[0])
 
 
 @_law("norms", "triangle", "norm(f + g) <= norm(f) + norm(g) for both norms", 1e-9)
 def _triangle(_run, seed):
     rng = np.random.default_rng(seed)
     group = _Z2()
-    worst = -math.inf
     for pair in _catalog():
         fs = _sample_vectors(group, rng, 60, 4, 6)
         gs = _sample_vectors(group, rng, 60, 4, 6)
@@ -666,25 +653,20 @@ def _triangle(_run, seed):
             lambda A: luxemburg_batch(pair.phi, A),
             lambda A: orlicz_batch(pair, A)[0],
         ):
-            nf, ng, nsum = batch(_amp_matrix(fs)), batch(_amp_matrix(gs)), batch(_amp_matrix(sums))
-            worst = max(worst, float(np.max(nsum - nf - ng)))
-    return worst
+            yield batch(_amp_matrix(sums)) - batch(_amp_matrix(fs)) - batch(_amp_matrix(gs))
 
 
 @_law("norms", "dual-sampling", "sum |f v| <= |f|_Phi whenever modular(Psi, v) <= 1", 1e-9)
 def _dual_sampling(run, seed):
     rng = np.random.default_rng(seed)
     group = _C7()
-    worst = -math.inf
     for pair in _catalog():
         f = random_vector(group, rng, 3, 6)
         a = f.abs_amplitudes()
         V = np.abs(rng.uniform(-1.0, 1.0, size=(run.cfg.samples, a.size)))
         nv = luxemburg_batch(pair.psi, V)
         live = nv > 0.0
-        pairings = (V[live] / nv[live][:, None]) @ a
-        worst = max(worst, float(np.max(pairings - orlicz_norm(pair, f))))
-    return worst
+        yield (V[live] / nv[live][:, None]) @ a - orlicz_norm(pair, f)
 
 
 @_law(
@@ -693,17 +675,13 @@ def _dual_sampling(run, seed):
 def _pnorm_closed_form(_run, seed):
     rng = np.random.default_rng(seed)
     group = _Z2()
-    worst = 0.0
     for p in (1.5, 2.0, 3.0):
         pair = catalog_pair(f"pnorm:{p:g}")
         q = p / (p - 1.0)
         A = _amp_matrix(_sample_vectors(group, rng, 200, 5, 7))
         lp = (A**p).sum(axis=1) ** (1.0 / p)
-        lux = luxemburg_batch(pair.phi, A)
-        orl, _ = orlicz_batch(pair, A)
-        worst = max(worst, float(np.max(np.abs(lux - lp * p ** (-1.0 / p)))))
-        worst = max(worst, float(np.max(np.abs(orl - lp * q ** (1.0 / q)))))
-    return worst
+        yield np.abs(luxemburg_batch(pair.phi, A) - lp * p ** (-1.0 / p))
+        yield np.abs(orlicz_batch(pair, A)[0] - lp * q ** (1.0 / q))
 
 
 @_law("norms", "holder", "sum |f g| <= min{ N_Phi(f) |g|_Psi, |f|_Phi N_Psi(g) }", 1e-9)
@@ -712,7 +690,6 @@ def _holder(run, seed):
     group = _C7()
     pairs = _catalog()
     per = max(1, run.cfg.samples // len(pairs))
-    worst = -math.inf
     for pair in pairs:
         fs = _sample_vectors(group, rng, per, 3, 5)
         gs = _sample_vectors(group, rng, per, 3, 5)
@@ -720,12 +697,11 @@ def _holder(run, seed):
         of = orlicz_batch(pair, _amp_matrix(fs))[0]
         ng = luxemburg_batch(pair.psi, _amp_matrix(gs))
         og = orlicz_batch(pair.flip(), _amp_matrix(gs))[0]
-        bound = np.minimum(nf * og, of * ng)
-        pointwise = np.array(
-            [sum(abs(a * g.amplitude(s)) for s, a in f.items()) for f, g in zip(fs, gs)]
-        )
-        worst = max(worst, float(np.max(pointwise - bound)))
-    return worst
+        pointwise = []
+        for f, g in zip(fs, gs):
+            at = dict(g.items())
+            pointwise.append(sum(abs(a * at.get(s, 0.0 + 0.0j)) for s, a in f.items()))
+        yield np.array(pointwise) - np.minimum(nf * og, of * ng)
 
 
 @_law("norms", "weighted-norm", "|f|_{Phi,w} = |f w|_Phi; trivial weight changes nothing", 1e-9)
@@ -733,13 +709,10 @@ def _weighted_norm(_run, seed):
     group = _Z2()
     pair = catalog_pair("pnorm:2")
     f = OrliczVector.delta(group, (2, 1))
-    worst = abs(weighted_norm(pair, polynomial_weight(group, 1.0), f) - 4.0 * math.sqrt(2.0))
+    yield abs(weighted_norm(pair, polynomial_weight(group, 1.0), f) - 4.0 * math.sqrt(2.0))
     triv = trivial_weight(group)
-
-    def gap(v):
-        return abs(weighted_norm(pair, triv, v) - orlicz_norm(pair, v))
-
-    return _worst(seed, group, 4, 6, 20, 1, gap, worst)
+    for (v,) in _draws(seed, group, 4, 6, 20, 1):
+        yield abs(weighted_norm(pair, triv, v) - orlicz_norm(pair, v))
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +736,8 @@ def _z2_catalog_cocycles(_cfg):
 
 @_law("cocycle", "normalization", "Omega(g,e) == Omega(e,g) == 1", 1e-12)
 def _normalization(run, _seed):
-    return max(normalization_residual(om, 2 * run.cfg.radius) for om in _z2_catalog_cocycles(run))
+    for om in _z2_catalog_cocycles(run):
+        yield normalization_residual(om, 2 * run.cfg.radius)
 
 
 @_law(
@@ -773,7 +747,8 @@ def _normalization(run, _seed):
     1e-10,
 )
 def _identity_residual(run, _seed):
-    return max(cocycle_identity_residual(om, run.cfg.radius) for om in _z2_catalog_cocycles(run))
+    for om in _z2_catalog_cocycles(run):
+        yield cocycle_identity_residual(om, run.cfg.radius)
 
 
 def _broken_z2() -> Cocycle:
@@ -788,7 +763,7 @@ def _broken_z2() -> Cocycle:
     0.0,
 )
 def _broken_detected(_run, _seed):
-    return 1e-2 - cocycle_identity_residual(_broken_z2(), 2)
+    yield 1e-2 - cocycle_identity_residual(_broken_z2(), 2)
 
 
 @_law(
@@ -798,23 +773,21 @@ def _broken_detected(_run, _seed):
     1e-10,
 )
 def _polar_decomposition(run, _seed):
-    worst = 0.0
     for om in _z2_catalog_cocycles(run):
         mod, phase = polar_decompose(om)
         elems = om.group.ball(3)
         for s in elems[::3]:
             for t in elems[::3]:
-                worst = max(worst, abs(mod.value(s, t) * phase.value(s, t) - om.value(s, t)))
-                worst = max(worst, abs(abs(phase.value(s, t)) - 1.0))
-        worst = max(worst, cocycle_identity_residual(mod, 2))
-        worst = max(worst, cocycle_identity_residual(phase, 2))
-    return worst
+                yield abs(mod.value(s, t) * phase.value(s, t) - om.value(s, t))
+                yield abs(abs(phase.value(s, t)) - 1.0)
+        yield cocycle_identity_residual(mod, 2)
+        yield cocycle_identity_residual(phase, 2)
 
 
 @_law("cocycle", "product-group", "pointwise products of cocycles are cocycles", 1e-10)
 def _product_group(run, _seed):
     cats = _z2_catalog_cocycles(run)
-    return cocycle_identity_residual(product_cocycle(cats[0], cats[3]), run.cfg.radius)
+    yield cocycle_identity_residual(product_cocycle(cats[0], cats[3]), run.cfg.radius)
 
 
 @_law(
@@ -830,7 +803,7 @@ def _coboundary_composition(_run, _seed):
     combined = coboundary_from_weight(product_weight(w1, w2))
     split = product_cocycle(coboundary_from_weight(w1), coboundary_from_weight(w2))
     elems = z2.ball(3)
-    return float(np.max(np.abs(combined.table(elems) - split.table(elems))))
+    yield np.abs(combined.table(elems) - split.table(elems))
 
 
 @_law(
@@ -839,19 +812,17 @@ def _coboundary_composition(_run, _seed):
 def _sup_norm(run, _seed):
     cats = _z2_catalog_cocycles(run)
     radius = run.cfg.radius
-    worst = 0.0
-    for om in cats[:3]:
-        worst = max(worst, sup_norm_estimate(om, radius) - 1.0)
-    worst = max(worst, abs(sup_norm_estimate(cats[3], radius) - 1.0))
-    return max(worst, sup_norm_estimate(cats[4], radius) - 1.0)
+    for om in cats[:3] + cats[4:]:
+        yield sup_norm_estimate(om, radius) - 1.0
+    yield abs(sup_norm_estimate(cats[3], radius) - 1.0)
 
 
 def _witness_violation(radius, weights):
-    """Largest witness violation over the coboundaries of weights(Z^2) on B_radius."""
+    """The witness violations of the coboundaries of weights(Z^2) on B_radius."""
 
     def check(_run, _seed):
-        oms = [coboundary_from_weight(w) for w in weights(_Z2())]
-        return max(decomposition_witness(om, radius).max_violation for om in oms)
+        for w in weights(_Z2()):
+            yield decomposition_witness(coboundary_from_weight(w), radius).max_violation
 
     return check
 
@@ -887,7 +858,7 @@ for _case, _text, _radius, _weights in (
 )
 def _witness_trivial_finite(_run, _seed):
     wit = decomposition_witness(trivial_cocycle(Group.cyclic(5)), 2)
-    return abs(wit.max_violation + 1.0)
+    yield abs(wit.max_violation + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -914,19 +885,18 @@ def _twisted_setups(_cfg):
     return setups
 
 
-def _worst_twisted(run, seed, support, draws, arity, residual, worst=0.0):
-    """_worst over every (group, cocycle) setup, one rng throughout; residual(om, *vectors)."""
+def _twisted_draws(run, seed, support, count, arity):
+    """(om, *vectors) for count draws per (group, cocycle) setup, one rng throughout."""
     rng = np.random.default_rng(seed)
     for group, radius, oms in _twisted_setups(run):
         for om in oms:
-            worst = _worst(rng, group, radius, support, draws, arity, partial(residual, om), worst)
-    return worst
+            for vectors in _draws(rng, group, radius, support, count, arity):
+                yield (om, *vectors)
 
 
 @_law("twisted", "delta-products", "delta_s * delta_t == Omega(s,t) delta_{st}", 1e-12)
 def _delta_products(run, seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for group, radius, oms in _twisted_setups(run):
         ball = group.ball(radius)
         for om in oms:
@@ -937,26 +907,22 @@ def _delta_products(run, seed):
                     om, OrliczVector.delta(group, s), OrliczVector.delta(group, t)
                 )
                 ref = OrliczVector.delta(group, group.multiply(s, t), om.value(s, t))
-                worst = max(worst, left.distance_l1(ref))
-    return worst
+                yield left.distance_l1(ref)
 
 
 @_law("twisted", "unit", "delta_e is a two-sided unit", 1e-12)
 def _unit(run, _seed):
-    worst = 0.0
     for _group, radius, oms in _twisted_setups(run):
         for om in oms:
             seed = _derive_seed(run.cfg.seed, "twisted", om.label)
             rep = algebra.unit_check(om, samples=20, seed=seed, radius=radius)
-            worst = max(worst, rep.max_left_deviation, rep.max_right_deviation)
-    return worst
+            yield from (rep.max_left_deviation, rep.max_right_deviation)
 
 
 @_law("twisted", "l1-bound", "|f*g|_1 <= sup|Omega| |f|_1 |g|_1", 1e-9)
 def _l1_bound(run, seed):
-    return _worst_twisted(
-        run, seed, 6, 30, 2, lambda om, f, g: -algebra.l1_bound_gap(om, f, g), -math.inf
-    )
+    for args in _twisted_draws(run, seed, 6, 30, 2):
+        yield -algebra.l1_bound_gap(*args)
 
 
 @_law(
@@ -967,15 +933,14 @@ def _l1_bound(run, seed):
 )
 def _l1_equality_positive(_run, seed):
     om = trivial_cocycle(Group.cyclic(7))
-    return _worst(
-        seed, om.group, 3, 5, 30, 2, lambda f, g: abs(algebra.l1_bound_gap(om, f.abs(), g.abs()))
-    )
+    for f, g in _draws(seed, om.group, 3, 5, 30, 2):
+        yield abs(algebra.l1_bound_gap(om, f.abs(), g.abs()))
 
 
 @_law("twisted", "associativity", "(f*g)*h == f*(g*h) whenever the cocycle identity holds", 1e-10)
 def _associativity(run, seed):
-    triples = max(20, run.cfg.samples // 10)
-    return _worst_twisted(run, seed, 5, triples, 3, algebra.associativity_residual)
+    for args in _twisted_draws(run, seed, 5, max(20, run.cfg.samples // 10), 3):
+        yield algebra.associativity_residual(*args)
 
 
 @_law(
@@ -983,19 +948,16 @@ def _associativity(run, seed):
 )
 def _associativity_broken(_run, seed):
     bad = _broken_z2()
-    return 1e-2 - _worst(seed, bad.group, 2, 8, 50, 3, partial(algebra.associativity_residual, bad))
+    draws = _draws(seed, bad.group, 2, 8, 50, 3)
+    yield 1e-2 - np.max([algebra.associativity_residual(bad, *fgh) for fgh in draws])
 
 
 @_law(
     "twisted", "oracle-agreement", "support-pair convolution matches the literal double loop", 1e-12
 )
 def _oracle_agreement(run, seed):
-    def gap(om, f, g):
-        return algebra.twisted_convolve(om, f, g).distance_l1(
-            algebra.twisted_convolve_naive(om, f, g)
-        )
-
-    return _worst_twisted(run, seed, 5, 10, 2, gap)
+    for args in _twisted_draws(run, seed, 5, 10, 2):
+        yield algebra.twisted_convolve(*args).distance_l1(algebra.twisted_convolve_naive(*args))
 
 
 @_law(
@@ -1009,7 +971,7 @@ def _anticommuting_sign(_run, _seed):
     om = bilinear_phase(c2, np.array([[1]]), math.pi)
     d1 = OrliczVector.delta(c2, (1,))
     got = algebra.twisted_convolve(om, d1, d1)
-    return got.distance_l1(OrliczVector.delta(c2, (0,), -1.0))
+    yield got.distance_l1(OrliczVector.delta(c2, (0,), -1.0))
 
 
 @_law(
@@ -1026,7 +988,7 @@ def _submultiplicativity_probe(run, _seed):
         pair, om, algebra.ProbeSpec(radii=(4, 8), samples=60, seed=seed)
     )
     c_hats = [row[1] for row in rep.rows]
-    return 0.0 if all(math.isfinite(c) and c > 0 for c in c_hats) else math.inf
+    yield 0.0 if all(math.isfinite(c) and c > 0 for c in c_hats) else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -1040,24 +1002,18 @@ def _c7_coboundary() -> Cocycle:
 @_law("duality", "pairing-identity", "<f*g, h> == <f, g*'h> == <g, h*'f>", 1e-10)
 def _pairing_identity(run, seed):
     om = _c7_coboundary()
-    return _worst(seed, om.group, 3, 5, run.cfg.samples, 3, partial(algebra.duality_residual, om))
+    for fgh in _draws(seed, om.group, 3, 5, run.cfg.samples, 3):
+        yield algebra.duality_residual(om, *fgh)
 
 
 @_law("duality", "action-oracle", "module actions match their literal double loops", 1e-12)
 def _action_oracle(_run, seed):
     om = _c7_coboundary()
-
-    def gap(g, h):
-        return max(
-            algebra.module_action_left(om, g, h).distance_l1(
-                algebra.module_action_left_naive(om, g, h)
-            ),
-            algebra.module_action_right(om, h, g).distance_l1(
-                algebra.module_action_right_naive(om, h, g)
-            ),
-        )
-
-    return _worst(seed, om.group, 3, 5, 100, 2, gap)
+    for g, h in _draws(seed, om.group, 3, 5, 100, 2):
+        left = algebra.module_action_left(om, g, h)
+        yield left.distance_l1(algebra.module_action_left_naive(om, g, h))
+        right = algebra.module_action_right(om, h, g)
+        yield right.distance_l1(algebra.module_action_right_naive(om, h, g))
 
 
 @_law(
@@ -1071,12 +1027,9 @@ def _action_norm_bound(run, seed):
     pair = catalog_pair(run.cfg.pair)
     spec = algebra.ProbeSpec(radii=(3,), samples=300, seed=seed)
     c_hat = algebra.submultiplicativity_probe(pair, om, spec).rows[0][1]
-
-    def excess(g, h):
+    for g, h in _draws(seed, om.group, 3, 5, 100, 2):
         lhs = orlicz_norm(pair.flip(), algebra.module_action_left(om, g, h))
-        return lhs - 2.0 * c_hat * orlicz_norm(pair, g) * luxemburg_norm(pair.psi, h)
-
-    return _worst(seed, om.group, 3, 5, 100, 2, excess, -math.inf)
+        yield lhs - 2.0 * c_hat * orlicz_norm(pair, g) * luxemburg_norm(pair.psi, h)
 
 
 # ---------------------------------------------------------------------------
@@ -1098,15 +1051,16 @@ def _z2_split(_cfg):
 )
 def _identity_weighted(run, seed):
     om, factors = _z2_split(run)
-    draws = max(50, run.cfg.samples // 10)
-    return _worst(seed, om.group, 4, 6, draws, 3, partial(algebra.splitting_residual, om, factors))
+    for fgh in _draws(seed, om.group, 4, 6, max(50, run.cfg.samples // 10), 3):
+        yield algebra.splitting_residual(om, factors, *fgh)
 
 
 @_law("splitting", "identity-halves", "u = v = 1/2 splits the trivial cocycle exactly", 1e-12)
 def _identity_halves(_run, seed):
     om = trivial_cocycle(Group.cyclic(5))
     factors = algebra.SplitFactors(L=lambda s, t: om.value(s, t), u=lambda g: 0.5, v=lambda g: 0.5)
-    return _worst(seed, om.group, 2, 4, 50, 3, partial(algebra.splitting_residual, om, factors))
+    for fgh in _draws(seed, om.group, 2, 4, 50, 3):
+        yield algebra.splitting_residual(om, factors, *fgh)
 
 
 @_law(
@@ -1126,7 +1080,8 @@ def _identity_random_uv(_run, seed):
         u=uvals.__getitem__,
         v=vvals.__getitem__,
     )
-    return _worst(rng, c5, 2, 4, 50, 3, partial(algebra.splitting_residual, om, factors))
+    for fgh in _draws(rng, c5, 2, 4, 50, 3):
+        yield algebra.splitting_residual(om, factors, *fgh)
 
 
 @_law("splitting", "xi-eta-oracle", "xi and eta match their literal double loops", 1e-12)
@@ -1134,40 +1089,34 @@ def _xi_eta_oracle(run, seed):
     om, factors = _z2_split(run)
     z2, L = om.group, factors.L
     mul, inv = z2.multiply, z2.invert
-
-    def gap(g, h):
-        candidates = sorted({mul(u, inv(t)) for u, _ in h.items() for t, _ in g.items()})
+    for g, h in _draws(seed, z2, 3, 5, 40, 2):
+        at = dict(h.items())
+        candidates = sorted({mul(u, inv(t)) for u in at for t, _ in g.items()})
         xi_slow = OrliczVector(
             z2,
             {
-                s: sum(a * h.amplitude(mul(s, t)) * L(s, t) for t, a in g.items())
+                s: sum(a * at.get(mul(s, t), 0j) * L(s, t) for t, a in g.items())
                 for s in candidates
             },
         )
-        candidates = sorted({mul(inv(s), u) for u, _ in h.items() for s, _ in g.items()})
+        candidates = sorted({mul(inv(s), u) for u in at for s, _ in g.items()})
         eta_slow = OrliczVector(
             z2,
             {
-                t: sum(a * h.amplitude(mul(s, t)) * L(s, t) for s, a in g.items())
+                t: sum(a * at.get(mul(s, t), 0j) * L(s, t) for s, a in g.items())
                 for t in candidates
             },
         )
-        return max(
-            algebra.xi(L, g, h).distance_l1(xi_slow), algebra.eta(L, g, h).distance_l1(eta_slow)
-        )
-
-    return _worst(seed, z2, 3, 5, 40, 2, gap)
+        yield algebra.xi(L, g, h).distance_l1(xi_slow)
+        yield algebra.eta(L, g, h).distance_l1(eta_slow)
 
 
 @_law("splitting", "zeta-crosscheck", "sum f xi(g,h) == sum h zeta(f,g)", 1e-10)
 def _zeta_crosscheck(run, seed):
     om, factors = _z2_split(run)
     L = factors.L
-
-    def gap(f, g, h):
-        return abs(f.pairing(algebra.xi(L, g, h)) - h.pairing(algebra.zeta(L, f, g)))
-
-    return _worst(seed, om.group, 3, 5, 40, 3, gap)
+    for f, g, h in _draws(seed, om.group, 3, 5, 40, 3):
+        yield abs(f.pairing(algebra.xi(L, g, h)) - h.pairing(algebra.zeta(L, f, g)))
 
 
 @_law(
@@ -1178,15 +1127,10 @@ def _zeta_crosscheck(run, seed):
 )
 def _xi_pointwise_bound(run, seed):
     om, factors = _z2_split(run)
-
-    def excess(g, h):
-        dom = algebra.convolve(h.abs(), g.abs().reverse())
-        return max(
-            (abs(a) - dom.amplitude(s).real for s, a in algebra.xi(factors.L, g, h).items()),
-            default=-math.inf,
-        )
-
-    return _worst(seed, om.group, 3, 5, 40, 2, excess, -math.inf)
+    for g, h in _draws(seed, om.group, 3, 5, 40, 2):
+        dom = dict(algebra.convolve(h.abs(), g.abs().reverse()).items())
+        for s, a in algebra.xi(factors.L, g, h).items():
+            yield abs(a) - dom.get(s, 0j).real
 
 
 # ---------------------------------------------------------------------------
@@ -1197,13 +1141,10 @@ def _xi_pointwise_bound(run, seed):
 def _isometry(run, seed):
     w = polynomial_weight(_Z2(), 1.0)
     pair = catalog_pair(run.cfg.pair)
-
-    def gap(f):
+    for (f,) in _draws(seed, w.group, 4, 6, 100, 1):
         a = weighted_norm(pair, w, algebra.lambda_transform(w, f))
         b = orlicz_norm(pair, f)
-        return abs(a - b) / max(b, 1e-300)
-
-    return _worst(seed, w.group, 4, 6, 100, 1, gap)
+        yield abs(a - b) / max(b, 1e-300)
 
 
 @_law(
@@ -1212,13 +1153,10 @@ def _isometry(run, seed):
 def _intertwining(run, seed):
     w = polynomial_weight(_Z2(), 1.0)
     om = coboundary_from_weight(w)
-
-    def gap(f, g):
+    for f, g in _draws(seed, w.group, 3, 6, max(100, run.cfg.samples // 5), 2):
         lhs = algebra.lambda_transform(w, algebra.twisted_convolve(om, f, g))
         rhs = algebra.convolve(algebra.lambda_transform(w, f), algebra.lambda_transform(w, g))
-        return lhs.distance_l1(rhs)
-
-    return _worst(seed, w.group, 3, 6, max(100, run.cfg.samples // 5), 2, gap)
+        yield lhs.distance_l1(rhs)
 
 
 @_law(
@@ -1231,12 +1169,11 @@ def _augmentation_kernel(_run, seed):
     rng = np.random.default_rng(seed)
     z2 = _Z2()
     ball = z2.ball(4)
-    worst = 0.0
     for _ in range(50):
         s = ball[int(rng.integers(len(ball)))]
         diff = OrliczVector.delta(z2, s) - OrliczVector.delta(z2, z2.identity())
-        worst = max(worst, abs(algebra.augmentation(diff)))
-    return max(worst, abs(algebra.augmentation(OrliczVector.zero(z2))))
+        yield abs(algebra.augmentation(diff))
+    yield abs(algebra.augmentation(OrliczVector.zero(z2)))
 
 
 @_law(
@@ -1246,11 +1183,9 @@ def _augmentation_kernel(_run, seed):
     1e-10,
 )
 def _augmentation_multiplicative(_run, seed):
-    def gap(f, g):
-        aug = algebra.augmentation
-        return abs(aug(algebra.convolve(f, g)) - aug(f) * aug(g))
-
-    return _worst(seed, Group.cyclic(5), 2, 4, 100, 2, gap)
+    aug = algebra.augmentation
+    for f, g in _draws(seed, Group.cyclic(5), 2, 4, 100, 2):
+        yield abs(aug(algebra.convolve(f, g)) - aug(f) * aug(g))
 
 
 # ---------------------------------------------------------------------------
@@ -1260,52 +1195,45 @@ def _augmentation_multiplicative(_run, seed):
 @_law("growth", "ball-counts", "|B_n| on Z^2 is 2n^2 + 2n + 1; balls on Z_5 saturate at 5", 0.0)
 def _ball_counts(_run, _seed):
     z2, c5 = _Z2(), Group.cyclic(5)
-    worst = 0
     for n in range(0, 21):
-        worst = max(worst, abs(z2.ball_count(n) - (2 * n * n + 2 * n + 1)))
-    worst = max(worst, abs(c5.ball_count(2) - 5), abs(c5.ball_count(10) - 5))
-    return float(worst)
+        yield abs(z2.ball_count(n) - (2 * n * n + 2 * n + 1))
+    yield from (abs(c5.ball_count(2) - 5), abs(c5.ball_count(10) - 5))
 
 
 @_law("growth", "ball-nesting", "B_n strictly grows below the cap on infinite groups", 0.5)
 def _ball_nesting(_run, _seed):
     for group, top in ((_Z2(), 10), (Group.heisenberg(), 6)):
         counts = [group.ball_count(n) for n in range(top + 1)]
-        if any(b <= a for a, b in zip([-1] + counts, counts)):
-            return 1.0
-    return 0.0
+        yield 1.0 if any(b <= a for a, b in zip([-1] + counts, counts)) else 0.0
 
 
 def _small_groups(z2_radius, heis_radius):
     return ((_Z2(), z2_radius), (Group.heisenberg(), heis_radius), (_C7(), 3))
 
 
-def _max_length_gap(groups, other_length):
-    """max |tau(g) - other_length(group, g)| over the (group, radius) balls."""
-    worst = 0
+def _length_gaps(groups, other_length):
+    """|tau(g) - other_length(group, g)| over the (group, radius) balls."""
     for group, radius in groups:
         for g in group.ball(radius):
-            worst = max(worst, abs(group.word_length(g) - other_length(group, g)))
-    return float(worst)
+            yield abs(group.word_length(g) - other_length(group, g))
 
 
 @_law("growth", "word-length-symmetry", "tau(g) == tau(g^-1)", 0.0)
 def _word_length_symmetry(_run, _seed):
-    return _max_length_gap(_small_groups(8, 5), lambda group, g: group.word_length(group.invert(g)))
+    yield from _length_gaps(
+        _small_groups(8, 5), lambda group, g: group.word_length(group.invert(g))
+    )
 
 
 @_law("growth", "word-length-subadditive", "tau(gh) <= tau(g) + tau(h)", 0.0)
 def _word_length_subadditive(_run, _seed):
-    worst = -math.inf
+    yield 0.0
     for group, radius in _small_groups(6, 4):
         ball = group.ball(radius)
         for g in ball:
             for h in ball:
                 gh = group.multiply(g, h)
-                worst = max(
-                    worst, group.word_length(gh) - group.word_length(g) - group.word_length(h)
-                )
-    return float(max(worst, 0.0))
+                yield group.word_length(gh) - group.word_length(g) - group.word_length(h)
 
 
 @_law(
@@ -1316,13 +1244,10 @@ def _word_length_subadditive(_run, _seed):
 )
 def _word_length_examples(_run, _seed):
     z2 = _Z2()
-    checks = [
-        z2.word_length((0, 0)) - 0,
-        z2.word_length((2, 1)) - 3,
-        Group.heisenberg().word_length((0, 0, 1)) - 4,
-        Group.cyclic(5).word_length((3,)) - 2,
-    ]
-    return float(max(abs(c) for c in checks))
+    yield abs(z2.word_length((0, 0)) - 0)
+    yield abs(z2.word_length((2, 1)) - 3)
+    yield abs(Group.heisenberg().word_length((0, 0, 1)) - 4)
+    yield abs(Group.cyclic(5).word_length((3,)) - 2)
 
 
 @_law("growth", "bfs-oracle", "closed-form word lengths match breadth-first search", 0.0)
@@ -1333,7 +1258,7 @@ def _bfs_oracle(_run, _seed):
         (Group.free_abelian(3), 6),
         (Group.cyclic(9), 4),
     )
-    return _max_length_gap(groups, lambda group, g: group.word_length_bfs(g))
+    yield from _length_gaps(groups, lambda group, g: group.word_length_bfs(g))
 
 
 @_law(
@@ -1341,7 +1266,6 @@ def _bfs_oracle(_run, _seed):
 )
 def _group_axioms(_run, seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for group, radius in _small_groups(5, 4):
         ball = group.ball(radius)
         e = group.identity()
@@ -1351,14 +1275,12 @@ def _group_axioms(_run, seed):
             assoc = mul(mul(g, h), k) == mul(g, mul(h, k))
             ident = mul(g, e) == g and mul(e, g) == g
             inv = mul(g, group.invert(g)) == e
-            if not (assoc and ident and inv):
-                worst = 1.0
-    return worst
+            yield 0.0 if assoc and ident and inv else 1.0
 
 
 def _growth_fit(make_group, max_r, target):
     def fit(_run, _seed):
-        return abs(make_group().growth_order_estimate(max_r).d_hat - target)
+        yield abs(make_group().growth_order_estimate(max_r).d_hat - target)
 
     return fit
 
@@ -1376,15 +1298,13 @@ for _case, _make_group, _max_r, _target, _window in (
 @_law("growth", "weight-identity", "w(e) == 1 for every weight family", 0.0)
 def _weight_identity(_run, _seed):
     z2 = _Z2()
-    worst = 0.0
     for w in (
         trivial_weight(z2),
         polynomial_weight(z2, 2.0),
         subexp_weight(z2, 0.5, 1.0),
         subexp_log_weight(z2, 1.0, 1.0),
     ):
-        worst = max(worst, abs(w(z2.identity()) - 1.0))
-    return worst
+        yield abs(w(z2.identity()) - 1.0)
 
 
 @_law(
@@ -1395,7 +1315,7 @@ def _weight_identity(_run, _seed):
 )
 def _weight_submultiplicative(_run, _seed):
     z2 = _Z2()
-    worst = -math.inf
+    yield 0.0
     for w in (
         trivial_weight(z2),
         polynomial_weight(z2, 1.0),
@@ -1403,10 +1323,8 @@ def _weight_submultiplicative(_run, _seed):
         subexp_weight(z2, 0.5, 1.0),
     ):
         report = weight_axioms_report(w, 10)
-        if not report.identity_ok or report.inverse_bound > 1.0 + 1e-12:
-            return math.inf
-        worst = max(worst, report.submult_sup - 1.0)
-    return float(max(worst, 0.0))
+        ok = report.identity_ok and report.inverse_bound <= 1.0 + 1e-12
+        yield report.submult_sup - 1.0 if ok else math.inf
 
 
 @_law(
@@ -1417,10 +1335,8 @@ def _weight_submultiplicative(_run, _seed):
 )
 def _weight_values(_run, _seed):
     z2 = _Z2()
-    return max(
-        abs(polynomial_weight(z2, 1.0)((2, 1)) - 4.0),
-        abs(subexp_weight(z2, 0.5, 1.0)((2, 1)) - math.exp(math.sqrt(3.0))),
-    )
+    yield abs(polynomial_weight(z2, 1.0)((2, 1)) - 4.0)
+    yield abs(subexp_weight(z2, 0.5, 1.0)((2, 1)) - math.exp(math.sqrt(3.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -1435,7 +1351,7 @@ def _reciprocal_membership(make_group, beta, alphas, radii, expected):
         w = polynomial_weight(group, beta)
         psi = catalog_pair("pnorm:2").psi
         rep = membership_diagnostic(group, psi, lambda g: 1.0 / w(g), alphas, radii)
-        return 0.0 if all(v == expected for v in rep.verdicts.values()) else 1.0
+        yield 0.0 if all(v == expected for v in rep.verdicts.values()) else 1.0
 
     return check
 

@@ -288,6 +288,15 @@ def _rows_modular(phi_fn: Callable, A: np.ndarray) -> np.ndarray:
         return _row_sums(np.asarray(phi_fn(A), dtype=float))
 
 
+def _live_rows(A):
+    """A as a float matrix and the mask of its nonzero rows; a NaN row raises InputError."""
+    A = np.asarray(A, dtype=float)
+    sums = A.sum(axis=1)
+    if np.isnan(sums).any():
+        raise InputError(f"amplitude row {int(np.argmax(np.isnan(sums)))} holds NaN")
+    return A, sums > 0.0
+
+
 def luxemburg_batch(phi: YoungFunction, A: np.ndarray) -> np.ndarray:
     """Luxemburg norms of the rows of a nonnegative amplitude matrix.
 
@@ -295,11 +304,11 @@ def luxemburg_batch(phi: YoungFunction, A: np.ndarray) -> np.ndarray:
     row solves modular(x f) = 1 for x = 1/N(f) with the shared root finder:
     it stops at |modular - 1| <= 1e-12 (or a bracket 1e-14 x wide), raises
     BracketOverflowError for a norm below 1e-300 and
-    SolverCapError when it runs out of steps.
+    SolverCapError when it runs out of steps.  A row holding NaN raises
+    InputError.
     """
-    A = np.asarray(A, dtype=float)
+    A, live = _live_rows(A)
     out = np.zeros(A.shape[0])
-    live = A.sum(axis=1) > 0.0
     if not np.any(live):
         return out
     B = A[live]
@@ -380,20 +389,20 @@ def orlicz_batch(pair: ComplementaryPair, A: np.ndarray):
     """(norms, agreement gaps) for the rows of an amplitude matrix.
 
     Each norm is the larger of the stationarity and minimization values;
-    their relative gap beyond 1e-5 is an implementation fault and raises.
+    their relative gap beyond 1e-5, or a NaN gap, is an implementation
+    fault and raises.  A row holding NaN raises InputError.
     """
-    A = np.asarray(A, dtype=float)
+    A, live = _live_rows(A)
     norms = np.zeros(A.shape[0])
     gaps = np.zeros(A.shape[0])
-    live = A.sum(axis=1) > 0.0
     if not np.any(live):
         return norms, gaps
     B = A[live]
     stat = _stationarity_batch(pair, B)
     amem = _amemiya_batch(pair, B, luxemburg_batch(pair.phi, B))
     rel = np.abs(stat - amem) / np.maximum(np.maximum(stat, amem), 1e-300)
-    if np.max(rel) > _AGREEMENT_LIMIT:
-        i = int(np.argmax(rel))
+    if not np.max(rel) <= _AGREEMENT_LIMIT:
+        i = int(np.argmax(rel))  # the first NaN, if any
         raise MethodDisagreementError(float(stat[i]), float(amem[i]), float(rel[i]), _AGREEMENT_LIMIT)
     norms[live] = np.maximum(stat, amem)
     gaps[live] = rel
@@ -427,9 +436,8 @@ def norm_report(pair: ComplementaryPair, f: OrliczVector) -> NormReport:
 
 def holder_gap(pair: ComplementaryPair, f: OrliczVector, g: OrliczVector) -> float:
     """min{ N_Phi(f) |g|_Psi , |f|_Phi N_Psi(g) } - sum |f g|; >= 0 in exact math."""
-    pointwise = float(
-        sum(abs(a * g.amplitude(s)) for s, a in f.items())
-    )
+    at = dict(g.items())
+    pointwise = float(sum(abs(a * at.get(s, 0j)) for s, a in f.items()))
     if not f or not g:
         return 0.0 - pointwise
     flipped = pair.flip()

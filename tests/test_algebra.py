@@ -1,5 +1,6 @@
 """Twisted-algebra tests: convolution, duality, splitting, transform, probes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -211,6 +212,40 @@ def test_splitting_halves_and_bad_factorization():
     bad = SplitFactors(L=lambda s, t: om.value(s, t), u=lambda g: 1.0, v=lambda g: 1.0)
     with pytest.raises(FactorizationError):
         algebra.splitting_residual(om, bad, f, g, h)
+
+
+def test_split_factors_verify_rejects_nan():
+    om = trivial_cocycle(C5)
+    pairs = [(s, t) for s in C5.ball(2) for t in C5.ball(2)]
+    half = SplitFactors(L=lambda s, t: om.value(s, t), u=lambda g: 0.5, v=lambda g: 0.5)
+    half.verify(om, pairs)
+    nan_L = SplitFactors(L=lambda s, t: math.nan, u=lambda g: 0.5, v=lambda g: 0.5)
+    with pytest.raises(FactorizationError):
+        nan_L.verify(om, pairs)
+    nan_u = SplitFactors(L=lambda s, t: om.value(s, t), u=lambda g: math.nan, v=lambda g: 0.5)
+    with pytest.raises(FactorizationError) as err:
+        nan_u.verify(om, pairs)
+    assert err.value.worst_pair == pairs[0] and math.isnan(err.value.residual)
+
+
+def test_unit_check_propagates_nan():
+    # Omega(s, e) is NaN at s = (1, 0): only the right-hand products see it
+    om = perturbed(trivial_cocycle(Z2), (1, 0), (0, 0), math.nan)
+    rep = algebra.unit_check(om, samples=50, seed=0)
+    assert rep.max_left_deviation == 0.0
+    assert math.isnan(rep.max_right_deviation)
+
+
+def test_probe_constant_propagates_nan(monkeypatch):
+    real, calls = algebra.orlicz_norm, itertools.count()
+
+    def nan_numerator(pair, f):  # each sample asks for |f*g| first, then |f| and |g|
+        return math.nan if next(calls) % 3 == 0 else real(pair, f)
+
+    monkeypatch.setattr(algebra, "orlicz_norm", nan_numerator)
+    spec = algebra.ProbeSpec(radii=(3,), samples=5)
+    rep = algebra.submultiplicativity_probe(catalog_pair("pnorm:2"), OM, spec)
+    assert math.isnan(rep.rows[0][1])
 
 
 def test_xi_eta_definitions_and_zeta_crosscheck():

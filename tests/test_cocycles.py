@@ -55,6 +55,11 @@ def test_normalization_everywhere():
         assert normalization_residual(om, 5) <= 1e-14
 
 
+def test_normalization_residual_propagates_nan():
+    om = perturbed(trivial_cocycle(Z2), (1, 0), (0, 0), math.nan)
+    assert math.isnan(normalization_residual(om, 2))
+
+
 def test_bilinear_phase_examples():
     om = bilinear_phase(Z2, PHASE_B, math.pi)
     assert om.value((0, 1), (1, 0)) == pytest.approx(-1.0, abs=1e-12)
@@ -161,12 +166,13 @@ def _polar(k):
     return make
 
 
-# Every constructor.  Polynomial weights are taken with integer exponents:
-# for some others (1.5 is one) numpy's array power and Python's scalar pow
-# round differently, so those coboundaries disagree in the last bit.
+# Every constructor.  poly:1.5 is a case where numpy's array power and
+# Python's scalar pow round differently, so the scalar weight must go
+# through the array form too.
 EVALUATOR_CASES = {
     "trivial": trivial_cocycle,
     "coboundary(poly:1)": lambda g: coboundary_from_weight(polynomial_weight(g, 1.0)),
+    "coboundary(poly:1.5)": lambda g: coboundary_from_weight(polynomial_weight(g, 1.5)),
     "coboundary(poly:2)": lambda g: coboundary_from_weight(polynomial_weight(g, 2.0)),
     "coboundary(subexp:0.5:1)": lambda g: coboundary_from_weight(subexp_weight(g, 0.5, 1.0)),
     "coboundary(subexplog:1:1)": lambda g: coboundary_from_weight(subexp_log_weight(g, 1.0, 1.0)),

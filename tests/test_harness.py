@@ -1,10 +1,12 @@
 """Harness tests: config round-trip, suites, registry, determinism, CLI."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
-from orliczlab import cli, harness
+from orliczlab import algebra, cli, harness
 from orliczlab.errors import ConfigError, OrliczLabError
 from orliczlab.groups import Group
 from orliczlab.harness import (
@@ -132,11 +134,45 @@ def test_failure_isolation_records_error_text(monkeypatch):
     def boom(_run, _seed):
         raise RuntimeError("deliberate")
 
-    harness._law("membership", "fine", "law text", 1.0)(lambda _run, _seed: 0.0)
+    harness._law("membership", "fine", "law text", 1.0)(lambda _run, _seed: [0.0])
     first, second = run_suite(SuiteConfig(), "membership")
     assert first.verdict == "fail" and "deliberate" in first.note
     assert math.isinf(first.residual)
     assert second.verdict == "pass"  # later cases still ran
+
+
+def _run_laws(monkeypatch, residuals):
+    """Records of one law per residual list, each yielding that list, tolerance 1."""
+    cases = tuple(f"law-{i}" for i in range(len(residuals)))
+    monkeypatch.setattr(harness, "_LAWS", [])
+    monkeypatch.setitem(harness.REGISTRY, "membership", cases)
+    for case, values in zip(cases, residuals):
+        harness._law("membership", case, "law text", 1.0)(lambda _run, _seed, v=values: iter(v))
+    return run_suite(SuiteConfig(), "membership")
+
+
+def test_law_residuals_fold_to_their_nan_propagating_max(monkeypatch):
+    nan, mixed, empty = _run_laws(
+        monkeypatch,
+        [[0.1, math.nan, 0.2], [np.array([0.1, 0.3]), 0.2, 0, np.array([[0.05]])], []],
+    )
+    assert nan.verdict == "fail" and math.isnan(nan.residual) and nan.note == ""
+    assert mixed.verdict == "pass" and mixed.residual == 0.3
+    assert type(mixed.residual) is float
+    assert empty.verdict == "fail" and math.isinf(empty.residual)
+    assert "no residuals" in empty.note
+
+
+def test_nan_associativity_residual_fails_the_law(monkeypatch):
+    real, calls = algebra.associativity_residual, itertools.count()
+
+    def every_other_nan(*args):
+        return math.nan if next(calls) % 2 else real(*args)
+
+    monkeypatch.setattr(algebra, "associativity_residual", every_other_nan)
+    (law,) = [law for law in harness._LAWS if law.case == "associativity"]
+    rec = harness._Run(SuiteConfig(samples=100)).record(law)
+    assert rec.verdict == "fail" and math.isnan(rec.residual)
 
 
 def test_fixture_error_fails_only_the_cases_that_need_it(monkeypatch):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from orliczlab import space
 from orliczlab.errors import GroupMismatchError, InputError, MethodDisagreementError
 from orliczlab.groups import Group, polynomial_weight, trivial_weight
 from orliczlab.space import (
@@ -164,6 +165,20 @@ def test_method_disagreement_is_a_hard_error():
     f = OrliczVector(Z2, {(0, 0): 3.0, (1, 0): 4.0})
     with pytest.raises(MethodDisagreementError):
         orlicz_norm(lying, f)
+
+
+def test_a_nan_agreement_gap_is_a_hard_error(monkeypatch):
+    monkeypatch.setattr(space, "_amemiya_batch", lambda pair, A, lux: np.full(len(A), math.nan))
+    with pytest.raises(MethodDisagreementError):
+        orlicz_norm(P2, OrliczVector(Z2, {(0, 0): 3.0, (1, 0): 4.0}))
+
+
+def test_norms_of_a_vector_holding_nan_raise():
+    f = OrliczVector(Z2, {(0, 0): math.nan, (1, 0): 1.0})
+    with pytest.raises(InputError, match="NaN"):
+        luxemburg_norm(P2.phi, f)
+    with pytest.raises(InputError, match="NaN"):
+        orlicz_norm(P2, f)
 
 
 def test_holder_gap_cases():

@@ -5,12 +5,19 @@ For a cocycle Om the twisted convolution of finitely supported vectors is
     (f * g)(t) = sum_s f(s) g(s^{-1} t) Om(s, s^{-1} t),
 
 an exact finite sum here (no truncation, no FFT), with the naive double
-loop kept as the oracle for the support-pair implementation.  That
-implementation, shared by every product below, forms all pairs of the two
-supports at once: the target rows with Group.multiply_array, the kernel
-values with the cocycle's array evaluator, the terms (a b) k with complex
-products formed part by part, and then the scatter-add of the space
-module, in the pair order of a double loop over the sorted supports.
+loop over a scalar kernel k(s, t), such as Om.value, kept as the oracle for
+the support-pair implementation.  That implementation, shared by every
+product below, forms all pairs of the two supports at once: the target
+rows with Group.multiply_array, the kernel values from one call of an
+array kernel, the terms (a b) k with complex products formed part by part,
+and then the scatter-add of the space module, in the pair order of a
+double loop over the sorted supports.
+
+Every function on the group passed in here is an array function of int64
+coordinate rows, mapping broadcastable (..., d) arrays to values of their
+broadcast shape minus d: the kernel (a cocycle's values, or the L of a
+splitting), the u and v of a splitting, and the weights of the transform
+(Weight.at).
 Deltas multiply as delta_s * delta_t = Om(s,t) delta_{st}, so
 associativity of the convolution is the cocycle identity in disguise.
 
@@ -54,7 +61,7 @@ import numpy as np
 from .cocycles import Cocycle, DecompositionWitness
 from .errors import FactorizationError, GroupMismatchError
 from .groups import Group, Weight
-from .space import OrliczVector, cmul, orlicz_norm, random_vector
+from .space import OrliczVector, cdiv, cmul, orlicz_norm, random_vector
 from .young import ComplementaryPair
 
 __all__ = [
@@ -97,10 +104,11 @@ def _kernel_sum(outer: OrliczVector, inner: OrliczVector, place: str, kernel=Non
         place "xy":     t = x y,        kernel(x, y);
         place "xy^-1":  s = x y^{-1},   kernel(s, y);
         place "y^-1x":  s = y^{-1} x,   kernel(y, s).
-    The kernel maps two (n, d) coordinate arrays to the n complex values at
-    their pairs.  With no kernel the term is a * b (no multiplication by a
-    unit).  Pairs run over the sorted outer support, then the sorted inner
-    support, and the terms are scatter-added in that order.
+    The kernel is an array function of two (n, d) coordinate arrays, giving
+    the n complex values at their pairs.  With no kernel the term is a * b
+    (no multiplication by a unit).  Pairs run over the sorted outer support,
+    then the sorted inner support, and the terms are scatter-added in that
+    order.
     """
     group = _same_group(outer, inner)
     p, q = np.divmod(np.arange(len(outer) * len(inner)), max(len(inner), 1))
@@ -121,13 +129,6 @@ def _kernel_sum(outer: OrliczVector, inner: OrliczVector, place: str, kernel=Non
     return OrliczVector._summed(group, T, terms)
 
 
-def _pointwise(L: Callable) -> Callable:
-    """The array form of a scalar kernel L(s, t): one call per pair."""
-    return lambda S, T: np.array(
-        [L(tuple(s), tuple(t)) for s, t in zip(S.tolist(), T.tolist())], dtype=complex
-    )
-
-
 def twisted_convolve(om: Cocycle, f: OrliczVector, g: OrliczVector) -> OrliczVector:
     """(f * g)(t) = sum_s f(s) g(s^{-1}t) Om(s, s^{-1}t), support-pair form.
 
@@ -139,20 +140,21 @@ def twisted_convolve(om: Cocycle, f: OrliczVector, g: OrliczVector) -> OrliczVec
     return _kernel_sum(f, g, "xy", om.values)
 
 
-def twisted_convolve_naive(om: Cocycle, f: OrliczVector, g: OrliczVector) -> OrliczVector:
-    """Literal transcription of the defining sum; the oracle."""
+def twisted_convolve_naive(k: Callable, f: OrliczVector, g: OrliczVector) -> OrliczVector:
+    """Literal transcription of the defining sum with a scalar kernel
+    k(s, t), such as om.value; the oracle."""
     group = _same_group(f, g)
     mul, inv = group.multiply, group.invert
-    at = dict(g.items())
-    targets = sorted({mul(s, y) for s, _ in f.items() for y in at})
+    fs, at = list(f.items()), dict(g.items())
+    targets = sorted({mul(s, y) for s, _ in fs for y in at})
     out = {}
     for t in targets:
         total = 0.0 + 0.0j
-        for s, a in f.items():
+        for s, a in fs:
             y = mul(inv(s), t)
             b = at.get(y, 0j)
             if b != 0:
-                total += a * b * om.value(s, y)
+                total += a * b * k(s, y)
         out[t] = total
     return OrliczVector(group, out)
 
@@ -194,34 +196,36 @@ def module_action_right(om: Cocycle, h: OrliczVector, g: OrliczVector) -> Orlicz
     return _kernel_sum(h, g, "y^-1x", om.values)
 
 
-def module_action_left_naive(om: Cocycle, g: OrliczVector, h: OrliczVector) -> OrliczVector:
+def module_action_left_naive(k: Callable, g: OrliczVector, h: OrliczVector) -> OrliczVector:
+    """The double loop of (g *' h)(s) with a scalar kernel k(s, t); the oracle."""
     group = _same_group(g, h)
     mul, inv = group.multiply, group.invert
-    at = dict(h.items())
-    candidates = sorted({mul(u, inv(t)) for u in at for t, _ in g.items()})
+    gs, at = list(g.items()), dict(h.items())
+    candidates = sorted({mul(u, inv(t)) for u in at for t, _ in gs})
     out = {}
     for s in candidates:
         total = 0.0 + 0.0j
-        for t, ga in g.items():
+        for t, ga in gs:
             hb = at.get(mul(s, t), 0j)
             if hb != 0:
-                total += ga * hb * om.value(s, t)
+                total += ga * hb * k(s, t)
         out[s] = total
     return OrliczVector(group, out)
 
 
-def module_action_right_naive(om: Cocycle, h: OrliczVector, g: OrliczVector) -> OrliczVector:
+def module_action_right_naive(k: Callable, h: OrliczVector, g: OrliczVector) -> OrliczVector:
+    """The double loop of (h *' g)(s) with a scalar kernel k(s, t); the oracle."""
     group = _same_group(g, h)
     mul, inv = group.multiply, group.invert
-    at = dict(h.items())
-    candidates = sorted({mul(inv(t), u) for u in at for t, _ in g.items()})
+    gs, at = list(g.items()), dict(h.items())
+    candidates = sorted({mul(inv(t), u) for u in at for t, _ in gs})
     out = {}
     for s in candidates:
         total = 0.0 + 0.0j
-        for t, ga in g.items():
+        for t, ga in gs:
             hb = at.get(mul(t, s), 0j)
             if hb != 0:
-                total += ga * hb * om.value(t, s)
+                total += ga * hb * k(t, s)
         out[s] = total
     return OrliczVector(group, out)
 
@@ -242,7 +246,10 @@ def duality_residual(
 
 @dataclass(frozen=True)
 class SplitFactors:
-    """A factorization Om(s,t) = L(s,t) (u(s) + v(t)) with |L| <= 1."""
+    """A factorization Om(s,t) = L(s,t) (u(s) + v(t)) with |L| <= 1.
+
+    L(S, T), u(X) and v(X) are array functions of coordinate rows.
+    """
 
     L: Callable
     u: Callable
@@ -250,40 +257,39 @@ class SplitFactors:
 
     @classmethod
     def from_witness(cls, om: Cocycle, witness: DecompositionWitness) -> "SplitFactors":
+        """L = Om / (u + v), divided as CPython divides a complex by a float."""
         u, v = witness.u, witness.v
+        return cls(lambda S, T: cdiv(om.values(S, T), u(S) + v(T)), u, v)
 
-        def L(s, t):
-            return om.value(s, t) / (u(s) + v(t))
-
-        return cls(L, u, v)
-
-    def verify(self, om: Cocycle, pairs) -> None:
-        """Check the factorization on the given pairs; raise on mismatch or NaN."""
-        pairs = list(pairs)
-        devs = []
-        for s, t in pairs:
-            Lv = self.L(s, t)
-            if not abs(Lv) <= 1.0 + 1e-12:
-                raise FactorizationError((s, t), abs(Lv) - 1.0)
-            devs.append(abs(om.value(s, t) - Lv * (self.u(s) + self.v(t))))
-        if devs and not np.max(devs) <= 1e-10:
-            i = int(np.argmax(devs))  # the worst pair, or the first NaN
-            raise FactorizationError(pairs[i], devs[i])
+    def verify(self, om: Cocycle, S: np.ndarray, T: np.ndarray) -> None:
+        """Check the factorization at the pairs of broadcastable coordinate
+        arrays S, T.  Raise FactorizationError at the worst pair (the first
+        NaN, if any) when |L| > 1 + 1e-12, or else when a deviation from Om
+        exceeds 1e-10."""
+        S, T = np.broadcast_arrays(S, T)
+        L = self.L(S, T)
+        excess = np.hypot(L.real, L.imag) - 1.0
+        dev = np.abs(om.values(S, T) - L * (self.u(S) + self.v(T)))
+        for r, bound in ((excess, 1e-12), (dev, 1e-10)):
+            if not np.max(r, initial=0.0) <= bound:
+                i = int(np.argmax(r))
+                pair = tuple(tuple(A.reshape(-1, A.shape[-1])[i].tolist()) for A in (S, T))
+                raise FactorizationError(pair, float(r.flat[i]))
 
 
 def xi(L: Callable, g: OrliczVector, h: OrliczVector) -> OrliczVector:
     """xi(g,h)(s) = sum_t g(t) h(st) L(s,t)."""
-    return _kernel_sum(h, g, "xy^-1", _pointwise(L))
+    return _kernel_sum(h, g, "xy^-1", L)
 
 
 def eta(L: Callable, f: OrliczVector, h: OrliczVector) -> OrliczVector:
     """eta(f,h)(t) = sum_s f(s) h(st) L(s,t)."""
-    return _kernel_sum(h, f, "y^-1x", _pointwise(L))
+    return _kernel_sum(h, f, "y^-1x", L)
 
 
 def zeta(L: Callable, f: OrliczVector, g: OrliczVector) -> OrliczVector:
     """zeta(f,g)(t) = sum_s f(s) g(s^{-1}t) L(s, s^{-1}t)."""
-    return _kernel_sum(f, g, "xy", _pointwise(L))
+    return _kernel_sum(f, g, "xy", L)
 
 
 def splitting_residual(
@@ -294,8 +300,7 @@ def splitting_residual(
     h: OrliczVector,
 ) -> float:
     """|<f*g,h> - <f u, xi(g,h)> - <g v, eta(f,h)>| after verifying the factors."""
-    pairs = [(s, t) for s, _ in f.items() for t, _ in g.items()]
-    factors.verify(om, pairs)
+    factors.verify(om, f._rows[:, None], g._rows[None, :])
     lhs = twisted_convolve(om, f, g).pairing(h)
     fu = f.pointwise_mul(factors.u)
     gv = g.pointwise_mul(factors.v)
@@ -309,12 +314,15 @@ def splitting_residual(
 
 def lambda_transform(w: Weight, f: OrliczVector) -> OrliczVector:
     """f -> f / w, the isometry onto the weighted space."""
-    return f.pointwise_div(w)
+    return f.pointwise_div(w.at)
 
 
 def augmentation(f: OrliczVector) -> complex:
     """Sum of coefficients; multiplicative under plain convolution."""
     return sum((a for _, a in f.items()), 0.0 + 0.0j)
+
+
+_SUPPORT = 6  # support size of the vectors unit_check and the probe draw
 
 
 @dataclass(frozen=True)
@@ -325,16 +333,14 @@ class UnitReport:
     seed: int
 
 
-def unit_check(
-    om: Cocycle, samples: int = 50, seed: int = 0, radius: int = 3, support: int = 6
-) -> UnitReport:
+def unit_check(om: Cocycle, samples: int = 50, seed: int = 0, radius: int = 3) -> UnitReport:
     """Verify delta_e is a two-sided unit for the twisted convolution."""
     group = om.group
     rng = np.random.default_rng(seed)
     e = OrliczVector.delta(group, group.identity())
     left, right = [], []
     for _ in range(samples):
-        f = random_vector(group, rng, radius, support)
+        f = random_vector(group, rng, radius, _SUPPORT)
         left.append(twisted_convolve(om, e, f).distance_l1(f))
         right.append(twisted_convolve(om, f, e).distance_l1(f))
     worst_l, worst_r = (float(np.max(d, initial=0.0)) for d in (left, right))  # NaN propagates
@@ -346,7 +352,6 @@ class ProbeSpec:
     radii: tuple = (4, 8)
     samples: int = 100
     seed: int = 0
-    support: int = 6
 
 
 @dataclass(frozen=True)
@@ -373,8 +378,8 @@ def submultiplicativity_probe(
         rng = np.random.default_rng((spec.seed, i))  # per-radius derived seed
         ratios = []
         for _ in range(spec.samples):
-            f = random_vector(group, rng, radius, spec.support)
-            g = random_vector(group, rng, radius, spec.support)
+            f = random_vector(group, rng, radius, _SUPPORT)
+            g = random_vector(group, rng, radius, _SUPPORT)
             if not f or not g:
                 continue
             num = orlicz_norm(pair, twisted_convolve(om, f, g))

@@ -84,11 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gg.add_argument("--max-r", type=int, required=True)
     gw = gsub.add_parser("weight", help="evaluate a weight")
     gw.add_argument("--group", required=True)
-    gw.add_argument("--kind", required=True, help="weight spec (poly:2) or bare kind (poly)")
-    gw.add_argument("--beta", type=float, help="order for a bare poly kind")
-    gw.add_argument("--alpha", type=float, help="exponent for a bare subexp kind")
-    gw.add_argument("--gamma", type=float, help="exponent for a bare subexplog kind")
-    gw.add_argument("--c", type=float, default=1.0, help="scale for bare subexponential kinds")
+    gw.add_argument("--kind", required=True, help="weight spec, e.g. poly:2")
     gw.add_argument("--at", required=True, help="comma-separated coordinates")
 
     coc = sub.add_parser("cocycle", help="cocycle verification")
@@ -196,17 +192,7 @@ def _cmd_group(args) -> int:
         for n, c in zip(fit.radii, fit.counts):
             print(f"  |B_{n}| = {c}")
         return 0
-    spec = args.kind
-    if ":" not in spec and spec != "trivial":  # bare kind: assemble from flags
-        if spec == "poly" and args.beta is not None:
-            spec = f"poly:{args.beta:g}"
-        elif spec == "subexp" and args.alpha is not None:
-            spec = f"subexp:{args.alpha:g}:{args.c:g}"
-        elif spec == "subexplog" and args.gamma is not None:
-            spec = f"subexplog:{args.gamma:g}:{args.c:g}"
-        else:
-            raise ConfigError(f"bare kind {spec!r} needs its parameter flag")
-    w = parse_weight(spec, group)
+    w = parse_weight(args.kind, group)
     g = group.element(int(v) for v in args.at.split(","))
     print(f"{w.label}({g}) = {w(g)!r}   (tau = {group.word_length(g)})")
     return 0

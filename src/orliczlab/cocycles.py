@@ -31,16 +31,16 @@ twisted convolution to a Banach-algebra multiplication.  Witnesses:
 each verified pair-by-pair on the requested ball (the searches certify,
 they do not prove).
 
-Every cocycle carries two evaluators, written independently: value(s, t)
-on element tuples, the oracle, and values(S, T) on broadcastable int64
-coordinate arrays, which tables, the identity scan and the twisted
-products read.  The array evaluators form complex products from real and
-imaginary parts, moduli with hypot and phases by dividing each part, so
-they equal value bit for bit.  Coboundaries can differ in the last bit
-where numpy's array power rounds otherwise than Python's pow, as it does
-for the polynomial weight of exponent 1.5.
-Nothing is cached, so evaluators are pure and concurrent readers need no
-coordination.
+Every function on the group that the library evaluates in bulk is an
+array function of int64 coordinate rows: it maps broadcastable (..., d)
+arrays to values of their broadcast shape minus d.  So does every cocycle,
+through values(S, T), which tables, the identity scan and the twisted
+products read; its scalar value(s, t) on element tuples is written
+independently and is the oracle.  The array evaluators form complex
+products from real and imaginary parts, moduli with hypot and phases by
+dividing each part, so they equal value bit for bit.  The u and v of a
+witness are array functions too.  Nothing is cached, so evaluators are
+pure and concurrent readers need no coordination.
 
 The groups here are discrete, so the continuity a bounded cocycle's
 unimodular part would otherwise have to satisfy holds automatically and
@@ -277,9 +277,10 @@ def cocycle_identity_residual(om: Cocycle, radius: int) -> float:
 
 def normalization_residual(om: Cocycle, radius: int) -> float:
     """max over the ball of |Om(g,e) - 1| and |Om(e,g) - 1|."""
-    e = om.group.identity()
-    devs = [abs(om.value(x, y) - 1.0) for g in om.group.ball(radius) for x, y in ((g, e), (e, g))]
-    return float(np.max(devs, initial=0.0))  # NaN-propagating, unlike max()
+    X = om.group.coords_array(om.group.ball(radius))
+    E = np.zeros_like(X)  # rows of the identity
+    D = np.concatenate([om.values(X, E), om.values(E, X)]) - 1.0
+    return float(np.max(np.hypot(D.real, D.imag), initial=0.0))  # NaN-propagating, unlike max()
 
 
 def polar_decompose(om: Cocycle):
@@ -328,10 +329,11 @@ def sup_norm_estimate(om: Cocycle, radius: int) -> float:
 class DecompositionWitness:
     """Verified dominating pair: |Om(s,t)| <= u(s) + v(t) on the ball.
 
-    u and v are evaluators tied to the underlying weight (no tabulation),
-    so the verification radius can grow without rebuilding them.
-    max_violation is the exact maximum of |Om| - u - v over the checked
-    pairs; success means it is <= 0.
+    u and v are array functions of (..., d) coordinate rows; found ones
+    are u_tau and v_tau of the word length, tied to the underlying weight
+    (no tabulation), so the verification radius can grow without
+    rebuilding them.  max_violation is the exact maximum of |Om| - u - v
+    over the checked pairs; success means it is <= 0.
     """
 
     u: Callable
@@ -358,20 +360,18 @@ def decomposition_witness(
 ) -> DecompositionWitness:
     """Find (or verify) u, v >= 0 dominating |Om| additively on a ball.
 
-    With user-supplied u, v the inequality is checked directly.  Otherwise
-    the construction of om must expose the weight behind |Om|; the
-    candidate for each weight family is listed in the module docstring.
+    With user-supplied u, v (array functions of coordinate rows) the
+    inequality is checked directly.  Otherwise the construction of om must
+    expose the weight behind |Om|; the candidate for each weight family is
+    listed in the module docstring.
     """
     group = om.group
+    elems = group.ball(radius)
+    X = group.coords_array(elems)
     if u is not None or v is not None:
         if u is None or v is None:
             raise InputError("supply both u and v, or neither")
-        elems = group.ball(radius)
-        violation, worst = _worst_pair(
-            elems, np.abs(om.table(elems)),
-            np.array([u(g) for g in elems], dtype=float),
-            np.array([v(g) for g in elems], dtype=float),
-        )
+        violation, worst = _worst_pair(elems, np.abs(om.table(elems)), u(X), v(X))
         if violation > 0.0:
             raise WitnessSearchError(worst, violation, "user-supplied")
         return DecompositionWitness(
@@ -416,16 +416,14 @@ def decomposition_witness(
         raise WitnessSearchError(None, math.inf, f"no recipe for weight kind {w.kind!r}")
 
     # |Om| is the coboundary of w, so one table serves every candidate
-    elems = group.ball(radius)
-    X = group.coords_array(elems)
     tau = group.tau_array(X)
     mod = w.coboundary(X[:, None], X[None, :])
     best = None
     for desc, u_tau, v_tau in candidates:
         violation, worst = _worst_pair(elems, mod, u_tau(tau), v_tau(tau))
         if violation <= 0.0:
-            u_fn = lambda g, f=u_tau: float(f(np.asarray(float(group.word_length(g)))))
-            v_fn = lambda g, f=v_tau: float(f(np.asarray(float(group.word_length(g)))))
+            u_fn = lambda Y, f=u_tau: f(group.tau_array(Y))
+            v_fn = lambda Y, f=v_tau: f(group.tau_array(Y))
             return DecompositionWitness(u_fn, v_fn, u_tau, v_tau, radius, violation, desc)
         if best is None or violation < best[0]:
             best = (violation, worst, desc)

@@ -372,10 +372,11 @@ class GrowthFit:
 class Weight:
     """A radial weight: a function of the word length with value 1 at e.
 
-    tau_fn maps an array of word lengths to weight values; calling the
-    weight on a group element takes its scalar group.word_length and
-    evaluates tau_fn on a one-element array, so w(g) is bit for bit the
-    tau_values entry of its length.  Those values are kept per length,
+    tau_fn maps an array of word lengths to weight values, and at(X)
+    evaluates it at the word lengths of coordinate rows.  Calling the
+    weight on a group element, the scalar oracle, takes its scalar
+    group.word_length and evaluates tau_fn on a one-element array, so w(g)
+    is bit for bit the tau_values entry of its length.  Those values are kept per length,
     one float for each length called so far.  All built-in families take
     values >= 1, so reciprocals stay bounded by 1.
     """
@@ -396,12 +397,15 @@ class Weight:
             self._by_length[tau] = float(self.tau_values([tau])[0])
         return self._by_length[tau]
 
+    def at(self, X: np.ndarray) -> np.ndarray:
+        """w at the rows of a (..., d) coordinate array."""
+        return self.tau_values(self.group.tau_array(X))
+
     def coboundary(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
         """w(st) / (w(s) w(t)) for broadcastable (..., d) coordinate arrays S, T."""
-        group, w = self.group, self.tau_values
-        return w(group.tau_array(group.multiply_array(S, T))) / (
-            w(group.tau_array(S)) * w(group.tau_array(T))
-        )
+        # the product rows are freed before tau_values runs, which bounds the peak memory
+        st = self.tau_values(self.group.tau_array(self.group.multiply_array(S, T)))
+        return st / (self.at(S) * self.at(T))
 
 
 def trivial_weight(group: Group) -> Weight:
@@ -471,6 +475,6 @@ def weight_axioms_report(w: Weight, radius: int) -> WeightAxiomsReport:
     X = group.coords_array(group.ball(radius))
     return WeightAxiomsReport(
         identity_ok=abs(w(group.identity()) - 1.0) < 1e-12,
-        inverse_bound=float((1.0 / w.tau_values(group.tau_array(X))).max()),
+        inverse_bound=float((1.0 / w.at(X)).max()),
         submult_sup=float(w.coboundary(X[:, None], X[None, :]).max()),
     )

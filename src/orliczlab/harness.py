@@ -78,6 +78,7 @@ from .space import (
     luxemburg_batch,
     luxemburg_norm,
     membership_diagnostic,
+    cdiv,
     modular,
     orlicz_batch,
     orlicz_norm,
@@ -402,10 +403,6 @@ def _fixture(build):
 # shared samplers and helpers
 
 
-def _sample_vectors(group: Group, rng, count: int, radius: int, support: int):
-    return [random_vector(group, rng, radius, support) for _ in range(count)]
-
-
 def _draws(rng, group, radius, support, count, arity):
     """count tuples of arity random vectors.
 
@@ -587,7 +584,7 @@ def _norm_stats(cfg):
     groups = (_C7(), _Z2())
     for pair in _catalog():
         for group in groups:
-            A = _amp_matrix(_sample_vectors(group, rng, per_pair, 6, 8))
+            A = _amp_matrix([v for (v,) in _draws(rng, group, 6, 8, per_pair, 1)])
             lux = luxemburg_batch(pair.phi, A)
             orl, gap = orlicz_batch(pair, A)
             violations.append(np.maximum(lux - orl, orl - 2.0 * lux))
@@ -615,7 +612,7 @@ def _unit_ball(run, seed):
     rng = np.random.default_rng(seed)
     pair = catalog_pair(run.cfg.pair)
     yield 0.0
-    for f in _sample_vectors(_C7(), rng, 100, 2, 5):
+    for (f,) in _draws(rng, _C7(), 2, 5, 100, 1):
         if not f:
             continue
         n = luxemburg_norm(pair.phi, f)
@@ -634,7 +631,7 @@ def _homogeneity(_run, seed):
     rng = np.random.default_rng(seed)
     group = _Z2()
     for pair in _catalog()[:4]:
-        vecs = _sample_vectors(group, rng, 50, 4, 6)
+        vecs = [v for (v,) in _draws(rng, group, 4, 6, 50, 1)]
         for c in (0.3, 2.5, 0.7 + 0.4j):
             A, As = _amp_matrix(vecs), _amp_matrix([v.scale(c) for v in vecs])
             yield _rel_err(luxemburg_batch(pair.phi, As), abs(c) * luxemburg_batch(pair.phi, A))
@@ -646,8 +643,8 @@ def _triangle(_run, seed):
     rng = np.random.default_rng(seed)
     group = _Z2()
     for pair in _catalog():
-        fs = _sample_vectors(group, rng, 60, 4, 6)
-        gs = _sample_vectors(group, rng, 60, 4, 6)
+        fs = [f for (f,) in _draws(rng, group, 4, 6, 60, 1)]
+        gs = [g for (g,) in _draws(rng, group, 4, 6, 60, 1)]
         sums = [f + g for f, g in zip(fs, gs)]
         for batch in (
             lambda A: luxemburg_batch(pair.phi, A),
@@ -678,7 +675,7 @@ def _pnorm_closed_form(_run, seed):
     for p in (1.5, 2.0, 3.0):
         pair = catalog_pair(f"pnorm:{p:g}")
         q = p / (p - 1.0)
-        A = _amp_matrix(_sample_vectors(group, rng, 200, 5, 7))
+        A = _amp_matrix([v for (v,) in _draws(rng, group, 5, 7, 200, 1)])
         lp = (A**p).sum(axis=1) ** (1.0 / p)
         yield np.abs(luxemburg_batch(pair.phi, A) - lp * p ** (-1.0 / p))
         yield np.abs(orlicz_batch(pair, A)[0] - lp * q ** (1.0 / q))
@@ -691,8 +688,8 @@ def _holder(run, seed):
     pairs = _catalog()
     per = max(1, run.cfg.samples // len(pairs))
     for pair in pairs:
-        fs = _sample_vectors(group, rng, per, 3, 5)
-        gs = _sample_vectors(group, rng, per, 3, 5)
+        fs = [f for (f,) in _draws(rng, group, 3, 5, per, 1)]
+        gs = [g for (g,) in _draws(rng, group, 3, 5, per, 1)]
         nf = luxemburg_batch(pair.phi, _amp_matrix(fs))
         of = orlicz_batch(pair, _amp_matrix(fs))[0]
         ng = luxemburg_batch(pair.psi, _amp_matrix(gs))
@@ -956,8 +953,9 @@ def _associativity_broken(_run, seed):
     "twisted", "oracle-agreement", "support-pair convolution matches the literal double loop", 1e-12
 )
 def _oracle_agreement(run, seed):
-    for args in _twisted_draws(run, seed, 5, 10, 2):
-        yield algebra.twisted_convolve(*args).distance_l1(algebra.twisted_convolve_naive(*args))
+    for om, f, g in _twisted_draws(run, seed, 5, 10, 2):
+        fast = algebra.twisted_convolve(om, f, g)
+        yield fast.distance_l1(algebra.twisted_convolve_naive(om.value, f, g))
 
 
 @_law(
@@ -1011,9 +1009,9 @@ def _action_oracle(_run, seed):
     om = _c7_coboundary()
     for g, h in _draws(seed, om.group, 3, 5, 100, 2):
         left = algebra.module_action_left(om, g, h)
-        yield left.distance_l1(algebra.module_action_left_naive(om, g, h))
+        yield left.distance_l1(algebra.module_action_left_naive(om.value, g, h))
         right = algebra.module_action_right(om, h, g)
-        yield right.distance_l1(algebra.module_action_right_naive(om, h, g))
+        yield right.distance_l1(algebra.module_action_right_naive(om.value, h, g))
 
 
 @_law(
@@ -1058,7 +1056,8 @@ def _identity_weighted(run, seed):
 @_law("splitting", "identity-halves", "u = v = 1/2 splits the trivial cocycle exactly", 1e-12)
 def _identity_halves(_run, seed):
     om = trivial_cocycle(Group.cyclic(5))
-    factors = algebra.SplitFactors(L=lambda s, t: om.value(s, t), u=lambda g: 0.5, v=lambda g: 0.5)
+    half = lambda X: np.full(X.shape[:-1], 0.5)
+    factors = algebra.SplitFactors(L=om.values, u=half, v=half)
     for fgh in _draws(seed, om.group, 2, 4, 50, 3):
         yield algebra.splitting_residual(om, factors, *fgh)
 
@@ -1073,13 +1072,10 @@ def _identity_random_uv(_run, seed):
     rng = np.random.default_rng(seed)
     c5 = Group.cyclic(5)
     om = coboundary_from_weight(polynomial_weight(c5, 1.0))
-    uvals = {g: float(rng.uniform(0.5, 1.5)) for g in c5.ball(2)}
-    vvals = {g: float(rng.uniform(0.5, 1.5)) for g in c5.ball(2)}
-    factors = algebra.SplitFactors(
-        L=lambda s, t: om.value(s, t) / (uvals[s] + vvals[t]),
-        u=uvals.__getitem__,
-        v=vvals.__getitem__,
-    )
+    uvals, vvals = rng.uniform(0.5, 1.5, size=(2, 5))  # at the rows 0, ..., 4 of Z_5
+    u = lambda X: uvals[X[..., 0]]
+    v = lambda X: vvals[X[..., 0]]
+    factors = algebra.SplitFactors(lambda S, T: cdiv(om.values(S, T), u(S) + v(T)), u, v)
     for fgh in _draws(rng, c5, 2, 4, 50, 3):
         yield algebra.splitting_residual(om, factors, *fgh)
 
@@ -1087,28 +1083,11 @@ def _identity_random_uv(_run, seed):
 @_law("splitting", "xi-eta-oracle", "xi and eta match their literal double loops", 1e-12)
 def _xi_eta_oracle(run, seed):
     om, factors = _z2_split(run)
-    z2, L = om.group, factors.L
-    mul, inv = z2.multiply, z2.invert
-    for g, h in _draws(seed, z2, 3, 5, 40, 2):
-        at = dict(h.items())
-        candidates = sorted({mul(u, inv(t)) for u in at for t, _ in g.items()})
-        xi_slow = OrliczVector(
-            z2,
-            {
-                s: sum(a * at.get(mul(s, t), 0j) * L(s, t) for t, a in g.items())
-                for s in candidates
-            },
-        )
-        candidates = sorted({mul(inv(s), u) for u in at for s, _ in g.items()})
-        eta_slow = OrliczVector(
-            z2,
-            {
-                t: sum(a * at.get(mul(s, t), 0j) * L(s, t) for s, a in g.items())
-                for t in candidates
-            },
-        )
-        yield algebra.xi(L, g, h).distance_l1(xi_slow)
-        yield algebra.eta(L, g, h).distance_l1(eta_slow)
+    L = factors.L
+    Ls = lambda s, t: complex(L(np.array(s), np.array(t)))  # L at one pair
+    for g, h in _draws(seed, om.group, 3, 5, 40, 2):
+        yield algebra.xi(L, g, h).distance_l1(algebra.module_action_left_naive(Ls, g, h))
+        yield algebra.eta(L, g, h).distance_l1(algebra.module_action_right_naive(Ls, h, g))
 
 
 @_law("splitting", "zeta-crosscheck", "sum f xi(g,h) == sum h zeta(f,g)", 1e-10)
@@ -1350,7 +1329,7 @@ def _reciprocal_membership(make_group, beta, alphas, radii, expected):
         group = make_group()
         w = polynomial_weight(group, beta)
         psi = catalog_pair("pnorm:2").psi
-        rep = membership_diagnostic(group, psi, lambda g: 1.0 / w(g), alphas, radii)
+        rep = membership_diagnostic(group, psi, lambda X: 1.0 / w.at(X), alphas, radii)
         yield 0.0 if all(v == expected for v in rep.verdicts.values()) else 1.0
 
     return check

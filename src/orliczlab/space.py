@@ -31,8 +31,12 @@ A vector is stored as an (n, d) int64 array of distinct coordinate rows
 and an (n,) complex array of amplitudes, in the order of first insertion.
 The constructor, + and the kernels of the algebra module all end in one
 scatter-add: equal rows sum from 0.0 in input order, rows keep the order
-of their first occurrence, and exact zeros are pruned.  l1 and pairing sum
-in insertion order; items, support and abs_amplitudes sort on demand.
+of their first occurrence, and exact zeros are pruned.  scale, abs and
+the pointwise maps by an array function of the rows keep the rows in
+their order and only prune zeros; they form products, quotients by a real
+and moduli as CPython does, so each entry equals the scalar computation
+bit for bit.  l1 and pairing sum in insertion order; items, support and
+abs_amplitudes sort on demand.
 
 The norms satisfy N(f) <= |f| <= 2 N(f).  Batched variants run whole
 sweeps of vectors through the same solvers at once (rows padded with
@@ -93,6 +97,16 @@ def cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return complex_array(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
 
 
+def cdiv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Entrywise a / x of a complex array by a real one, in the order CPython
+    divides a complex by a float (as by x + 0j), so each entry equals the
+    Python quotient bit for bit."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = 0.0 / x
+        denom = x + 0.0 * ratio
+        return complex_array((a.real + a.imag * ratio) / denom, (a.imag - a.real * ratio) / denom)
+
+
 def _scatter_add(rows: np.ndarray, amps: np.ndarray):
     """Sum the amplitudes of equal coordinate rows.
 
@@ -105,14 +119,21 @@ def _scatter_add(rows: np.ndarray, amps: np.ndarray):
     head = np.ones(len(rows), dtype=bool)  # first entry of a run of equal rows
     head[1:] = np.logical_or.reduce(srt[1:] != srt[:-1], axis=1)
     if np.count_nonzero(head) == len(head):
-        sums = amps + 0.0
+        sums = amps
     else:
         run = head.cumsum() - 1
         sums = complex_array(np.bincount(run, amps.real[order]), np.bincount(run, amps.imag[order]))
         first = order[head].argsort()  # the runs in order of first occurrence
         sums, rows = sums[first], srt[head][first]
-    keep = sums != 0
-    return rows[keep], sums[keep]
+    return _pruned(rows, sums)
+
+
+def _pruned(rows: np.ndarray, amps: np.ndarray):
+    """Distinct rows with their amplitudes, each added to 0.0 as the sums
+    above are (so a -0.0 part reads +0.0); exact zeros are dropped."""
+    amps = amps + 0.0
+    keep = amps != 0
+    return rows[keep], amps[keep]
 
 
 class OrliczVector:
@@ -191,7 +212,7 @@ class OrliczVector:
     # -- algebra ---------------------------------------------------------------
 
     def scale(self, c: complex) -> "OrliczVector":
-        return OrliczVector._summed(self.group, self._rows, cmul(self._amps, np.complex128(c)))
+        return self._with(cmul(self._amps, np.complex128(c)))
 
     def __add__(self, other: "OrliczVector") -> "OrliczVector":
         if self.group != other.group:
@@ -205,19 +226,28 @@ class OrliczVector:
     def __sub__(self, other: "OrliczVector") -> "OrliczVector":
         return self + other.scale(-1.0)
 
+    def _with(self, amps: np.ndarray) -> "OrliczVector":
+        """These rows with new amplitudes, in the same order; zeros are pruned."""
+        f = OrliczVector.__new__(OrliczVector)
+        f.group = self.group
+        f._rows, f._amps = _pruned(self._rows, amps)
+        return f
+
     def pointwise_mul(self, fn: Callable) -> "OrliczVector":
-        """Multiply each amplitude by fn(element)."""
-        return OrliczVector(self.group, {g: a * fn(g) for g, a in self._entries()})
+        """Multiply the amplitudes by fn(rows), fn an array function of the
+        (n, d) coordinate rows."""
+        return self._with(cmul(self._amps, np.asarray(fn(self._rows), dtype=complex)))
 
     def pointwise_div(self, fn: Callable) -> "OrliczVector":
-        return OrliczVector(self.group, {g: a / fn(g) for g, a in self._entries()})
+        """Divide the amplitudes by the real fn(rows)."""
+        return self._with(cdiv(self._amps, np.asarray(fn(self._rows), dtype=float)))
 
     def reverse(self) -> "OrliczVector":
         """g -> f(g^{-1})."""
         return OrliczVector._summed(self.group, self.group.invert_array(self._rows), self._amps)
 
     def abs(self) -> "OrliczVector":
-        return OrliczVector(self.group, {g: abs(a) for g, a in self._entries()})
+        return self._with(np.hypot(self._amps.real, self._amps.imag).astype(complex))
 
     def l1(self) -> float:
         return float(sum(abs(a) for a in self._amps.tolist()))
@@ -452,7 +482,7 @@ def weighted_norm(
     pair: ComplementaryPair, w: Weight, f: OrliczVector, kind: str = "orlicz"
 ) -> float:
     """Norm of the pointwise product f * w (the weighted-space norm)."""
-    fw = f.pointwise_mul(w)
+    fw = f.pointwise_mul(w.at)
     if kind == "orlicz":
         return orlicz_norm(pair, fw)
     if kind == "luxemburg":
@@ -485,12 +515,13 @@ def membership_diagnostic(
     alphas: Sequence[float],
     radii: Sequence[int],
 ) -> MembershipReport:
+    """h maps the (n, d) coordinate rows of the largest ball to their values."""
     radii = [int(r) for r in radii]
     if any(b >= a for a, b in zip(radii[1:], radii)):
         raise InputError("radii must be strictly increasing")
-    elems = group.ball(radii[-1])
-    tau = np.array([group.word_length(g) for g in elems], dtype=float)
-    hv = np.array([float(h(g)) for g in elems], dtype=float)
+    X = group.coords_array(group.ball(radii[-1]))
+    tau = group.tau_array(X)
+    hv = np.asarray(h(X), dtype=float)
     if np.any(hv < 0.0):
         raise InputError("membership diagnostic needs h >= 0")
     rows = []

@@ -42,7 +42,6 @@ from .errors import (
 __all__ = [
     "Tolerances",
     "SearchSpec",
-    "BuildSpec",
     "YoungFunction",
     "ComplementaryPair",
     "conjugate",
@@ -87,14 +86,12 @@ class SearchSpec:
     bracket_cap: float = 1e3
 
 
-@dataclass(frozen=True)
-class BuildSpec:
-    """Controls for the density-integral construction."""
-
-    probe_grid: tuple = tuple(np.logspace(-3, 2, 41))
-    quad_tol: float = 1e-10
-    max_panel_doublings: int = 22
-    inverse_cap: float = 1e9
+# the density-integral construction: monotonicity probe grid, quadrature
+# tolerance and panel doublings, and the bracket cap of the inverse density
+_PROBE_GRID = np.logspace(-3, 2, 41)
+_QUAD_TOL = 1e-10
+_MAX_PANEL_DOUBLINGS = 22
+_INVERSE_CAP = 1e9
 
 
 @dataclass(frozen=True)
@@ -324,24 +321,22 @@ def _simpson(fn: Callable, a: float, b: float, panels: int) -> float:
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1::2].sum() + 2.0 * ys[2:-1:2].sum()))
 
 
-def _simpson_adaptive(fn: Callable, b: float, spec: BuildSpec) -> float:
-    """int_0^b fn by composite Simpson with panel halving to quad_tol."""
+def _simpson_adaptive(fn: Callable, b: float) -> float:
+    """int_0^b fn by composite Simpson with panel halving to _QUAD_TOL."""
     if b <= 0.0:
         return 0.0
     panels = 8
     prev = _simpson(fn, 0.0, b, panels)
-    for _ in range(spec.max_panel_doublings):
+    for _ in range(_MAX_PANEL_DOUBLINGS):
         panels *= 2
         cur = _simpson(fn, 0.0, b, panels)
-        if abs(cur - prev) < spec.quad_tol * (1.0 + abs(cur)):
+        if abs(cur - prev) < _QUAD_TOL * (1.0 + abs(cur)):
             return cur
         prev = cur
     return prev
 
 
-def build_from_generator(
-    phi_gen: Callable, spec: BuildSpec | None = None
-) -> ComplementaryPair:
+def build_from_generator(phi_gen: Callable) -> ComplementaryPair:
     """Build a complementary pair from a strictly increasing density.
 
     Phi(x) = int_0^x gen and Psi(y) = int_0^y gen^{-1}, where gen^{-1} is
@@ -349,32 +344,30 @@ def build_from_generator(
     on the probe grid first; a violation raises with the offending sample
     pair.
     """
-    spec = spec or BuildSpec()
-    grid = np.asarray(spec.probe_grid, dtype=float)
-    vals = np.asarray(phi_gen(grid), dtype=float)
+    vals = np.asarray(phi_gen(_PROBE_GRID), dtype=float)
     if abs(float(phi_gen(0.0))) > 1e-12:
         raise InputError(f"generator must vanish at 0, got {phi_gen(0.0)!r}")
     worse = np.nonzero(np.diff(vals) <= 0.0)[0]
     if worse.size:
         i = int(worse[0])
         raise NonMonotoneGeneratorError(
-            float(grid[i]), float(grid[i + 1]), float(vals[i]), float(vals[i + 1])
+            float(_PROBE_GRID[i]), float(_PROBE_GRID[i + 1]), float(vals[i]), float(vals[i + 1])
         )
 
     def gen_inverse(x):
         arr, scalar = _as_1d(x)
         return _restore(
-            _find_root(phi_gen, arr, spec.inverse_cap, "inverting the generator"), scalar
+            _find_root(phi_gen, arr, _INVERSE_CAP, "inverting the generator"), scalar
         )
 
     def phi_fn(x):
         arr, scalar = _as_1d(x)
-        out = np.array([_simpson_adaptive(phi_gen, xi, spec) for xi in arr])
+        out = np.array([_simpson_adaptive(phi_gen, xi) for xi in arr])
         return _restore(out, scalar)
 
     def psi_fn(y):
         arr, scalar = _as_1d(y)
-        out = np.array([_simpson_adaptive(gen_inverse, yi, spec) for yi in arr])
+        out = np.array([_simpson_adaptive(gen_inverse, yi) for yi in arr])
         return _restore(out, scalar)
 
     phi = YoungFunction(fn=phi_fn, name="built", derivative=phi_gen)

@@ -239,10 +239,10 @@ def test_11_membership_diagnostic():
         z2 = Group.free_abelian(2)
         psi = catalog_pair("pnorm:2").psi  # behaves like x^2 near 0: l = 2, d = 2
         w2 = polynomial_weight(z2, 2.0)
-        rep = membership_diagnostic(z2, psi, lambda g: 1.0 / w2(g), (1.0, 10.0), (5, 10, 20, 40))
+        rep = membership_diagnostic(z2, psi, lambda X: 1.0 / w2.at(X), (1.0, 10.0), (5, 10, 20, 40))
         assert all(v == "converging" for v in rep.verdicts.values())
         w04 = polynomial_weight(z2, 0.4)
-        rep = membership_diagnostic(z2, psi, lambda g: 1.0 / w04(g), (1.0,), (5, 10, 20, 40))
+        rep = membership_diagnostic(z2, psi, lambda X: 1.0 / w04.at(X), (1.0,), (5, 10, 20, 40))
         assert rep.verdicts[1.0] == "diverging"
 
 
@@ -263,7 +263,7 @@ def test_13_lambda_transform():
         fs = [random_vector(z2, rng, 3, 6) for _ in range(1000)]
         gs = [random_vector(z2, rng, 3, 6) for _ in range(1000)]
         # isometry, batched: |(f/w) w|_Phi == |f|_Phi
-        round_trips = [algebra.lambda_transform(w, f).pointwise_mul(w) for f in fs]
+        round_trips = [algebra.lambda_transform(w, f).pointwise_mul(w.at) for f in fs]
         base, _ = orlicz_batch(pair, _amp_matrix(fs))
         lifted, _ = orlicz_batch(pair, _amp_matrix(round_trips))
         assert float(np.max(np.abs(base - lifted) / np.maximum(base, 1e-300))) <= 1e-12

@@ -13,10 +13,11 @@ from orliczlab.cocycles import (
     coboundary_from_weight,
     decomposition_witness,
     perturbed,
+    product_cocycle,
     trivial_cocycle,
 )
 from orliczlab.errors import FactorizationError, GroupMismatchError
-from orliczlab.groups import Group, polynomial_weight
+from orliczlab.groups import Group, polynomial_weight, subexp_log_weight, subexp_weight
 from orliczlab.space import OrliczVector, luxemburg_norm, orlicz_norm, random_vector
 from orliczlab.young import catalog_pair
 
@@ -77,7 +78,7 @@ def test_naive_oracle_agreement():
             f = random_vector(group, rng, 3, 5)
             g = random_vector(group, rng, 3, 5)
             fast = algebra.twisted_convolve(om, f, g)
-            slow = algebra.twisted_convolve_naive(om, f, g)
+            slow = algebra.twisted_convolve_naive(om.value, f, g)
             assert fast.distance_l1(slow) <= 1e-12
 
 
@@ -163,10 +164,10 @@ def test_module_actions_match_naive_and_example():
         g = random_vector(C7, rng, 3, 5)
         h = random_vector(C7, rng, 3, 5)
         assert algebra.module_action_left(om7, g, h).distance_l1(
-            algebra.module_action_left_naive(om7, g, h)
+            algebra.module_action_left_naive(om7.value, g, h)
         ) <= 1e-12
         assert algebra.module_action_right(om7, h, g).distance_l1(
-            algebra.module_action_right_naive(om7, h, g)
+            algebra.module_action_right_naive(om7.value, h, g)
         ) <= 1e-12
 
 
@@ -200,31 +201,75 @@ def test_splitting_identity_with_witness():
         assert algebra.splitting_residual(OM, factors, f, g, h) <= 1e-10
 
 
+def _const(c):
+    """The array function with the value c at every coordinate row."""
+    return lambda X: np.full(X.shape[:-1], c)
+
+
 def test_splitting_halves_and_bad_factorization():
     rng = np.random.default_rng(26)
     om = trivial_cocycle(C5)
-    factors = SplitFactors(L=lambda s, t: om.value(s, t), u=lambda g: 0.5, v=lambda g: 0.5)
+    factors = SplitFactors(L=om.values, u=_const(0.5), v=_const(0.5))
     f = random_vector(C5, rng, 2, 4)
     g = random_vector(C5, rng, 2, 4)
     h = random_vector(C5, rng, 2, 4)
     assert algebra.splitting_residual(om, factors, f, g, h) <= 1e-12
     # u + v == 2 does not reproduce Omega with L = Omega: hard precondition error
-    bad = SplitFactors(L=lambda s, t: om.value(s, t), u=lambda g: 1.0, v=lambda g: 1.0)
+    bad = SplitFactors(L=om.values, u=_const(1.0), v=_const(1.0))
     with pytest.raises(FactorizationError):
         algebra.splitting_residual(om, bad, f, g, h)
+
+
+def _default_phase(group):
+    theta = math.pi / 3 if group.kind == "free_abelian" else 2.0 * math.pi / group.param
+    return bilinear_phase(group, np.eye(group.dim, dtype=np.int64), theta)
+
+
+WITNESS_CASES = [
+    (coboundary_from_weight(polynomial_weight(Z2, 1.0)), 6),
+    (product_cocycle(coboundary_from_weight(polynomial_weight(Z2, 1.5)), _default_phase(Z2)), 5),
+    (coboundary_from_weight(subexp_weight(Z2, 0.5, 1.0)), 5),
+    (coboundary_from_weight(subexp_log_weight(Z2, 1.0, 1.0)), 4),
+    (coboundary_from_weight(polynomial_weight(Group.heisenberg(), 1.0)), 3),
+    (product_cocycle(coboundary_from_weight(polynomial_weight(C7, 1.0)), _default_phase(C7)), 3),
+]
+
+
+@pytest.mark.parametrize("om, radius", WITNESS_CASES, ids=lambda c: getattr(c, "label", c))
+def test_from_witness_L_equals_the_scalar_quotient_bitwise(om, radius):
+    wit = decomposition_witness(om, radius)
+    group = om.group
+    elems = group.ball(radius)
+    X = group.coords_array(elems)
+    got = SplitFactors.from_witness(om, wit).L(X[:, None], X[None, :])
+
+    def side(f, g):
+        return float(f(np.asarray(float(group.word_length(g)))))
+
+    want = [
+        [om.value(s, t) / (side(wit.u_tau, s) + side(wit.v_tau, t)) for t in elems]
+        for s in elems
+    ]
+    assert repr(got.tolist()) == repr(want)  # bits, signed zeros too
 
 
 def test_split_factors_verify_rejects_nan():
     om = trivial_cocycle(C5)
     pairs = [(s, t) for s in C5.ball(2) for t in C5.ball(2)]
-    half = SplitFactors(L=lambda s, t: om.value(s, t), u=lambda g: 0.5, v=lambda g: 0.5)
-    half.verify(om, pairs)
-    nan_L = SplitFactors(L=lambda s, t: math.nan, u=lambda g: 0.5, v=lambda g: 0.5)
+    X = C5.coords_array(C5.ball(2))
+    S, T = X[:, None], X[None, :]  # the pairs, in the order of the list above
+    half = SplitFactors(L=om.values, u=_const(0.5), v=_const(0.5))
+    half.verify(om, S, T)
+    nan_L = SplitFactors(
+        L=lambda S, T: np.full(np.broadcast_shapes(S.shape, T.shape)[:-1], complex(math.nan)),
+        u=_const(0.5),
+        v=_const(0.5),
+    )
     with pytest.raises(FactorizationError):
-        nan_L.verify(om, pairs)
-    nan_u = SplitFactors(L=lambda s, t: om.value(s, t), u=lambda g: math.nan, v=lambda g: 0.5)
+        nan_L.verify(om, S, T)
+    nan_u = SplitFactors(L=om.values, u=_const(math.nan), v=_const(0.5))
     with pytest.raises(FactorizationError) as err:
-        nan_u.verify(om, pairs)
+        nan_u.verify(om, S, T)
     assert err.value.worst_pair == pairs[0] and math.isnan(err.value.residual)
 
 
@@ -254,7 +299,7 @@ def test_xi_eta_definitions_and_zeta_crosscheck():
     # L == 1, g = delta_e collapses xi(g, h) to h
     triv = trivial_cocycle(Z2)
     h = random_vector(Z2, rng, 3, 5)
-    collapsed = algebra.xi(lambda s, t: triv.value(s, t), OrliczVector.delta(Z2, (0, 0)), h)
+    collapsed = algebra.xi(triv.values, OrliczVector.delta(Z2, (0, 0)), h)
     assert collapsed.distance_l1(h) <= 1e-14
     for _ in range(40):
         f = random_vector(Z2, rng, 3, 5)
@@ -284,7 +329,7 @@ def test_lambda_transform_isometry_and_intertwining():
         f = random_vector(Z2, rng, 3, 6)
         g = random_vector(Z2, rng, 3, 6)
         lifted = algebra.lambda_transform(W1, f)
-        assert orlicz_norm(pair, lifted.pointwise_mul(W1)) == pytest.approx(
+        assert orlicz_norm(pair, lifted.pointwise_mul(W1.at)) == pytest.approx(
             orlicz_norm(pair, f), rel=1e-12
         )
         lhs = algebra.lambda_transform(W1, algebra.twisted_convolve(OM, f, g))

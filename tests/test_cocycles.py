@@ -262,8 +262,8 @@ def test_witness_polynomial_exhaustive_b20():
         wit = decomposition_witness(om, 20)
         assert wit.max_violation <= 0.0
         assert wit.verified_radius == 20
-        # u = v = 2^beta / w as evaluators on elements
-        assert wit.u((2, 1)) == pytest.approx(2.0**beta / (4.0**beta))
+        # u = v = 2^beta / w as array functions of coordinate rows
+        assert wit.u(np.array([2, 1])) == pytest.approx(2.0**beta / (4.0**beta))
 
 
 def test_witness_subexp_derived_exponent():
@@ -272,7 +272,7 @@ def test_witness_subexp_derived_exponent():
     assert wit.max_violation <= 0.0
     tau = 3.0
     expected = math.exp(-(2.0 - math.sqrt(2.0)) * math.sqrt(tau))
-    assert wit.u((2, 1)) == pytest.approx(expected, rel=1e-12)
+    assert wit.u(np.array([2, 1])) == pytest.approx(expected, rel=1e-12)
 
 
 def test_witness_subexp_log_grid_search():
@@ -290,10 +290,10 @@ def test_witness_trivial_on_finite_group():
 def test_witness_user_supplied_and_failure():
     w1 = polynomial_weight(Z2, 1.0)
     om = coboundary_from_weight(w1)
-    wit = decomposition_witness(om, 8, u=lambda g: 2.0 / w1(g), v=lambda g: 2.0 / w1(g))
+    wit = decomposition_witness(om, 8, u=lambda X: 2.0 / w1.at(X), v=lambda X: 2.0 / w1.at(X))
     assert wit.max_violation <= 0.0
     with pytest.raises(WitnessSearchError) as err:
-        decomposition_witness(om, 8, u=lambda g: 0.0, v=lambda g: 0.0)
+        decomposition_witness(om, 8, u=lambda X: np.zeros(len(X)), v=lambda X: np.zeros(len(X)))
     assert err.value.violation > 0.0
     assert err.value.worst_pair is not None
 

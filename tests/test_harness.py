@@ -242,6 +242,15 @@ def test_cli_young_and_group(capsys):
     assert "4.0" in capsys.readouterr().out
 
 
+def test_cli_group_weight_takes_only_a_weight_spec(capsys):
+    argv = ["group", "weight", "--group", "z2", "--kind", "poly", "--at", "2,1"]
+    with pytest.raises(SystemExit) as err:  # the bare-kind flags are gone
+        cli.main(argv + ["--beta", "2"])
+    assert err.value.code == 2
+    assert cli.main(argv) == 2  # a bare kind is an incomplete spec
+    assert "bad weight spec 'poly'" in capsys.readouterr().err
+
+
 def test_cli_cocycle_and_norm(tmp_path, capsys):
     assert cli.main(["cocycle", "check", "--group", "z2", "--weight", "poly:1", "--radius", "3"]) == 0
     capsys.readouterr()

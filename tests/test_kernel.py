@@ -85,15 +85,15 @@ PRODUCTS = {
         lambda om, h, g: _dict_kernel_sum(h, g, "y^-1x", om.value),
     ),
     "xi": (
-        lambda om, g, h: algebra.xi(om.value, g, h),
+        lambda om, g, h: algebra.xi(om.values, g, h),
         lambda om, g, h: _dict_kernel_sum(h, g, "xy^-1", om.value),
     ),
     "eta": (
-        lambda om, f, h: algebra.eta(om.value, f, h),
+        lambda om, f, h: algebra.eta(om.values, f, h),
         lambda om, f, h: _dict_kernel_sum(h, f, "y^-1x", om.value),
     ),
     "zeta": (
-        lambda om, f, g: algebra.zeta(om.value, f, g),
+        lambda om, f, g: algebra.zeta(om.values, f, g),
         lambda om, f, g: _dict_kernel_sum(f, g, "xy", om.value),
     ),
 }

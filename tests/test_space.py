@@ -7,7 +7,7 @@ import pytest
 
 from orliczlab import space
 from orliczlab.errors import GroupMismatchError, InputError, MethodDisagreementError
-from orliczlab.groups import Group, polynomial_weight, trivial_weight
+from orliczlab.groups import Group, polynomial_weight, subexp_weight, trivial_weight
 from orliczlab.space import (
     OrliczVector,
     holder_gap,
@@ -211,14 +211,14 @@ def test_weighted_norm():
 def test_membership_diagnostic_verdicts():
     psi = P2.psi
     w2 = polynomial_weight(Z2, 2.0)
-    rep = membership_diagnostic(Z2, psi, lambda g: 1.0 / w2(g), (1.0, 10.0), (5, 10, 20, 40))
+    rep = membership_diagnostic(Z2, psi, lambda X: 1.0 / w2.at(X), (1.0, 10.0), (5, 10, 20, 40))
     assert all(v == "converging" for v in rep.verdicts.values())
     w04 = polynomial_weight(Z2, 0.4)
-    rep = membership_diagnostic(Z2, psi, lambda g: 1.0 / w04(g), (1.0,), (5, 10, 20, 40))
+    rep = membership_diagnostic(Z2, psi, lambda X: 1.0 / w04.at(X), (1.0,), (5, 10, 20, 40))
     assert rep.verdicts[1.0] == "diverging"
     c5 = Group.cyclic(5)
     rep = membership_diagnostic(
-        c5, psi, lambda g: 1.0 / polynomial_weight(c5, 1.0)(g), (1.0, 10.0), (1, 2, 3, 4)
+        c5, psi, lambda X: 1.0 / polynomial_weight(c5, 1.0).at(X), (1.0, 10.0), (1, 2, 3, 4)
     )
     assert all(v == "converging" for v in rep.verdicts.values())
     # partial sums are recorded per (alpha, radius)
@@ -227,10 +227,66 @@ def test_membership_diagnostic_verdicts():
 
 def test_membership_radii_must_increase():
     with pytest.raises(InputError):
-        membership_diagnostic(Z2, P2.psi, lambda g: 1.0, (1.0,), (5, 5, 10))
+        membership_diagnostic(Z2, P2.psi, lambda X: np.ones(len(X)), (1.0,), (5, 5, 10))
 
 
 def test_random_vector_determinism():
     a = random_vector(Z2, np.random.default_rng(123), 4, 6)
     b = random_vector(Z2, np.random.default_rng(123), 4, 6)
     assert dict(a.items()) == dict(b.items())
+
+
+# The pointwise maps as they were written over dict-backed vectors: one scalar
+# call per element and the vector constructor, kept as the reference.
+def _dict_pointwise_mul(f, fn):
+    return OrliczVector(f.group, {g: a * fn(g) for g, a in f._entries()})
+
+
+def _dict_pointwise_div(f, fn):
+    return OrliczVector(f.group, {g: a / fn(g) for g, a in f._entries()})
+
+
+def _dict_abs(f):
+    return OrliczVector(f.group, {g: abs(a) for g, a in f._entries()})
+
+
+def _raw_entries(rng, group, n):
+    """n entries in a small box; on Z_7 coordinates run from -9 to 16, so
+    entries alias one another and can cancel."""
+    lo, hi = (-9, 16) if group.kind == "cyclic" else (-3, 3)
+    rows = rng.integers(lo, hi + 1, size=(n, group.dim)).tolist()
+    special = rng.choice([0.0, 1.0, -1.0, 0.5, -2.5, 1e-300], size=(n, 2))
+    parts = np.where(rng.random((n, 2)) < 0.5, special, rng.uniform(-2.0, 2.0, size=(n, 2)))
+    return [(tuple(r), complex(a, b)) for r, (a, b) in zip(rows, parts.tolist())]
+
+
+@pytest.mark.parametrize(
+    "group", [Group.free_abelian(2), Group.heisenberg(), Group.cyclic(7)], ids=repr
+)
+def test_pointwise_maps_equal_the_dict_methods_bitwise(group):
+    coefs = np.arange(1, group.dim + 1) * np.array([1, -2, 3][: group.dim])
+
+    def signed(X):  # real, with zeros and both signs
+        return 0.25 * (np.asarray(X) @ coefs)
+
+    def negative(X):  # real and nonzero, so a valid divisor
+        return -1.0 - 0.375 * np.abs(np.asarray(X) @ coefs)
+
+    maps = [(w.at, w) for w in (
+        polynomial_weight(group, 1.0),
+        polynomial_weight(group, 1.5),
+        subexp_weight(group, 0.5, 1.0),
+    )]
+    maps += [(fn, lambda g, fn=fn: float(fn(np.array(g)))) for fn in (signed, negative)]
+    rng = np.random.default_rng(40)
+    for _ in range(25):
+        f = OrliczVector(group, _raw_entries(rng, group, int(rng.integers(0, 12))))
+        pairs = [(f.abs(), _dict_abs(f))]
+        for fn, scalar in maps:
+            pairs.append((f.pointwise_mul(fn), _dict_pointwise_mul(f, scalar)))
+            if fn is not signed:
+                pairs.append((f.pointwise_div(fn), _dict_pointwise_div(f, scalar)))
+        for got, want in pairs:
+            assert repr(list(got.items())) == repr(list(want.items()))  # signed zeros too
+            assert got._rows.tolist() == want._rows.tolist()  # insertion order
+

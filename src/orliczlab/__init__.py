@@ -64,10 +64,12 @@ from .space import (
     OrliczVector,
     holder_gap,
     luxemburg_norm,
+    luxemburg_norms,
     membership_diagnostic,
     modular,
     norm_report,
     orlicz_norm,
+    orlicz_norms,
     random_vector,
     weighted_norm,
 )

@@ -61,7 +61,7 @@ import numpy as np
 from .cocycles import Cocycle, DecompositionWitness
 from .errors import FactorizationError, GroupMismatchError
 from .groups import Group, Weight
-from .space import OrliczVector, cdiv, cmul, orlicz_norm, random_vector
+from .space import OrliczVector, cdiv, cmul, orlicz_norms, random_vector
 from .young import ComplementaryPair
 
 __all__ = [
@@ -376,15 +376,16 @@ def submultiplicativity_probe(
     rows = []
     for i, radius in enumerate(spec.radii):
         rng = np.random.default_rng((spec.seed, i))  # per-radius derived seed
-        ratios = []
+        fs, gs = [], []
         for _ in range(spec.samples):
             f = random_vector(group, rng, radius, _SUPPORT)
             g = random_vector(group, rng, radius, _SUPPORT)
-            if not f or not g:
-                continue
-            num = orlicz_norm(pair, twisted_convolve(om, f, g))
-            den = orlicz_norm(pair, f) * orlicz_norm(pair, g)
-            if den > 0.0:
-                ratios.append(num / den)
+            if f and g:
+                fs.append(f)
+                gs.append(g)
+        num = orlicz_norms(pair, [twisted_convolve(om, f, g) for f, g in zip(fs, gs)])
+        den = orlicz_norms(pair, fs) * orlicz_norms(pair, gs)
+        live = den > 0.0
+        ratios = num[live] / den[live]
         rows.append((radius, float(np.max(ratios, initial=0.0)), spec.samples))  # NaN propagates
     return ProbeReport(tuple(rows), spec)

@@ -240,8 +240,8 @@ def _pair_table(om: Cocycle, radius: int):
     A and B are the value blocks of Om over B_2R x B_R and B_R x B_2R.
     """
     group = om.group
-    X = group.coords_array(group.ball(radius))
-    index = RowIndex(group.coords_array(group.ball(2 * radius)))
+    X = group.ball_array(radius)
+    index = RowIndex(group.ball_array(2 * radius))
     X2 = index.rows
     return (
         index.locate(X),
@@ -277,7 +277,7 @@ def cocycle_identity_residual(om: Cocycle, radius: int) -> float:
 
 def normalization_residual(om: Cocycle, radius: int) -> float:
     """max over the ball of |Om(g,e) - 1| and |Om(e,g) - 1|."""
-    X = om.group.coords_array(om.group.ball(radius))
+    X = om.group.ball_array(radius)
     E = np.zeros_like(X)  # rows of the identity
     D = np.concatenate([om.values(X, E), om.values(E, X)]) - 1.0
     return float(np.max(np.hypot(D.real, D.imag), initial=0.0))  # NaN-propagating, unlike max()

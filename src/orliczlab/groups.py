@@ -276,10 +276,15 @@ class Group:
 
     def ball(self, radius: int) -> list:
         """All elements of word length <= radius, lexicographically sorted."""
+        return list(map(tuple, self.ball_array(radius).tolist()))
+
+    def ball_array(self, radius: int) -> np.ndarray:
+        """The ball as a new (n, d) int64 array of coordinate rows, in the
+        order of ball."""
         if radius < 0:
             raise InputError("radius must be nonnegative")
         index, L = self._view(radius)
-        return list(map(tuple, index.rows[L <= radius].tolist()))
+        return index.rows[L <= radius]
 
     def ball_count(self, radius: int) -> int:
         return int(np.count_nonzero(self._view(radius)[1] <= radius))
@@ -472,7 +477,7 @@ def weight_axioms_report(w: Weight, radius: int) -> WeightAxiomsReport:
     """Probe the weight axioms on a ball: w(e)=1, bounded reciprocal, and
     the submultiplicativity ratio sup w(st)/(w(s)w(t))."""
     group = w.group
-    X = group.coords_array(group.ball(radius))
+    X = group.ball_array(radius)
     return WeightAxiomsReport(
         identity_ok=abs(w(group.identity()) - 1.0) < 1e-12,
         inverse_bound=float((1.0 / w.at(X)).max()),

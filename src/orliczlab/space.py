@@ -39,8 +39,14 @@ bit for bit.  l1 and pairing sum in insertion order; items, support and
 abs_amplitudes sort on demand.
 
 The norms satisfy N(f) <= |f| <= 2 N(f).  Batched variants run whole
-sweeps of vectors through the same solvers at once (rows padded with
-zeros, which are invisible to every modular since Phi(0) = 0).
+sweeps of vectors through the same solvers at once.  Every element of a
+solve stops at its own first converged step and the Amemiya bracket
+widens per row, so a row's answer never depends on its batch mates: a
+batch of equal-width rows equals its one-row solves bit for bit.
+Zero-padded rows are invisible to every modular (Phi(0) = 0) but change
+numpy's row-sum association, so orlicz_norms and luxemburg_norms bucket
+vectors by support size and never pad; orlicz_norm and luxemburg_norm
+are their one-vector case.
 
 membership_diagnostic probes whether sum_s Psi(alpha h(s)) converges as
 the summation ball grows, for each requested alpha -- a finite-radius
@@ -68,7 +74,9 @@ __all__ = [
     "amplitude_matrix",
     "modular",
     "luxemburg_norm",
+    "luxemburg_norms",
     "orlicz_norm",
+    "orlicz_norms",
     "norm_report",
     "holder_gap",
     "weighted_norm",
@@ -80,6 +88,7 @@ __all__ = [
 _AGREEMENT_LIMIT = 1e-5
 _NORM_CAP = 1e300  # norms outside [1/_NORM_CAP, _NORM_CAP] raise
 _AMEMIYA_EXPANSIONS = 8
+_AMEMIYA_SPAN = 256.0  # the first Amemiya bracket is [1/(span N), span/N]
 
 
 def complex_array(re, im) -> np.ndarray:
@@ -268,18 +277,20 @@ def random_vector(
     group: Group, rng: np.random.Generator, radius: int, size: int = 8
 ) -> OrliczVector:
     """Support drawn uniformly in a ball, amplitudes uniform on [-1,1]^2."""
-    ball = group.ball(radius)
+    ball = group.ball_array(radius)
     k = min(size, len(ball))
     idx = rng.choice(len(ball), size=k, replace=False)
     amps = rng.uniform(-1.0, 1.0, size=(k, 2)).view(complex).ravel()  # a + bj, exactly
-    return OrliczVector._summed(group, group.coords_array([ball[i] for i in idx]), amps)
+    return OrliczVector._summed(group, ball[idx], amps)
 
 
 def amplitude_matrix(vectors) -> np.ndarray:
     """Stack |amplitudes| of many vectors into one zero-padded matrix.
 
     Rows feed the batched norm engines; the padding is invisible to every
-    modular because Phi(0) = 0.
+    modular because Phi(0) = 0, but it changes the association of numpy's
+    row sums, so a padded row's norm may differ from its one-row norm in
+    the last bits (orlicz_norms and luxemburg_norms do not pad).
     """
     width = max((len(v) for v in vectors), default=1)
     out = np.zeros((len(vectors), max(width, 1)))
@@ -352,11 +363,26 @@ def luxemburg_batch(phi: YoungFunction, A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bucketed(solve: Callable, vectors) -> np.ndarray:
+    """solve(A) on the amplitude rows of the vectors, one call per support
+    size (unpadded, so each row sums as it would alone); zero vectors give 0."""
+    vectors = list(vectors)
+    sizes = np.array([len(v) for v in vectors], dtype=np.int64)
+    out = np.zeros(len(vectors))
+    for n in np.unique(sizes[sizes > 0]):
+        idx = np.flatnonzero(sizes == n)
+        out[idx] = solve(np.stack([vectors[i].abs_amplitudes() for i in idx]))
+    return out
+
+
+def luxemburg_norms(phi: YoungFunction, vectors) -> np.ndarray:
+    """Luxemburg norms of the vectors, each equal to its luxemburg_norm bit for bit."""
+    return _bucketed(lambda A: luxemburg_batch(phi, A), vectors)
+
+
 def luxemburg_norm(phi: YoungFunction, f: OrliczVector) -> float:
     """inf { k > 0 : modular(f / k) <= 1 }; 0 for the zero vector."""
-    if not f:
-        return 0.0
-    return float(luxemburg_batch(phi, f.abs_amplitudes()[None, :])[0])
+    return float(luxemburg_norms(phi, [f])[0])
 
 
 def _stationarity_batch(pair: ComplementaryPair, A: np.ndarray) -> np.ndarray:
@@ -395,23 +421,28 @@ def _amemiya_batch(pair: ComplementaryPair, A: np.ndarray, lux: np.ndarray) -> n
     """Orlicz norms as min_k (1 + modular(Phi, k f)) / k by golden section.
 
     The objective is the perspective of a convex function, hence unimodal;
-    the bracket sits around 1/N(f) and widens 16-fold when a minimum pins
-    to an edge, at most 8 times before SolverCapError.
+    the bracket sits around 1/N(f) and, for the rows whose minimum pins to
+    an edge, widens 16-fold and is searched again, at most 8 times before
+    SolverCapError; the other rows keep their minima.
     """
     phi_fn = pair.phi.fn
 
-    def h(k):
+    def h(B, k):
         with np.errstate(over="ignore"):  # subnormal k for norms near 1e308
-            return (1.0 + _rows_modular(phi_fn, A * k[:, None])) / k
+            return (1.0 + _rows_modular(phi_fn, B * k[:, None])) / k
 
     base = 1.0 / lux
-    span = 256.0
+    k = np.zeros_like(base)
+    rows = np.arange(len(base))  # the rows still to search
+    span = np.full(len(base), _AMEMIYA_SPAN)
     for _ in range(_AMEMIYA_EXPANSIONS):
-        k = _golden_min(h, base / span, base * span, "minimizing the Amemiya objective")
-        on_edge = (k < base / span * 1.05) | (k > base * span * 0.95)
-        if not np.any(on_edge):
-            return h(k)
-        span *= 16.0
+        B, lo, hi = A[rows], base[rows] / span[rows], base[rows] * span[rows]
+        kr = _golden_min(lambda x: h(B, x), lo, hi, "minimizing the Amemiya objective")
+        k[rows] = kr
+        rows = rows[(kr < lo * 1.05) | (kr > hi * 0.95)]
+        if not rows.size:
+            return h(A, k)
+        span[rows] *= 16.0
     raise SolverCapError("bracketing the Amemiya minimum", _AMEMIYA_EXPANSIONS)
 
 
@@ -448,11 +479,13 @@ class NormReport:
     method_agreement: float
 
 
+def orlicz_norms(pair: ComplementaryPair, vectors) -> np.ndarray:
+    """Orlicz norms of the vectors, each equal to its orlicz_norm bit for bit."""
+    return _bucketed(lambda A: orlicz_batch(pair, A)[0], vectors)
+
+
 def orlicz_norm(pair: ComplementaryPair, f: OrliczVector) -> float:
-    if not f:
-        return 0.0
-    norms, _ = orlicz_batch(pair, f.abs_amplitudes()[None, :])
-    return float(norms[0])
+    return float(orlicz_norms(pair, [f])[0])
 
 
 def norm_report(pair: ComplementaryPair, f: OrliczVector) -> NormReport:
@@ -519,7 +552,7 @@ def membership_diagnostic(
     radii = [int(r) for r in radii]
     if any(b >= a for a, b in zip(radii[1:], radii)):
         raise InputError("radii must be strictly increasing")
-    X = group.coords_array(group.ball(radii[-1]))
+    X = group.ball_array(radii[-1])
     tau = group.tau_array(X)
     hv = np.asarray(h(X), dtype=float)
     if np.any(hv < 0.0):

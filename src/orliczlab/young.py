@@ -200,24 +200,34 @@ def _bracket(f: Callable, t: np.ndarray, cap: float, task: str):
 def _find_root(f: Callable, targets, cap: float, task: str) -> np.ndarray:
     """Solve f(x) = t per element for increasing f with f(0) = 0; t <= 0 gives 0.
 
-    Brackets with _bracket, then bisects until every element has
-    |f - t| <= 1e-12 t, or a bracket 1e-14 x wide with |f - t| <= 1e-6 t
-    (a steep f).  A jump across t meets neither, so a discontinuous f (or a
-    NaN target) runs out of steps and raises SolverCapError rather than
-    returning a midpoint.
+    Brackets with _bracket, then bisects.  Each element's root is its
+    midpoint at the first step where that element has |f - t| <= 1e-12 t,
+    or a bracket 1e-14 x wide with |f - t| <= 1e-6 t (a steep f); the
+    loop ends once every element has one.  So an element's root does not
+    depend on the other elements, when f acts elementwise.  A jump across
+    t meets neither, so a discontinuous f (or a NaN target) runs out of
+    steps and raises SolverCapError rather than returning a midpoint.
     """
     t = np.asarray(targets, dtype=float)
     dead = t <= 0.0
     root_tol = np.where(dead, np.inf, _ROOT_RTOL * t)
     steep_tol = _STEEP_RTOL * t
     lo, hi = _bracket(f, t, cap, task)
+    root = np.zeros(t.shape)
+    if not t.size:
+        return root
+    todo = np.ones(t.shape, dtype=bool)  # elements yet to converge
     for _ in range(_MAX_STEPS):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         err = np.abs(fm - t)
         steep = (hi - lo <= _WIDTH_RTOL * lo) & (err <= steep_tol)
-        if (steep | (err <= root_tol)).all():
-            return np.where(dead, 0.0, mid)
+        now = (steep | (err <= root_tol)) & todo
+        if now.any():
+            np.copyto(root, mid, where=now)
+            todo &= ~now
+            if not todo.any():
+                return np.where(dead, 0.0, root)
         below = fm < t
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
@@ -229,17 +239,26 @@ def _golden_min(h: Callable, a, b, task: str) -> np.ndarray:
 
     Keeps one interior point x and probes the other golden point of
     [a, b], recomputed from the ends so rounding cannot drift it; each step
-    costs one evaluation of h.  Stops once every b - a <= 1e-14 b and
-    returns the midpoints; 200 steps without that raise SolverCapError.
+    costs one evaluation of h.  Each element's minimizer is its midpoint at
+    the first step where its own b - a <= 1e-14 b; the loop ends once every
+    element has one, and 200 steps without that raise SolverCapError.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     x = a + _INVPHI * (b - a)
     fx = h(x)
     x_right = np.ones(x.shape, dtype=bool)  # x is the right golden point
+    best = np.zeros(x.shape)
+    if not x.size:
+        return best
+    todo = np.ones(x.shape, dtype=bool)  # elements yet to converge
     for _ in range(_MAX_STEPS):
         width = b - a
-        if (width <= _WIDTH_RTOL * b).all():
-            return 0.5 * (a + b)
+        now = (width <= _WIDTH_RTOL * b) & todo
+        if now.any():
+            np.copyto(best, 0.5 * (a + b), where=now)
+            todo &= ~now
+            if not todo.any():
+                return best
         u = np.where(x_right, b - _INVPHI * width, a + _INVPHI * width)
         fu = h(u)
         # keep [a, max(x, u)] when the left point is no worse (ties, such

@@ -282,12 +282,13 @@ def test_unit_check_propagates_nan():
 
 
 def test_probe_constant_propagates_nan(monkeypatch):
-    real, calls = algebra.orlicz_norm, itertools.count()
+    real, calls = algebra.orlicz_norms, itertools.count()
 
-    def nan_numerator(pair, f):  # each sample asks for |f*g| first, then |f| and |g|
-        return math.nan if next(calls) % 3 == 0 else real(pair, f)
+    def nan_numerators(pair, vectors):  # each radius asks for all |f*g| first, then |f| and |g|
+        norms = real(pair, vectors)
+        return np.full_like(norms, math.nan) if next(calls) % 3 == 0 else norms
 
-    monkeypatch.setattr(algebra, "orlicz_norm", nan_numerator)
+    monkeypatch.setattr(algebra, "orlicz_norms", nan_numerators)
     spec = algebra.ProbeSpec(radii=(3,), samples=5)
     rep = algebra.submultiplicativity_probe(catalog_pair("pnorm:2"), OM, spec)
     assert math.isnan(rep.rows[0][1])

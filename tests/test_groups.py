@@ -113,6 +113,20 @@ def test_ball_counts_and_ordering():
     assert all(z2.invert(g) in set(ball) for g in ball)
 
 
+@pytest.mark.parametrize(
+    "group", [Group.free_abelian(2), Group.heisenberg(), Group.cyclic(7)], ids=repr
+)
+def test_ball_array_is_the_ball_as_rows(group):
+    for radius in range(5):
+        X = group.ball_array(radius)
+        assert X.dtype == np.int64 and X.shape == (group.ball_count(radius), group.dim)
+        assert np.array_equal(X, group.coords_array(group.ball(radius)))
+    X[0] += 1  # a new array each call: the view stays sorted
+    assert group.ball_array(4)[0].tolist() == list(group.ball(4)[0])
+    with pytest.raises(InputError):
+        group.ball_array(-1)
+
+
 def test_ball_saturates_on_finite_group():
     c5 = Group.cyclic(5)
     assert len(c5.ball(2)) == 5

@@ -236,6 +236,24 @@ def test_random_vector_determinism():
     assert dict(a.items()) == dict(b.items())
 
 
+@pytest.mark.parametrize(
+    "group", [Group.free_abelian(2), Group.heisenberg(), Group.cyclic(7)], ids=repr
+)
+def test_random_vector_draws_as_from_the_tuple_ball(group):
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    for radius in (0, 1, 2, 3, 5):
+        for size in (1, 4, 8, 40):
+            got = random_vector(group, rng, radius, size)
+            # the draw as it was made from the list of element tuples
+            ball = group.ball(radius)
+            k = min(size, len(ball))
+            idx = ref.choice(len(ball), size=k, replace=False)
+            amps = ref.uniform(-1.0, 1.0, size=(k, 2)).view(complex).ravel()
+            want = OrliczVector._summed(group, group.coords_array([ball[i] for i in idx]), amps)
+            assert got._rows.tolist() == want._rows.tolist()
+            assert got._amps.tobytes() == want._amps.tobytes()
+
+
 # The pointwise maps as they were written over dict-backed vectors: one scalar
 # call per element and the vector constructor, kept as the reference.
 def _dict_pointwise_mul(f, fn):

@@ -74,13 +74,13 @@ from .groups import (
 )
 from .space import (
     OrliczVector,
+    _orlicz_gauge_batch,
     amplitude_matrix as _amp_matrix,
     luxemburg_batch,
     luxemburg_norms,
     membership_diagnostic,
     cdiv,
     modular,
-    orlicz_batch,
     orlicz_norm,
     orlicz_norms,
     random_vector,
@@ -586,8 +586,7 @@ def _norm_stats(cfg):
     for pair in _catalog():
         for group in groups:
             A = _amp_matrix([v for (v,) in _draws(rng, group, 6, 8, per_pair, 1)])
-            lux = luxemburg_batch(pair.phi, A)
-            orl, gap = orlicz_batch(pair, A)
+            orl, gap, lux = _orlicz_gauge_batch(pair, A)
             violations.append(np.maximum(lux - orl, orl - 2.0 * lux))
             gaps.append(gap)
     return violations, gaps
@@ -633,10 +632,11 @@ def _homogeneity(_run, seed):
     group = _Z2()
     for pair in _catalog()[:4]:
         vecs = [v for (v,) in _draws(rng, group, 4, 6, 50, 1)]
+        orl, _, lux = _orlicz_gauge_batch(pair, _amp_matrix(vecs))
         for c in (0.3, 2.5, 0.7 + 0.4j):
-            A, As = _amp_matrix(vecs), _amp_matrix([v.scale(c) for v in vecs])
-            yield _rel_err(luxemburg_batch(pair.phi, As), abs(c) * luxemburg_batch(pair.phi, A))
-            yield _rel_err(orlicz_batch(pair, As)[0], abs(c) * orlicz_batch(pair, A)[0])
+            orl_c, _, lux_c = _orlicz_gauge_batch(pair, _amp_matrix([v.scale(c) for v in vecs]))
+            yield _rel_err(lux_c, abs(c) * lux)
+            yield _rel_err(orl_c, abs(c) * orl)
 
 
 @_law("norms", "triangle", "norm(f + g) <= norm(f) + norm(g) for both norms", 1e-9)
@@ -647,11 +647,11 @@ def _triangle(_run, seed):
         fs = [f for (f,) in _draws(rng, group, 4, 6, 60, 1)]
         gs = [g for (g,) in _draws(rng, group, 4, 6, 60, 1)]
         sums = [f + g for f, g in zip(fs, gs)]
-        for batch in (
-            lambda A: luxemburg_batch(pair.phi, A),
-            lambda A: orlicz_batch(pair, A)[0],
-        ):
-            yield batch(_amp_matrix(sums)) - batch(_amp_matrix(fs)) - batch(_amp_matrix(gs))
+        o_sum, _, n_sum = _orlicz_gauge_batch(pair, _amp_matrix(sums))
+        o_f, _, n_f = _orlicz_gauge_batch(pair, _amp_matrix(fs))
+        o_g, _, n_g = _orlicz_gauge_batch(pair, _amp_matrix(gs))
+        yield n_sum - n_f - n_g
+        yield o_sum - o_f - o_g
 
 
 @_law("norms", "dual-sampling", "sum |f v| <= |f|_Phi whenever modular(Psi, v) <= 1", 1e-9)
@@ -678,8 +678,9 @@ def _pnorm_closed_form(_run, seed):
         q = p / (p - 1.0)
         A = _amp_matrix([v for (v,) in _draws(rng, group, 5, 7, 200, 1)])
         lp = (A**p).sum(axis=1) ** (1.0 / p)
-        yield np.abs(luxemburg_batch(pair.phi, A) - lp * p ** (-1.0 / p))
-        yield np.abs(orlicz_batch(pair, A)[0] - lp * q ** (1.0 / q))
+        orl, _, lux = _orlicz_gauge_batch(pair, A)
+        yield np.abs(lux - lp * p ** (-1.0 / p))
+        yield np.abs(orl - lp * q ** (1.0 / q))
 
 
 @_law("norms", "holder", "sum |f g| <= min{ N_Phi(f) |g|_Psi, |f|_Phi N_Psi(g) }", 1e-9)
@@ -691,10 +692,8 @@ def _holder(run, seed):
     for pair in pairs:
         fs = [f for (f,) in _draws(rng, group, 3, 5, per, 1)]
         gs = [g for (g,) in _draws(rng, group, 3, 5, per, 1)]
-        nf = luxemburg_batch(pair.phi, _amp_matrix(fs))
-        of = orlicz_batch(pair, _amp_matrix(fs))[0]
-        ng = luxemburg_batch(pair.psi, _amp_matrix(gs))
-        og = orlicz_batch(pair.flip(), _amp_matrix(gs))[0]
+        of, _, nf = _orlicz_gauge_batch(pair, _amp_matrix(fs))
+        og, _, ng = _orlicz_gauge_batch(pair.flip(), _amp_matrix(gs))  # N_Psi is the flip's gauge
         pointwise = []
         for f, g in zip(fs, gs):
             at = dict(g.items())

@@ -174,6 +174,15 @@ class OrliczVector:
         f._rows, f._amps = _scatter_add(rows, amps)
         return f
 
+    @classmethod
+    def _distinct(cls, group: Group, rows: np.ndarray, amps: np.ndarray) -> "OrliczVector":
+        """The vector of distinct coordinate rows made inside the package;
+        only exact zeros are pruned, as the scatter-add would prune them."""
+        f = cls.__new__(cls)
+        f.group = group
+        f._rows, f._amps = _pruned(rows, amps)
+        return f
+
     # -- construction --------------------------------------------------------
 
     @classmethod
@@ -237,10 +246,7 @@ class OrliczVector:
 
     def _with(self, amps: np.ndarray) -> "OrliczVector":
         """These rows with new amplitudes, in the same order; zeros are pruned."""
-        f = OrliczVector.__new__(OrliczVector)
-        f.group = self.group
-        f._rows, f._amps = _pruned(self._rows, amps)
-        return f
+        return OrliczVector._distinct(self.group, self._rows, amps)
 
     def pointwise_mul(self, fn: Callable) -> "OrliczVector":
         """Multiply the amplitudes by fn(rows), fn an array function of the
@@ -279,9 +285,9 @@ def random_vector(
     """Support drawn uniformly in a ball, amplitudes uniform on [-1,1]^2."""
     ball = group.ball_array(radius)
     k = min(size, len(ball))
-    idx = rng.choice(len(ball), size=k, replace=False)
+    idx = rng.choice(len(ball), size=k, replace=False)  # distinct rows: nothing to sum
     amps = rng.uniform(-1.0, 1.0, size=(k, 2)).view(complex).ravel()  # a + bj, exactly
-    return OrliczVector._summed(group, ball[idx], amps)
+    return OrliczVector._distinct(group, ball[idx], amps)
 
 
 def amplitude_matrix(vectors) -> np.ndarray:
@@ -338,6 +344,18 @@ def _live_rows(A):
     return A, sums > 0.0
 
 
+def _gauges(phi: YoungFunction, B: np.ndarray) -> np.ndarray:
+    """Luxemburg norms of rows that are not all zero: 1/x for the root x of
+    modular(x f) = 1."""
+    x = _find_root(
+        lambda x: _rows_modular(phi.fn, B * x[:, None]),
+        np.ones(B.shape[0]),
+        _NORM_CAP,
+        "solving for a Luxemburg norm",
+    )
+    return 1.0 / x
+
+
 def luxemburg_batch(phi: YoungFunction, A: np.ndarray) -> np.ndarray:
     """Luxemburg norms of the rows of a nonnegative amplitude matrix.
 
@@ -350,16 +368,8 @@ def luxemburg_batch(phi: YoungFunction, A: np.ndarray) -> np.ndarray:
     """
     A, live = _live_rows(A)
     out = np.zeros(A.shape[0])
-    if not np.any(live):
-        return out
-    B = A[live]
-    x = _find_root(
-        lambda x: _rows_modular(phi.fn, B * x[:, None]),
-        np.ones(B.shape[0]),
-        _NORM_CAP,
-        "solving for a Luxemburg norm",
-    )
-    out[live] = 1.0 / x
+    if np.any(live):
+        out[live] = _gauges(phi, A[live])
     return out
 
 
@@ -446,6 +456,27 @@ def _amemiya_batch(pair: ComplementaryPair, A: np.ndarray, lux: np.ndarray) -> n
     raise SolverCapError("bracketing the Amemiya minimum", _AMEMIYA_EXPANSIONS)
 
 
+def _orlicz_gauge_batch(pair: ComplementaryPair, A: np.ndarray):
+    """(norms, agreement gaps, Luxemburg norms N_Phi) for the rows of an
+    amplitude matrix: orlicz_batch, keeping the gauge that brackets its
+    Amemiya minimum for callers that need both norms of the same rows."""
+    A, live = _live_rows(A)
+    norms, gaps, lux = np.zeros((3, A.shape[0]))
+    if not np.any(live):
+        return norms, gaps, lux
+    B = A[live]
+    stat = _stationarity_batch(pair, B)
+    lux[live] = gauge = _gauges(pair.phi, B)
+    amem = _amemiya_batch(pair, B, gauge)
+    rel = np.abs(stat - amem) / np.maximum(np.maximum(stat, amem), 1e-300)
+    if not np.max(rel) <= _AGREEMENT_LIMIT:
+        i = int(np.argmax(rel))  # the first NaN, if any
+        raise MethodDisagreementError(float(stat[i]), float(amem[i]), float(rel[i]), _AGREEMENT_LIMIT)
+    norms[live] = np.maximum(stat, amem)
+    gaps[live] = rel
+    return norms, gaps, lux
+
+
 def orlicz_batch(pair: ComplementaryPair, A: np.ndarray):
     """(norms, agreement gaps) for the rows of an amplitude matrix.
 
@@ -453,21 +484,7 @@ def orlicz_batch(pair: ComplementaryPair, A: np.ndarray):
     their relative gap beyond 1e-5, or a NaN gap, is an implementation
     fault and raises.  A row holding NaN raises InputError.
     """
-    A, live = _live_rows(A)
-    norms = np.zeros(A.shape[0])
-    gaps = np.zeros(A.shape[0])
-    if not np.any(live):
-        return norms, gaps
-    B = A[live]
-    stat = _stationarity_batch(pair, B)
-    amem = _amemiya_batch(pair, B, luxemburg_batch(pair.phi, B))
-    rel = np.abs(stat - amem) / np.maximum(np.maximum(stat, amem), 1e-300)
-    if not np.max(rel) <= _AGREEMENT_LIMIT:
-        i = int(np.argmax(rel))  # the first NaN, if any
-        raise MethodDisagreementError(float(stat[i]), float(amem[i]), float(rel[i]), _AGREEMENT_LIMIT)
-    norms[live] = np.maximum(stat, amem)
-    gaps[live] = rel
-    return norms, gaps
+    return _orlicz_gauge_batch(pair, A)[:2]
 
 
 @dataclass(frozen=True)
@@ -491,10 +508,8 @@ def orlicz_norm(pair: ComplementaryPair, f: OrliczVector) -> float:
 def norm_report(pair: ComplementaryPair, f: OrliczVector) -> NormReport:
     if not f:
         return NormReport(0.0, 0.0, 0.0)
-    A = f.abs_amplitudes()[None, :]
-    lux = float(luxemburg_batch(pair.phi, A)[0])
-    norms, gaps = orlicz_batch(pair, A)
-    return NormReport(lux, float(norms[0]), float(gaps[0]))
+    norms, gaps, lux = _orlicz_gauge_batch(pair, f.abs_amplitudes()[None, :])
+    return NormReport(float(lux[0]), float(norms[0]), float(gaps[0]))
 
 
 def holder_gap(pair: ComplementaryPair, f: OrliczVector, g: OrliczVector) -> float:

@@ -172,65 +172,147 @@ _ROOT_RTOL = 1e-12  # converged once |f - t| <= _ROOT_RTOL * t
 _WIDTH_RTOL = 1e-14  # ... or once the bracket is this wide relative to x
 _STEEP_RTOL = 1e-6  # a collapsed bracket must still be this close (a jump is not)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_TINY = np.finfo(float).tiny
+_MIN_EXP = -1022  # 2**_MIN_EXP is the smallest normal double
+_ITP_K1 = 0.2  # the ITP truncation is 0.2 w^2 / w0 (kappa1 = 0.2 / w0, kappa2 = 2)
 
 
 def _bracket(f: Callable, t: np.ndarray, cap: float, task: str):
-    """Per element (lo, hi) with f(lo) <= t <= f(hi), for increasing f, f(0) = 0.
+    """Per element (lo, hi, f(lo), f(hi)) with f(lo) <= t <= f(hi), for increasing f, f(0) = 0.
 
-    The bracket [x, 2x] starts at [1, 2] and moves both ends, doubling or
-    halving.  Doubling past cap raises BracketOverflowError.  Halving needs
-    no floor, since f(0) = 0 <= t: below the smallest normal double lo
-    falls back to 0.  Elements with t <= 0 stay at [1, 2].
+    The bracket is [2^(e-1), 2^e], the one that doubling or halving [1, 2]
+    one step at a time reaches: where f(2) < t, 2^e is the first power of
+    two upward from 2 with f(2^e) >= t, else 2^(e-1) is the first one
+    downward from 1 with f(2^(e-1)) <= t.  Elements with t <= 0 keep
+    [1, 2].  Each element finds e by galloping away from 2, its step in
+    the exponent doubling at every probe, and then bisecting the exponent
+    between its last two probes: O(log e) evaluations of f instead of e,
+    with all elements probing in the same calls of f.
+
+    - An element with f(2^k) < t at the largest 2^k <= cap raises
+      BracketOverflowError, naming the first such t.
+    - The downward search needs no floor, since f(0) = 0 <= t: below the
+      smallest normal double lo falls back to 0.
+    - A galloping probe may lie far past the bracket.  If f raises a
+      solver error there (a nested solve past its own cap, or out of
+      steps), the search steps one exponent at a time from then on, so
+      it probes only where single steps would.
+
+    f(lo) and f(hi) are the values f took at the probes; f(lo) reads 0
+    where lo = 0 and where t <= 0 (f(1) is not probed there).
     """
-    x = np.ones_like(t)
-    up = f(2.0 * x) < t  # never true where t <= 0, as f >= 0
-    while up.any():
-        x = np.where(up, 2.0 * x, x)
-        if (2.0 * x > cap).any():
-            raise BracketOverflowError(float(t[2.0 * x > cap][0]), cap, task)
-        up = f(2.0 * x) < t
-    down = (t > 0.0) & (f(x) > t)
-    while down.any():
-        x = np.where(down, 0.5 * x, x)
-        down &= (x >= _TINY) & (f(x) > t)
-    return np.where(x < _TINY, 0.0, x), 2.0 * x
+    top = math.frexp(cap)[1] - 1  # the largest k with 2^k <= cap
+    fb = np.array(f(np.full(t.shape, 2.0)), dtype=float)  # a copy: the root finder updates it
+    up = fb < t  # never true where t <= 0, as f >= 0
+    # f(2^a) is below t and f(2^b) above it; a = _MIN_EXP - 1 stands for
+    # lo = 0 and b = top + 1 for past the cap, neither of them probed
+    a = np.where(up, 1, np.where(t > 0.0, _MIN_EXP - 1, 0)).astype(np.int16)
+    b = np.where(up, top + 1, 1).astype(np.int16)
+    fa = np.where(up, fb, 0.0)
+    single = False  # step one exponent at a time
+    while True:
+        over = up & (a >= top)
+        if over.any():
+            raise BracketOverflowError(float(t[over][0]), cap, task)
+        left = b - a > 1
+        if not left.any():
+            return np.where(a < _MIN_EXP, 0.0, np.ldexp(1.0, a)), np.ldexp(1.0, b), fa, fb
+        rise, fall = left & (b > top), left & (a < _MIN_EXP)  # galloping up, down
+        if single:
+            p = np.where(rise, a + 1, np.where(fall, b - 1, (a + b) >> 1))
+        else:
+            p = np.where(
+                rise,
+                np.minimum(np.maximum(2 * a - 1, a + 1), top),
+                np.where(fall, np.maximum(np.minimum(2 * b - 1, b - 1), _MIN_EXP), (a + b) >> 1),
+            )
+        p = np.where(left, p, b)  # settled elements repeat a probe they passed
+        try:
+            fp = np.asarray(f(np.ldexp(1.0, p)), dtype=float)
+        except (BracketOverflowError, SolverCapError):
+            if single or not (rise | fall).any():
+                raise
+            single = True
+            continue
+        high = left & np.where(up, ~(fp < t), fp > t)
+        low = left & ~high
+        a, fa = np.where(low, p, a), np.where(low, fp, fa)
+        b, fb = np.where(high, p, b), np.where(high, fp, fb)
+
+
+def _itp_probe(t, lo, hi, flo, fhi, w0, j: int) -> np.ndarray:
+    """The ITP probe at step j of each bracket [lo, hi] for f = t, of width
+    w and initial width w0.
+
+    Interpolate: the regula falsi point, its fraction of the bracket
+    clipped to [0, 1] (a NaN fraction, from an overflowed or NaN f, reads
+    0).  Truncate: move it toward the midpoint by 0.2 w^2 / w0.  Project:
+    keep it within w0 2^-j - w/2 of the midpoint.
+    """
+    w = hi - lo
+    x = lo + hi
+    x *= 0.5
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = np.subtract(t, flo)
+        d /= fhi - flo
+    np.fmax(d, 0.0, out=d)
+    np.fmin(d, 1.0, out=d)
+    d *= w
+    d += lo
+    np.subtract(x, d, out=d)  # midpoint - regula falsi point
+    step = np.abs(d)
+    step -= w / w0 * w * _ITP_K1
+    np.minimum(step, w0 * 0.5**j - 0.5 * w, out=step)
+    np.maximum(step, 0.0, out=step)
+    x -= np.copysign(step, d, out=step)
+    return x
 
 
 def _find_root(f: Callable, targets, cap: float, task: str) -> np.ndarray:
     """Solve f(x) = t per element for increasing f with f(0) = 0; t <= 0 gives 0.
 
-    Brackets with _bracket, then bisects.  Each element's root is its
-    midpoint at the first step where that element has |f - t| <= 1e-12 t,
-    or a bracket 1e-14 x wide with |f - t| <= 1e-6 t (a steep f); the
-    loop ends once every element has one.  So an element's root does not
-    depend on the other elements, when f acts elementwise.  A jump across
-    t meets neither, so a discontinuous f (or a NaN target) runs out of
-    steps and raises SolverCapError rather than returning a midpoint.
+    Brackets with _bracket, then takes ITP steps (interpolate, truncate,
+    project: Oliveira and Takahashi, ACM TOMS 47(1), 2020, with
+    kappa1 = 0.2 / w0, kappa2 = 2 and n0 = 1).  Step j probes the regula
+    falsi point of the bracket [lo, hi], moved toward the midpoint by
+    0.2 w^2 / w0 and kept within w0 2^-j - w/2 of it, for the bracket
+    width w and its initial width w0.  A smooth f converges
+    superlinearly, and after step j the bracket is at most w0 2^-j wide,
+    so no element takes more steps than bisection would, bar one.
+
+    Each element's root is its probe at the first step where that
+    element has |f - t| <= 1e-12 t, or a bracket 1e-14 x wide with
+    |f - t| <= 1e-6 t (a steep f); the loop ends once every element has
+    one.  So an element's root does not depend on the other elements,
+    when f acts elementwise.  A jump across t meets neither, so a
+    discontinuous f (or a NaN target) runs out of steps and raises
+    SolverCapError rather than returning a probe.
     """
     t = np.asarray(targets, dtype=float)
     dead = t <= 0.0
     root_tol = np.where(dead, np.inf, _ROOT_RTOL * t)
-    steep_tol = _STEEP_RTOL * t
-    lo, hi = _bracket(f, t, cap, task)
+    lo, hi, flo, fhi = _bracket(f, t, cap, task)
     root = np.zeros(t.shape)
     if not t.size:
         return root
+    w0 = hi - lo
     todo = np.ones(t.shape, dtype=bool)  # elements yet to converge
-    for _ in range(_MAX_STEPS):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        err = np.abs(fm - t)
-        steep = (hi - lo <= _WIDTH_RTOL * lo) & (err <= steep_tol)
+    for j in range(_MAX_STEPS):
+        x = _itp_probe(t, lo, hi, flo, fhi, w0, j)
+        fx = f(x)
+        err = np.abs(fx - t)
+        steep = (hi - lo <= _WIDTH_RTOL * lo) & (err <= _STEEP_RTOL * t)
         now = (steep | (err <= root_tol)) & todo
         if now.any():
-            np.copyto(root, mid, where=now)
+            np.copyto(root, x, where=now)
             todo &= ~now
             if not todo.any():
                 return np.where(dead, 0.0, root)
-        below = fm < t
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        below = fx < t
+        np.copyto(lo, x, where=below)
+        np.copyto(flo, fx, where=below)
+        np.logical_not(below, out=below)
+        np.copyto(hi, x, where=below)
+        np.copyto(fhi, fx, where=below)
     raise SolverCapError(task, _MAX_STEPS)
 
 
@@ -308,7 +390,7 @@ def conjugate(phi: YoungFunction, spec: SearchSpec | None = None) -> YoungFuncti
             # bracket chord_slope(x) <= y <= chord_slope(2x) puts the
             # maximizer in [x, 4x].
             arr, scalar = _as_1d(y)
-            lo, hi = _bracket(chord_slope, arr, cap, "conjugating")
+            lo, hi, _, _ = _bracket(chord_slope, arr, cap, "conjugating")
             best = _golden_min(
                 lambda u: np.asarray(fn(u), dtype=float) - u * arr, lo, 2.0 * hi, "conjugating"
             )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczlab import space
+from orliczlab import space, young
 from orliczlab.errors import BracketOverflowError, SolverCapError
 from orliczlab.groups import Group
 from orliczlab.space import (
@@ -24,6 +24,7 @@ from orliczlab.space import (
 from orliczlab.young import (
     SearchSpec,
     YoungFunction,
+    _bracket,
     _find_root,
     _golden_min,
     build_from_generator,
@@ -226,3 +227,201 @@ def test_a_row_that_widens_its_amemiya_bracket_leaves_its_batch_mates_alone(monk
     norms, _ = orlicz_batch(pair, A)
     for i in range(len(A)):
         assert orlicz_batch(pair, A[i : i + 1])[0].tobytes() == norms[i : i + 1].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the galloping bracket and the ITP steps against one-step-at-a-time references
+
+
+def _linear_bracket(f, t, cap):
+    """The bracket [x, 2x] reached by doubling or halving [1, 2] one step at a time."""
+    x = np.ones_like(t)
+    up = f(2.0 * x) < t
+    while up.any():
+        x = np.where(up, 2.0 * x, x)
+        with np.errstate(over="ignore"):  # 2x past the largest double is past the cap
+            over = 2.0 * x > cap
+        if over.any():
+            raise BracketOverflowError(float(t[over][0]), cap, "testing")
+        up = f(2.0 * x) < t
+    tiny = np.finfo(float).tiny
+    down = (t > 0.0) & (f(x) > t)
+    while down.any():
+        x = np.where(down, 0.5 * x, x)
+        down &= (x >= tiny) & (f(x) > t)
+    return np.where(x < tiny, 0.0, x), 2.0 * x
+
+
+def _bisection_root(f, t, cap):
+    """The root finder's stop rules on bisection steps, from the same bracket."""
+    lo, hi, _, _ = _bracket(f, t, cap, "testing")
+    root_tol = np.where(t <= 0.0, np.inf, 1e-12 * t)
+    root, todo = np.zeros(t.shape), np.ones(t.shape, dtype=bool)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        err = np.abs(fm - t)
+        now = (((hi - lo <= 1e-14 * lo) & (err <= 1e-6 * t)) | (err <= root_tol)) & todo
+        np.copyto(root, mid, where=now)
+        todo &= ~now
+        if not todo.any():
+            return root
+        below = fm < t
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    raise SolverCapError("testing", 200)
+
+
+def _counted(f):
+    calls = [0]
+
+    def g(x):
+        calls[0] += 1
+        return f(x)
+
+    return g, calls
+
+
+def _square(x):
+    with np.errstate(over="ignore"):
+        return x * x
+
+
+_MONOTONE = {"x": lambda x: x, "x^2": _square, "sqrt": np.sqrt, "1e-5 x": lambda x: 1e-5 * x}
+_TARGETS = st.lists(
+    st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0**e), st.integers(-1074, 1023).map(lambda e: 2.0**e), st.just(0.0)),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_MONOTONE)),
+    targets=_TARGETS,
+    cap=st.sampled_from([1e3, 1e200, 1e300, 2.0, 2.0**10, 2.0**600, 2.0**1023]),
+)
+def test_galloping_bracket_equals_one_step_at_a_time(name, targets, cap):
+    f, t = _MONOTONE[name], np.array(targets)
+    try:
+        want = _linear_bracket(f, t, cap)
+    except BracketOverflowError as err:
+        with pytest.raises(BracketOverflowError) as got:
+            _bracket(f, t, cap, "testing")
+        assert got.value.y == err.y and got.value.cap == cap
+        return
+    lo, hi, flo, fhi = _bracket(f, t, cap, "testing")
+    assert lo.tobytes() == want[0].tobytes() and hi.tobytes() == want[1].tobytes()
+    # the values returned are f at the ends (0 at lo = 0, not probed at t <= 0)
+    assert fhi.tobytes() == f(hi).tobytes()
+    probed = (lo > 0.0) & (t > 0.0)
+    assert flo[probed].tobytes() == f(lo[probed]).tobytes() and not flo[~probed].any()
+
+
+def test_galloping_steps_singly_past_a_probe_where_f_raises():
+    # f stands for a nested solve that overflows its own cap beyond 1e6;
+    # the root 3e5 needs no probe there, but galloping would reach 2^33
+    def nested(x):
+        if (x > 1e6).any():
+            raise BracketOverflowError(float(x.max()), 1e6, "nested")
+        return x
+
+    t = np.array([3e5, 0.25, 7.0])
+    lo, hi, _, _ = _bracket(nested, t, 1e300, "testing")
+    want = _linear_bracket(lambda x: x, t, 1e300)
+    assert lo.tobytes() == want[0].tobytes() and hi.tobytes() == want[1].tobytes()
+    assert np.allclose(_find_root(nested, t, 1e300, "testing"), t, rtol=1e-12, atol=0.0)
+    # a raise at a single step is not a galloping probe's: it propagates
+    with pytest.raises(BracketOverflowError):
+        _bracket(nested, np.array([3e6]), 1e300, "testing")
+
+
+def test_norms_whose_galloping_probe_overflows_the_conjugate_still_solve():
+    # N of a tiny row under conj(xlog) sits near 2^-21: galloping up to
+    # 2^33 asks the numeric conjugate for a maximizer far past its cap
+    psi = catalog_pair("xlog").psi
+    A = np.array([[1e-6], [3e-7]])
+    n = luxemburg_batch(psi, A)
+    assert np.allclose(psi(A[:, 0] / n), 1.0, rtol=1e-9)
+
+
+_SMOOTH = {  # f and the largest target, 10^top (the xlog density's root e^(t-1) stays below 1e300)
+    "x^2": (_square, 12.0),
+    "expm1": (np.expm1, 12.0),
+    "xlog density": (young._xlog().derivative, 2.6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMOOTH))
+def test_itp_takes_at_most_one_step_more_than_bisection_per_element(name):
+    f, top = _SMOOTH[name]
+    rng = np.random.default_rng(0)
+    targets = np.concatenate([np.logspace(-12.0, top, 49), rng.uniform(0.0, 50.0, 40)])
+    itp_total = bisection_total = 0
+    for t in targets:
+        t = np.array([t])
+        g, itp = _counted(f)
+        x = _find_root(g, t, 1e300, "testing")
+        h, bisection = _counted(f)
+        ref = _bisection_root(h, t, 1e300)
+        assert np.abs(f(x) - t) <= 1e-12 * t and np.abs(f(ref) - t) <= 1e-12 * t
+        # a bisection midpoint that is the exact root (10 for t = 100 on x^2)
+        # is a lucky hit, not a step count ITP could be held to
+        assert itp[0] <= bisection[0] + 1 or f(ref) == t, (t, itp[0], bisection[0])
+        itp_total, bisection_total = itp_total + itp[0], bisection_total + bisection[0]
+    assert itp_total < 0.5 * bisection_total
+
+
+def _steep(x):
+    with np.errstate(over="ignore"):
+        return np.expm1(700.0 * (x - 1.0))
+
+
+def _power60(x):
+    with np.errstate(over="ignore"):
+        return x**60
+
+
+@pytest.mark.parametrize("f", [_steep, _power60, young._xlog().derivative], ids=["steep", "x^60", "xlog density"])
+@pytest.mark.parametrize("t", [1e-3, 1.0, 300.0])
+def test_itp_brackets_are_never_wider_than_bisection_one_step_behind(f, t):
+    # regula falsi stalls at one end of a strongly convex f; the projection
+    # keeps the bracket after step j within w0 2^-j all the same
+    t = np.array([t])
+    lo, hi = (float(end[0]) for end in _bracket(f, t, 1e300, "testing")[:2])
+    w0 = hi - lo
+    g, calls = _counted(f)
+    _bracket(g, t, 1e300, "testing")
+    skip, probes = calls[0], []
+
+    def recording(x):
+        if calls[0] >= skip:
+            probes.append(float(x[0]))
+        return g(x)
+
+    calls[0] = 0
+    _find_root(recording, t, 1e300, "testing")
+    for j, x in enumerate(probes):
+        lo, hi = (x, hi) if f(np.array([x]))[0] < t[0] else (lo, x)
+        assert hi - lo <= w0 * 0.5**j * (1.0 + 1e-12), (j, x)
+
+
+def test_hopeless_equivalence_candidates_stop_within_a_few_density_evaluations():
+    # conj(xlog) at c x for large c needs a maximizer near e^(c x - 1), far past
+    # its 1e200 cap: such a candidate raises after a galloping bracket, not 660 doublings
+    xlog = young._xlog()
+    density, calls = _counted(xlog.derivative)
+    psi = conjugate(YoungFunction(xlog.fn, "xlog", density), young._CATALOG_SEARCH)
+    per_candidate = []
+
+    def recorded(x):
+        before = calls[0]
+        try:
+            return psi(x)
+        except BracketOverflowError:
+            per_candidate.append(calls[0] - before)
+            raise
+
+    strong_equivalence(
+        YoungFunction(recorded, "conj(xlog)"), catalog_pair("cosh").phi, grid=np.logspace(-2, np.log10(30.0), 40)
+    )
+    assert per_candidate and max(per_candidate) < 60

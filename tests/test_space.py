@@ -308,3 +308,19 @@ def test_pointwise_maps_equal_the_dict_methods_bitwise(group):
             assert repr(list(got.items())) == repr(list(want.items()))  # signed zeros too
             assert got._rows.tolist() == want._rows.tolist()  # insertion order
 
+
+
+@pytest.mark.parametrize("group", [Z2, Group.heisenberg(), C7], ids=["Z2", "H3", "Z7"])
+def test_random_vectors_equal_the_scatter_add_path_bitwise(group):
+    # the drawn rows are distinct, so pruning zeros alone builds what summing would
+    for seed, radius, size in [(0, 1, 3), (1, 3, 6), (2, 4, 8), (3, 2, 40)]:
+        f = random_vector(group, np.random.default_rng(seed), radius, size)
+        rng = np.random.default_rng(seed)
+        ball = group.ball_array(radius)
+        k = min(size, len(ball))
+        idx = rng.choice(len(ball), size=k, replace=False)
+        amps = rng.uniform(-1.0, 1.0, size=(k, 2)).view(complex).ravel()
+        ref = OrliczVector._summed(group, ball[idx], amps)
+        assert len(f) == k
+        assert f._rows.tobytes() == ref._rows.tobytes()
+        assert f._amps.tobytes() == ref._amps.tobytes()

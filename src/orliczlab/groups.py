@@ -9,20 +9,23 @@ tuples so they hash and sort deterministically:
 - cyclic Z_n with generators +-1, coordinates reduced to [0, n).
 
 The word length tau(g) is the least number of generators whose product
-is g; it is symmetric and subadditive.  It is computed by breadth-first
-search from the identity with a memoized length table; for Z^d and Z_n
-a closed form (validated against BFS in the test suite) is used instead.
+is g; it is symmetric and subadditive.  For Z^d and Z_n a closed form is
+used; breadth-first search from the identity is the oracle for it (in the
+test suite) and the source of the lengths on H3.
 
 Array lookups go through one sorted index.  A RowIndex holds a
 lexicographically sorted (n, d) array K with its keys: rows offset into
 K's bounding box and linearised in mixed radix, so the order of keys is
 the order of rows; locate finds each row of a query with one searchsorted.
-The group keeps a RowIndex of its BFS table plus the lengths, rebuilt only
-when the table grows.  Balls are read from that index, in lexicographic
-coordinate order so every report is reproducible byte for byte, and
-tau_array on H3 looks word lengths up in it; on a miss it grows the table
-by BFS up to the first missing element (or raises RadiusCapError) and
-looks again.
+The BFS table is a RowIndex of every element found so far, an aligned
+array of their lengths, and the last sphere as the frontier.  A level
+grows as one product_array of the frontier by the generators, the unique
+rows of which not yet in the table form the next sphere; the element cap
+is checked before the table changes, so a MemoryCapError leaves it whole.
+Balls are read from the table, in lexicographic coordinate order so every
+report is reproducible byte for byte; word_length_bfs and tau_array on H3
+look lengths up in it, growing it a level at a time until every queried
+row is present or the radius cap raises RadiusCapError.
 
 multiply_array and invert_array apply the group law to broadcastable
 (..., d) coordinate arrays.
@@ -57,7 +60,6 @@ from .errors import (
 __all__ = [
     "Group",
     "RowIndex",
-    "locate",
     "Weight",
     "GrowthFit",
     "WeightAxiomsReport",
@@ -101,12 +103,6 @@ class RowIndex:
         return np.where(self._keys[pos] == key, pos, -1)
 
 
-def locate(K: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Row index in the nonempty, lexicographically sorted (n, d) array K of
-    each row of Q (shape (..., d)), or -1 where the row is absent."""
-    return RowIndex(K).locate(Q)
-
-
 class Group:
     """A finitely generated discrete group with tuple-coordinate elements."""
 
@@ -124,11 +120,11 @@ class Group:
         self.param = int(param)
         self.element_cap = element_cap or self.DEFAULT_ELEMENT_CAP
         self.radius_cap = self.DEFAULT_RADIUS_CAP
-        # memoized BFS state: length table plus the last completed frontier
-        self._lengths: dict = {self.identity(): 0}
-        self._frontier: list = [self.identity()]
-        self._built_radius = 0
-        self._sorted = None  # (RowIndex, lengths) of _lengths in row order
+        # the BFS table: sorted rows, their lengths, and the last sphere
+        self._frontier = np.zeros((1, self.dim), dtype=np.int64)
+        self._index = RowIndex(self._frontier)
+        self._tau = np.zeros(1, dtype=np.int64)
+        self._radius = 0
 
     # -- construction ------------------------------------------------------
 
@@ -168,15 +164,9 @@ class Group:
     @property
     def generators(self) -> tuple:
         """Symmetric generator set, identity excluded."""
-        if self.kind == "free_abelian":
-            gens = []
-            for i in range(self.param):
-                e = [0] * self.param
-                e[i] = 1
-                gens.append(tuple(e))
-                e[i] = -1
-                gens.append(tuple(e))
-            return tuple(gens)
+        if self.kind == "free_abelian":  # e_1, -e_1, e_2, -e_2, ...
+            d = self.param
+            return tuple(tuple(s * (j == i) for j in range(d)) for i in range(d) for s in (1, -1))
         if self.kind == "heisenberg3":
             return ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
         return ((1,), (self.param - 1,))
@@ -232,47 +222,49 @@ class Group:
         """Least n with g a product of n generators; 0 for the identity."""
         g = self.element(g)
         if self.kind == "free_abelian":
-            return int(sum(abs(a) for a in g))
+            return sum(map(abs, g))
         if self.kind == "cyclic":
-            k = g[0]
-            return int(min(k, self.param - k))
+            return min(g[0], self.param - g[0])
         return self.word_length_bfs(g)
 
     def word_length_bfs(self, g: Element, radius_cap: int | None = None) -> int:
         """BFS word length; the oracle for the closed forms above."""
-        g = self.element(g)
+        return int(self._lengths(self.coords_array([self.element(g)]), radius_cap)[0])
+
+    def _grow(self) -> None:
+        """Add the next sphere to the BFS table, or raise MemoryCapError and
+        leave the table as it was."""
+        P = self.product_array(self._frontier, self.coords_array(self.generators))
+        P = P.reshape(-1, self.dim)
+        rows = np.concatenate([self._index.rows, P])
+        order = np.lexsort(rows.T[::-1])  # stable, so a row of the table sorts first
+        srt = rows[order]
+        head = np.ones(len(rows), dtype=bool)  # first of a run of equal rows
+        head[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+        table, first = srt[head], order[head]
+        if len(first) > self.element_cap:
+            raise MemoryCapError(len(first), self.element_cap)
+        self._radius += 1
+        self._frontier = table[first >= len(self._tau)]
+        self._tau = np.append(self._tau, np.full(len(P), self._radius))[first]
+        self._index = RowIndex(table)
+
+    def _lengths(self, X: np.ndarray, radius_cap: int | None = None) -> np.ndarray:
+        """BFS word lengths of the rows of X (shape (..., d)), growing the
+        table until it holds every row; RadiusCapError when a row is still
+        missing at the radius cap or past a finite group's last sphere."""
         cap = radius_cap or self.radius_cap
-        while g not in self._lengths:
-            if self._built_radius >= cap or not self._frontier:
-                raise RadiusCapError(g, cap, self.element_cap)
-            self._grow_one_level()
-        return self._lengths[g]
-
-    def _grow_one_level(self) -> None:
-        nxt = []
-        r = self._built_radius + 1
-        for h in self._frontier:
-            for gen in self.generators:
-                m = self.multiply(h, gen)
-                if m not in self._lengths:
-                    self._lengths[m] = r
-                    nxt.append(m)
-                    if len(self._lengths) > self.element_cap:
-                        raise MemoryCapError(len(self._lengths), self.element_cap)
-        self._frontier = nxt
-        self._built_radius = r
-
-    def _view(self, radius: int = 0):
-        """Sorted index and lengths of the BFS table, grown to at least the
-        radius (when the group reaches it), rows in lexicographic order."""
-        while self._built_radius < radius and self._frontier:
-            self._grow_one_level()
-        if self._sorted is None or len(self._sorted[1]) != len(self._lengths):
-            K = self.coords_array(list(self._lengths))
-            L = np.fromiter(self._lengths.values(), dtype=np.int64, count=len(K))
-            order = np.lexsort(K.T[::-1])
-            self._sorted = (RowIndex(K[order]), L[order])
-        return self._sorted
+        flat = X.reshape(-1, self.dim)
+        pos = self._index.locate(flat)
+        out, todo = self._tau[pos], np.flatnonzero(pos < 0)  # a miss reads a placeholder
+        while todo.size:
+            if self._radius >= cap or not len(self._frontier):
+                raise RadiusCapError(tuple(flat[todo[0]].tolist()), cap, self.element_cap)
+            self._grow()
+            pos = self._index.locate(flat[todo])
+            out[todo] = self._tau[pos]
+            todo = todo[pos < 0]
+        return out.reshape(X.shape[:-1])
 
     def ball(self, radius: int) -> list:
         """All elements of word length <= radius, lexicographically sorted."""
@@ -280,14 +272,15 @@ class Group:
 
     def ball_array(self, radius: int) -> np.ndarray:
         """The ball as a new (n, d) int64 array of coordinate rows, in the
-        order of ball."""
+        order of ball; the table grows to the radius or the group's last sphere."""
         if radius < 0:
             raise InputError("radius must be nonnegative")
-        index, L = self._view(radius)
-        return index.rows[L <= radius]
+        while self._radius < radius and len(self._frontier):
+            self._grow()
+        return self._index.rows[self._tau <= radius]
 
     def ball_count(self, radius: int) -> int:
-        return int(np.count_nonzero(self._view(radius)[1] <= radius))
+        return len(self.ball_array(radius))
 
     # -- vectorized helpers ---------------------------------------------------
 
@@ -323,13 +316,7 @@ class Group:
         if self.kind == "cyclic":
             k = coords[..., 0] % self.param
             return np.minimum(k, self.param - k)
-        while True:
-            index, L = self._view()
-            idx = index.locate(coords)
-            missing = np.flatnonzero(idx < 0)
-            if not missing.size:
-                return L[idx]
-            self.word_length_bfs(coords.reshape(-1, 3)[missing[0]])  # grows or raises
+        return self._lengths(coords)
 
     # -- growth ---------------------------------------------------------------
 

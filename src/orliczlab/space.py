@@ -44,9 +44,10 @@ solve stops at its own first converged step and the Amemiya bracket
 widens per row, so a row's answer never depends on its batch mates: a
 batch of equal-width rows equals its one-row solves bit for bit.
 Zero-padded rows are invisible to every modular (Phi(0) = 0) but change
-numpy's row-sum association, so orlicz_norms and luxemburg_norms bucket
-vectors by support size and never pad; orlicz_norm and luxemburg_norm
-are their one-vector case.
+numpy's row-sum association, so orlicz_gauges, orlicz_norms and
+luxemburg_norms bucket vectors by support size and never pad; orlicz_norm,
+luxemburg_norm and norm_report are their one-vector case.  Only callers of
+amplitude_matrix pad.
 
 membership_diagnostic probes whether sum_s Psi(alpha h(s)) converges as
 the summation ball grows, for each requested alpha -- a finite-radius
@@ -77,6 +78,7 @@ __all__ = [
     "luxemburg_norms",
     "orlicz_norm",
     "orlicz_norms",
+    "orlicz_gauges",
     "norm_report",
     "holder_gap",
     "weighted_norm",
@@ -373,21 +375,22 @@ def luxemburg_batch(phi: YoungFunction, A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bucketed(solve: Callable, vectors) -> np.ndarray:
-    """solve(A) on the amplitude rows of the vectors, one call per support
-    size (unpadded, so each row sums as it would alone); zero vectors give 0."""
+def _bucketed(solve: Callable, vectors, k: int = 1) -> np.ndarray:
+    """The (k, len(vectors)) values of solve(A) on the amplitude rows of the
+    vectors, one call per support size (unpadded, so each row sums as it
+    would alone); zero vectors give 0."""
     vectors = list(vectors)
     sizes = np.array([len(v) for v in vectors], dtype=np.int64)
-    out = np.zeros(len(vectors))
+    out = np.zeros((k, len(vectors)))
     for n in np.unique(sizes[sizes > 0]):
         idx = np.flatnonzero(sizes == n)
-        out[idx] = solve(np.stack([vectors[i].abs_amplitudes() for i in idx]))
+        out[:, idx] = solve(np.stack([vectors[i].abs_amplitudes() for i in idx]))
     return out
 
 
 def luxemburg_norms(phi: YoungFunction, vectors) -> np.ndarray:
     """Luxemburg norms of the vectors, each equal to its luxemburg_norm bit for bit."""
-    return _bucketed(lambda A: luxemburg_batch(phi, A), vectors)
+    return _bucketed(lambda A: luxemburg_batch(phi, A), vectors)[0]
 
 
 def luxemburg_norm(phi: YoungFunction, f: OrliczVector) -> float:
@@ -496,9 +499,16 @@ class NormReport:
     method_agreement: float
 
 
+def orlicz_gauges(pair: ComplementaryPair, vectors) -> np.ndarray:
+    """(norms, agreement gaps, Luxemburg norms N_Phi) of the vectors as the
+    rows of a (3, len(vectors)) array, each column equal to its vector's
+    norm_report bit for bit."""
+    return _bucketed(lambda A: _orlicz_gauge_batch(pair, A), vectors, 3)
+
+
 def orlicz_norms(pair: ComplementaryPair, vectors) -> np.ndarray:
     """Orlicz norms of the vectors, each equal to its orlicz_norm bit for bit."""
-    return _bucketed(lambda A: orlicz_batch(pair, A)[0], vectors)
+    return orlicz_gauges(pair, vectors)[0]
 
 
 def orlicz_norm(pair: ComplementaryPair, f: OrliczVector) -> float:
@@ -506,10 +516,8 @@ def orlicz_norm(pair: ComplementaryPair, f: OrliczVector) -> float:
 
 
 def norm_report(pair: ComplementaryPair, f: OrliczVector) -> NormReport:
-    if not f:
-        return NormReport(0.0, 0.0, 0.0)
-    norms, gaps, lux = _orlicz_gauge_batch(pair, f.abs_amplitudes()[None, :])
-    return NormReport(float(lux[0]), float(norms[0]), float(gaps[0]))
+    norm, gap, lux = orlicz_gauges(pair, [f])[:, 0].tolist()
+    return NormReport(lux, norm, gap)
 
 
 def holder_gap(pair: ComplementaryPair, f: OrliczVector, g: OrliczVector) -> float:

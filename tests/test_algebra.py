@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,3 +391,24 @@ def test_dual_action_norm_bound_with_probed_constant():
         lhs = orlicz_norm(pair.flip(), action)
         rhs = 2.0 * c_hat * orlicz_norm(pair, g) * luxemburg_norm(pair.psi, h)
         assert lhs <= rhs + 1e-9
+
+
+def test_polynomial_growth_probes_on_the_heisenberg_group():
+    # the dominating pair |Om| <= u + v and the norm constant c_hat on H3(Z),
+    # a group of polynomial growth, at |B_5| = 299 and |B_6| = 593
+    heis = Group.heisenberg()
+    tracemalloc.start()
+    try:
+        for w in (polynomial_weight(heis, 1.0), polynomial_weight(heis, 2.0),
+                  subexp_weight(heis, 0.5, 1.0)):
+            for radius in (5, 6):
+                assert decomposition_witness(coboundary_from_weight(w), radius).max_violation <= 0.0
+        spec = algebra.ProbeSpec(radii=(5, 6), samples=60)
+        om = coboundary_from_weight(polynomial_weight(heis, 2.0))
+        rows = algebra.submultiplicativity_probe(catalog_pair("pnorm:2"), om, spec).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r[0] for r in rows] == [5, 6]
+    assert all(math.isfinite(c_hat) and c_hat > 0.0 for _, c_hat, _ in rows)
+    assert peak <= 64 * 2**20, peak

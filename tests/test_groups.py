@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from orliczlab.errors import GroupMismatchError, InputError, MemoryCapError, RadiusCapError
 from orliczlab.groups import (
     Group,
-    locate,
+    RowIndex,
     polynomial_weight,
     product_weight,
     subexp_log_weight,
@@ -151,6 +151,59 @@ def test_memory_cap_carries_partial_count():
     assert err.value.partial_count > 30
 
 
+@pytest.mark.parametrize(
+    ("kind", "param", "cap", "radius", "count"),
+    [("free_abelian", 2, 30, 6, 85), ("heisenberg3", 3, 40, 5, 299)],
+)
+def test_a_memory_cap_error_leaves_the_table_intact(kind, param, cap, radius, count):
+    group = Group(kind, param, element_cap=cap)
+    with pytest.raises(MemoryCapError):
+        group.ball(10)
+    group.element_cap = Group.DEFAULT_ELEMENT_CAP
+    assert group.ball_count(radius) == count
+    for g in group.ball(radius):
+        assert group.word_length_bfs(g) == group.word_length(g)
+
+
+def _reference_bfs(group, radius):
+    """The scalar dict BFS: every element of length <= radius with its length."""
+    lengths, frontier = {group.identity(): 0}, [group.identity()]
+    for r in range(1, radius + 1):
+        nxt = []
+        for h in frontier:
+            for gen in group.generators:
+                m = group.multiply(h, gen)
+                if m not in lengths:
+                    lengths[m] = r
+                    nxt.append(m)
+        frontier = nxt
+    return lengths
+
+
+@pytest.mark.parametrize(
+    ("make", "radius"),
+    [
+        (lambda: Group.free_abelian(1), 8),
+        (lambda: Group.free_abelian(2), 6),
+        (lambda: Group.free_abelian(3), 4),
+        (Group.heisenberg, 5),
+        (lambda: Group.cyclic(9), 6),
+    ],
+)
+def test_the_bfs_table_does_not_depend_on_how_it_was_grown(make, radius):
+    lengths = _reference_bfs(make(), radius)
+    want = make().coords_array(sorted(g for g, n in lengths.items() if n <= radius))
+    far = max(lengths, key=lengths.get)  # an element of the last sphere
+    by_miss, by_ball, by_bfs = make(), make(), make()
+    by_miss._lengths(by_miss.coords_array([far]))  # the lookup behind tau_array on H3
+    by_ball.ball(radius)
+    by_bfs.word_length_bfs(far)
+    for group in (by_miss, by_ball, by_bfs):
+        X = group.ball_array(radius)
+        assert X.tobytes() == want.tobytes()
+        assert group._lengths(X).tolist() == [lengths[g] for g in map(tuple, X.tolist())]
+
+
 def test_radius_cap_error_for_unreachable_element():
     heis = Group.heisenberg()
     with pytest.raises(RadiusCapError) as err:
@@ -256,13 +309,13 @@ def test_locate_matches_a_dict_oracle():
     Q = np.array(list(index) + absent + outside, dtype=np.int64)
     rng.shuffle(Q)
     want = [index.get(tuple(row), -1) for row in Q.tolist()]
-    assert locate(K, Q).tolist() == want
-    assert locate(K, np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+    assert RowIndex(K).locate(Q).tolist() == want
+    assert RowIndex(K).locate(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
     # 3-coordinate rows, queried as a (4, 5, 3) array
     K3 = np.unique(rng.integers(-3, 4, size=(80, 3)), axis=0)
     index3 = {tuple(row): i for i, row in enumerate(K3.tolist())}
     Q3 = rng.integers(-4, 5, size=(4, 5, 3))
-    got = locate(K3, Q3)
+    got = RowIndex(K3).locate(Q3)
     assert got.shape == (4, 5)
     assert got.ravel().tolist() == [index3.get(tuple(r), -1) for r in Q3.reshape(-1, 3).tolist()]
 

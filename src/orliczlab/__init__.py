@@ -77,7 +77,6 @@ from .young import (
     ComplementaryPair,
     Delta2Result,
     EquivalenceResult,
-    SearchSpec,
     Tolerances,
     YoungFunction,
     build_from_generator,

@@ -106,13 +106,12 @@ def _kernel_sum(outer: OrliczVector, inner: OrliczVector, place: str, kernel=Non
         place "y^-1x":  s = y^{-1} x,   kernel(y, s).
     The kernel is an array function of two (n, d) coordinate arrays, giving
     the n complex values at their pairs.  With no kernel the term is a * b
-    (no multiplication by a unit).  Pairs run over the sorted outer support,
-    then the sorted inner support, and the terms are scatter-added in that
-    order.
+    (no multiplication by a unit).  Pairs run over the outer support, then
+    the inner support, each in its sorted store order, and the terms are
+    scatter-added in that order.
     """
     group = _same_group(outer, inner)
-    p, q = np.divmod(np.arange(len(outer) * len(inner)), max(len(inner), 1))
-    p, q = outer._order()[p], inner._order()[q]  # the pairs, in double-loop order
+    p, q = np.divmod(np.arange(len(outer) * len(inner)), max(len(inner), 1))  # double-loop order
     X, Y = outer._rows[p], inner._rows[q]
     if place == "xy":
         T = group.multiply_array(X, Y)

@@ -19,13 +19,14 @@ K's bounding box and linearised in mixed radix, so the order of keys is
 the order of rows; locate finds each row of a query with one searchsorted.
 The BFS table is a RowIndex of every element found so far, an aligned
 array of their lengths, and the last sphere as the frontier.  A level
-grows as one product_array of the frontier by the generators, the unique
-rows of which not yet in the table form the next sphere; the element cap
-is checked before the table changes, so a MemoryCapError leaves it whole.
-Balls are read from the table, in lexicographic coordinate order so every
-report is reproducible byte for byte; word_length_bfs and tau_array on H3
-look lengths up in it, growing it a level at a time until every queried
-row is present or the radius cap raises RadiusCapError.
+grows as one product_array of the frontier by the generators and one
+_sorted_runs, the stable sort-and-dedupe the vectors of the space module
+share; the unique rows not yet in the table form the next sphere, and the
+element cap is checked before the table changes, so a MemoryCapError
+leaves it whole.  Balls are read from the table, in lexicographic
+coordinate order so every report is reproducible byte for byte;
+bfs_lengths looks lengths up in it, growing it a level at a time until
+every queried row is present or the radius cap raises RadiusCapError.
 
 multiply_array and invert_array apply the group law to broadcastable
 (..., d) coordinate arrays.
@@ -72,6 +73,17 @@ __all__ = [
 ]
 
 Element = tuple
+
+
+def _sorted_runs(rows: np.ndarray):
+    """(order, rows[order], head) for an (n, d) coordinate array: the stable
+    lexicographic order of its rows, so equal rows keep their input order,
+    and the mask of the first row of each run of equal sorted rows."""
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    return order, srt, head
 
 
 class RowIndex:
@@ -229,19 +241,15 @@ class Group:
 
     def word_length_bfs(self, g: Element, radius_cap: int | None = None) -> int:
         """BFS word length; the oracle for the closed forms above."""
-        return int(self._lengths(self.coords_array([self.element(g)]), radius_cap)[0])
+        return int(self.bfs_lengths(self.coords_array([self.element(g)]), radius_cap)[0])
 
     def _grow(self) -> None:
         """Add the next sphere to the BFS table, or raise MemoryCapError and
         leave the table as it was."""
         P = self.product_array(self._frontier, self.coords_array(self.generators))
         P = P.reshape(-1, self.dim)
-        rows = np.concatenate([self._index.rows, P])
-        order = np.lexsort(rows.T[::-1])  # stable, so a row of the table sorts first
-        srt = rows[order]
-        head = np.ones(len(rows), dtype=bool)  # first of a run of equal rows
-        head[1:] = np.any(srt[1:] != srt[:-1], axis=1)
-        table, first = srt[head], order[head]
+        order, srt, head = _sorted_runs(np.concatenate([self._index.rows, P]))
+        table, first = srt[head], order[head]  # a row of the table heads its run
         if len(first) > self.element_cap:
             raise MemoryCapError(len(first), self.element_cap)
         self._radius += 1
@@ -249,7 +257,7 @@ class Group:
         self._tau = np.append(self._tau, np.full(len(P), self._radius))[first]
         self._index = RowIndex(table)
 
-    def _lengths(self, X: np.ndarray, radius_cap: int | None = None) -> np.ndarray:
+    def bfs_lengths(self, X: np.ndarray, radius_cap: int | None = None) -> np.ndarray:
         """BFS word lengths of the rows of X (shape (..., d)), growing the
         table until it holds every row; RadiusCapError when a row is still
         missing at the radius cap or past a finite group's last sphere."""
@@ -316,7 +324,7 @@ class Group:
         if self.kind == "cyclic":
             k = coords[..., 0] % self.param
             return np.minimum(k, self.param - k)
-        return self._lengths(coords)
+        return self.bfs_lengths(coords)
 
     # -- growth ---------------------------------------------------------------
 

@@ -87,7 +87,6 @@ from .space import (
 )
 from .young import (
     ComplementaryPair,
-    SearchSpec,
     Tolerances,
     YoungFunction,
     catalog_names,
@@ -437,16 +436,15 @@ def _closed_form_gaps(grid, side, ref):
     """Relative gaps of conj(side(pair)) from ref(pair) over the closed-form families."""
     for name in ("pnorm:1.5", "pnorm:2", "pnorm:3", "expm"):
         pair = catalog_pair(name)
-        num = conjugate(side(pair), SearchSpec(bracket_cap=1e200))
+        num = conjugate(side(pair), 1e200)
         yield _rel_err(num(grid), np.asarray(ref(pair), dtype=float))
 
 
 @_law("young", "biconjugation", "conj(conj(Phi)) == Phi on the probe grid (relative)", 1e-6)
 def _biconjugation(_run, _seed):
     probe = np.logspace(-2, 1, 30)
-    spec = SearchSpec(bracket_cap=1e200)
     for pair in _catalog():
-        bi = conjugate(conjugate(pair.phi, spec), spec)
+        bi = conjugate(conjugate(pair.phi, 1e200), 1e200)
         yield _rel_err(bi(probe), np.asarray(pair.phi(probe), dtype=float))
 
 
@@ -1189,18 +1187,11 @@ def _small_groups(z2_radius, heis_radius):
     return ((_Z2(), z2_radius), (Group.heisenberg(), heis_radius), (_C7(), 3))
 
 
-def _length_gaps(groups, other_length):
-    """|tau(g) - other_length(group, g)| over the (group, radius) balls."""
-    for group, radius in groups:
-        for g in group.ball(radius):
-            yield abs(group.word_length(g) - other_length(group, g))
-
-
 @_law("growth", "word-length-symmetry", "tau(g) == tau(g^-1)", 0.0)
 def _word_length_symmetry(_run, _seed):
-    yield from _length_gaps(
-        _small_groups(8, 5), lambda group, g: group.word_length(group.invert(g))
-    )
+    for group, radius in _small_groups(8, 5):
+        X = group.ball_array(radius)
+        yield np.abs(group.tau_array(X) - group.tau_array(group.invert_array(X)))
 
 
 @_law("growth", "word-length-subadditive", "tau(gh) <= tau(g) + tau(h)", 0.0)
@@ -1233,7 +1224,9 @@ def _bfs_oracle(_run, _seed):
         (Group.free_abelian(3), 6),
         (Group.cyclic(9), 4),
     )
-    yield from _length_gaps(groups, Group.word_length_bfs)
+    for group, radius in groups:
+        X = group.ball_array(radius)
+        yield np.abs(group.tau_array(X) - group.bfs_lengths(X))
 
 
 @_law(

@@ -27,16 +27,17 @@ stop rule and one overflow policy hold throughout: a bracket growing past
 1e300 raises BracketOverflowError and a solve that runs out of steps
 raises SolverCapError; no solver returns an unconverged value.
 
-A vector is stored as an (n, d) int64 array of distinct coordinate rows
-and an (n,) complex array of amplitudes, in the order of first insertion.
-The constructor, + and the kernels of the algebra module all end in one
-scatter-add: equal rows sum from 0.0 in input order, rows keep the order
-of their first occurrence, and exact zeros are pruned.  scale, abs and
-the pointwise maps by an array function of the rows keep the rows in
-their order and only prune zeros; they form products, quotients by a real
-and moduli as CPython does, so each entry equals the scalar computation
-bit for bit.  l1 and pairing sum in insertion order; items, support and
-abs_amplitudes sort on demand.
+A vector is stored as an (n, d) int64 array of coordinate rows and an
+(n,) complex array of amplitudes.  The rows are distinct, their
+amplitudes nonzero, and they are in lexicographic order: one canonical
+form, whatever order the entries came in.  The constructor, + and the
+kernels of the algebra module all end in one scatter-add, which returns
+the rows sorted: equal rows sum from 0.0 in input order and exact zeros
+are pruned.  scale, abs and the pointwise maps by an array function of
+the rows keep the rows and only prune zeros; they form products,
+quotients by a real and moduli as CPython does, so each entry equals the
+scalar computation bit for bit.  items, support, abs_amplitudes, l1 and
+pairing all read the store in row order.
 
 The norms satisfy N(f) <= |f| <= 2 N(f).  Batched variants run whole
 sweeps of vectors through the same solvers at once.  Every element of a
@@ -64,7 +65,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import GroupMismatchError, InputError, MethodDisagreementError, SolverCapError
-from .groups import Group, Weight
+from .groups import Group, Weight, _sorted_runs
 from .young import ComplementaryPair, YoungFunction, _find_root, _golden_min
 
 __all__ = [
@@ -119,24 +120,17 @@ def cdiv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _scatter_add(rows: np.ndarray, amps: np.ndarray):
-    """Sum the amplitudes of equal coordinate rows.
+    """Sum the amplitudes of equal coordinate rows, in sorted row order.
 
-    Each sum starts from 0.0 and adds its amplitudes in input order; the
-    distinct rows keep the order of their first occurrence; sums that are
-    exactly zero are dropped.
+    Each sum starts from 0.0 and adds its amplitudes in input order (the
+    sort is stable); sums that are exactly zero are dropped.
     """
-    order = np.lexsort(rows.T[::-1])  # stable, so equal rows stay in input order
-    srt = rows[order]
-    head = np.ones(len(rows), dtype=bool)  # first entry of a run of equal rows
-    head[1:] = np.logical_or.reduce(srt[1:] != srt[:-1], axis=1)
-    if np.count_nonzero(head) == len(head):
-        sums = amps
-    else:
+    order, srt, head = _sorted_runs(rows)
+    amps = amps[order]
+    if not head.all():
         run = head.cumsum() - 1
-        sums = complex_array(np.bincount(run, amps.real[order]), np.bincount(run, amps.imag[order]))
-        first = order[head].argsort()  # the runs in order of first occurrence
-        sums, rows = sums[first], srt[head][first]
-    return _pruned(rows, sums)
+        amps = complex_array(np.bincount(run, amps.real), np.bincount(run, amps.imag))
+    return _pruned(srt[head], amps)
 
 
 def _pruned(rows: np.ndarray, amps: np.ndarray):
@@ -150,8 +144,9 @@ def _pruned(rows: np.ndarray, amps: np.ndarray):
 class OrliczVector:
     """Finitely supported complex amplitudes on group elements.
 
-    The store is an (n, d) int64 array of distinct coordinate rows and an
-    (n,) complex array of their amplitudes, in the order of first insertion.
+    The store is an (n, d) int64 array of distinct coordinate rows, in
+    lexicographic order, and an (n,) complex array of their nonzero
+    amplitudes.
     """
 
     __slots__ = ("group", "_rows", "_amps")
@@ -178,8 +173,8 @@ class OrliczVector:
 
     @classmethod
     def _distinct(cls, group: Group, rows: np.ndarray, amps: np.ndarray) -> "OrliczVector":
-        """The vector of distinct coordinate rows made inside the package;
-        only exact zeros are pruned, as the scatter-add would prune them."""
+        """The vector of distinct, sorted coordinate rows made inside the
+        package; only exact zeros are pruned, as the scatter-add would prune them."""
         f = cls.__new__(cls)
         f.group = group
         f._rows, f._amps = _pruned(rows, amps)
@@ -197,17 +192,9 @@ class OrliczVector:
 
     # -- views ---------------------------------------------------------------
 
-    def _order(self) -> np.ndarray:
-        """Positions of the entries in support order."""
-        return np.lexsort(self._rows.T[::-1])
-
-    def _entries(self, idx=slice(None)):
-        """(element, amplitude) pairs at the positions idx, in insertion order by default."""
-        return zip(map(tuple, self._rows[idx].tolist()), self._amps[idx].tolist())
-
     @property
     def support(self) -> tuple:
-        return tuple(g for g, _ in self.items())
+        return tuple(map(tuple, self._rows.tolist()))
 
     def __len__(self) -> int:
         return len(self._amps)
@@ -219,15 +206,14 @@ class OrliczVector:
         return f"OrliczVector({len(self)} points on {self.group!r})"
 
     def amplitude(self, g) -> complex:
-        return dict(self._entries()).get(g, 0.0 + 0.0j)
+        return dict(self.items()).get(g, 0.0 + 0.0j)
 
     def items(self):
-        """(element, amplitude) pairs in deterministic support order."""
-        return self._entries(self._order())
+        """(element, amplitude) pairs in support order."""
+        return zip(self.support, self._amps.tolist())
 
     def abs_amplitudes(self) -> np.ndarray:
-        a = self._amps[self._order()]
-        return np.hypot(a.real, a.imag)
+        return np.hypot(self._amps.real, self._amps.imag)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -274,8 +260,8 @@ class OrliczVector:
         if self.group != other.group:
             raise GroupMismatchError("vectors live on different groups")
         small, big = (self, other) if len(self) <= len(other) else (other, self)
-        at = dict(big._entries())
-        return sum((a * at[g] for g, a in small._entries() if g in at), 0.0 + 0.0j)
+        at = dict(big.items())
+        return sum((a * at[g] for g, a in small.items() if g in at), 0.0 + 0.0j)
 
     def distance_l1(self, other: "OrliczVector") -> float:
         return (self - other).l1()
@@ -289,7 +275,8 @@ def random_vector(
     k = min(size, len(ball))
     idx = rng.choice(len(ball), size=k, replace=False)  # distinct rows: nothing to sum
     amps = rng.uniform(-1.0, 1.0, size=(k, 2)).view(complex).ravel()  # a + bj, exactly
-    return OrliczVector._distinct(group, ball[idx], amps)
+    up = idx.argsort()  # the ball is sorted, so its rows in index order are too
+    return OrliczVector._distinct(group, ball[idx[up]], amps[up])
 
 
 def amplitude_matrix(vectors) -> np.ndarray:
@@ -534,16 +521,9 @@ def holder_gap(pair: ComplementaryPair, f: OrliczVector, g: OrliczVector) -> flo
     return bound - pointwise
 
 
-def weighted_norm(
-    pair: ComplementaryPair, w: Weight, f: OrliczVector, kind: str = "orlicz"
-) -> float:
-    """Norm of the pointwise product f * w (the weighted-space norm)."""
-    fw = f.pointwise_mul(w.at)
-    if kind == "orlicz":
-        return orlicz_norm(pair, fw)
-    if kind == "luxemburg":
-        return luxemburg_norm(pair.phi, fw)
-    raise InputError(f"unknown norm kind {kind!r}")
+def weighted_norm(pair: ComplementaryPair, w: Weight, f: OrliczVector) -> float:
+    """Orlicz norm of the pointwise product f * w (the weighted-space norm)."""
+    return orlicz_norm(pair, f.pointwise_mul(w.at))
 
 
 # ---------------------------------------------------------------------------

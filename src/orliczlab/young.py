@@ -41,7 +41,6 @@ from .errors import (
 
 __all__ = [
     "Tolerances",
-    "SearchSpec",
     "YoungFunction",
     "ComplementaryPair",
     "conjugate",
@@ -71,19 +70,6 @@ class Tolerances:
 
     def slack(self, b):
         return self.absolute + self.relative * np.abs(b)
-
-
-@dataclass(frozen=True)
-class SearchSpec:
-    """Controls for conjugation searches.
-
-    The maximizer is bracketed geometrically from 1; a bracket that grows
-    past bracket_cap raises BracketOverflowError naming the offending y and
-    the cap.  The stop rules are fixed and shared with the
-    norm solvers.
-    """
-
-    bracket_cap: float = 1e3
 
 
 # the density-integral construction: monotonicity probe grid, quadrature
@@ -360,17 +346,19 @@ def _golden_min(h: Callable, a, b, task: str) -> np.ndarray:
 # conjugation
 
 
-def conjugate(phi: YoungFunction, spec: SearchSpec | None = None) -> YoungFunction:
+def conjugate(phi: YoungFunction, cap: float = 1e3) -> YoungFunction:
     """The complementary function y -> sup_x (x*y - Phi(x)).
 
     When phi carries a density the supremum is located by solving
     gen(x) = y with the shared root finder; otherwise by golden section on
     x*y - Phi(x), bracketed in [x, 4x] where the chord slope
     (Phi(2x) - Phi(x))/x crosses y.  Both evaluate all y in one vectorized
-    call.  The returned function carries the maximizer as its derivative,
-    which is exact for conjugates of smooth strictly convex functions.
+    call.  The maximizer is bracketed geometrically from 1, and a bracket
+    that grows past cap raises BracketOverflowError naming the offending y
+    and the cap; the stop rules are the norm solvers'.  The returned
+    function carries the maximizer as its derivative, which is exact for
+    conjugates of smooth strictly convex functions.
     """
-    cap = (spec or SearchSpec()).bracket_cap
     gen = phi.derivative
     fn = phi.fn
 
@@ -623,7 +611,7 @@ def strong_equivalence(
 # Numeric partners of the exp-type entries need enormous maximizers
 # (for Phi = x*ln(1+x) the optimum at y sits near e^{y-1}), so catalog
 # conjugates get a much larger bracket cap than the 1e3 default.
-_CATALOG_SEARCH = SearchSpec(bracket_cap=1e200)
+_CATALOG_CAP = 1e200
 
 
 def _pnorm_fn(p: float) -> YoungFunction:
@@ -711,10 +699,10 @@ def catalog_pair(name: str) -> ComplementaryPair:
         return pnorm_pair(float(name.split(":", 1)[1]))
     if name == "xlog":
         phi = _xlog()
-        return ComplementaryPair(phi, conjugate(phi, _CATALOG_SEARCH), numeric_side="psi")
+        return ComplementaryPair(phi, conjugate(phi, _CATALOG_CAP), numeric_side="psi")
     if name == "cosh":
         phi = _coshm()
-        return ComplementaryPair(phi, conjugate(phi, _CATALOG_SEARCH), numeric_side="psi")
+        return ComplementaryPair(phi, conjugate(phi, _CATALOG_CAP), numeric_side="psi")
     if name == "expm":
         phi = _expm()
         psi = _expm_conjugate()

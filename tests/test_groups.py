@@ -195,13 +195,13 @@ def test_the_bfs_table_does_not_depend_on_how_it_was_grown(make, radius):
     want = make().coords_array(sorted(g for g, n in lengths.items() if n <= radius))
     far = max(lengths, key=lengths.get)  # an element of the last sphere
     by_miss, by_ball, by_bfs = make(), make(), make()
-    by_miss._lengths(by_miss.coords_array([far]))  # the lookup behind tau_array on H3
+    by_miss.bfs_lengths(by_miss.coords_array([far]))  # the lookup behind tau_array on H3
     by_ball.ball(radius)
     by_bfs.word_length_bfs(far)
     for group in (by_miss, by_ball, by_bfs):
         X = group.ball_array(radius)
         assert X.tobytes() == want.tobytes()
-        assert group._lengths(X).tolist() == [lengths[g] for g in map(tuple, X.tolist())]
+        assert group.bfs_lengths(X).tolist() == [lengths[g] for g in map(tuple, X.tolist())]
 
 
 def test_radius_cap_error_for_unreachable_element():

@@ -6,13 +6,14 @@ over dict-backed vectors, kept here as the reference: same pair order
 and one dict accumulator per target, each sum starting from 0.0.  It gives
 its entries as plain Python values (coordinate lists and complex numbers,
 exact zeros dropped), so the reference shares none of the package's
-normalisation.  The array kernel must reproduce the entries, their order
-and the bits of the sums read from them.
+normalisation.  The array kernel must reproduce the entries, sorted by
+row, and the bits of the sums read from them.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from orliczlab.cocycles import (
     trivial_cocycle,
 )
 from orliczlab.groups import Group, polynomial_weight, subexp_log_weight, subexp_weight
-from orliczlab.space import OrliczVector
+from orliczlab.space import OrliczVector, random_vector
 
 GROUPS = (Group.free_abelian(2), Group.heisenberg(), Group.cyclic(7))
 
@@ -122,10 +123,38 @@ def test_array_kernel_matches_the_dict_loop(data, name, group):
     u, v, w = (OrliczVector(group, data.draw(_raw_vector(group))) for _ in range(3))
     fast, reference = PRODUCTS[name]
     got, want = fast(om, u, v), reference(om, u, v)
-    # rows in the dict's insertion order; amplitudes to the bit, signed zeros too
+    # rows in sorted order; amplitudes to the bit, signed zeros too
+    want = sorted(want)
     assert repr(list(zip(got._rows.tolist(), got._amps.tolist()))) == repr(want)
     assert got.l1() == sum(abs(a) for _, a in want)
-    mine, theirs = [(tuple(r), a) for r, a in want], list(w._entries())
+    mine, theirs = [(tuple(r), a) for r, a in want], list(w.items())
     small, big = (mine, theirs) if len(mine) <= len(theirs) else (theirs, mine)  # as pairing does
     at = dict(big)
     assert got.pairing(w) == sum((a * at[g] for g, a in small if g in at), 0.0 + 0.0j)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=repr)
+def test_every_path_that_makes_a_vector_keeps_its_rows_strictly_increasing(group):
+    rng = np.random.default_rng(13)
+    lo, hi = (-9, 16) if group.kind == "cyclic" else (-3, 3)  # on Z_7, entries alias
+
+    def raw(n):
+        rows = rng.integers(lo, hi + 1, size=(n, group.dim)).tolist()
+        return [(tuple(r), complex(*rng.uniform(-2.0, 2.0, 2))) for r in rows]
+
+    f, g, h = (OrliczVector(group, raw(n)) for n in (9, 7, 8))
+    om, w = _families(group)[-3], polynomial_weight(group, 1.0)
+    made = [
+        OrliczVector(Group.cyclic(7), [((5,), 1.0), ((9,), 1.0), ((2,), 1.0), ((-6,), 1.0)]),
+        f, g, h, f + g, f - g, f.reverse(), f.scale(2.0 - 1.0j), f.abs(),
+        f.pointwise_mul(w.at), f.pointwise_div(w.at),
+        random_vector(group, rng, 3, 8),
+        algebra.twisted_convolve_naive(om.value, f, g),
+        algebra.module_action_left_naive(om.value, g, h),
+        algebra.module_action_right_naive(om.value, h, g),
+    ]
+    made += [fast(om, f, g) for fast, _ in PRODUCTS.values()]
+    for v in made:
+        rows = v._rows.tolist()
+        assert len(rows) >= 3
+        assert all(a < b for a, b in zip(rows, rows[1:])), rows

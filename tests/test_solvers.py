@@ -24,7 +24,6 @@ from orliczlab.space import (
     random_vector,
 )
 from orliczlab.young import (
-    SearchSpec,
     YoungFunction,
     _bracket,
     _find_root,
@@ -74,7 +73,7 @@ def test_small_conjugate_arguments_do_not_raise():
     phi = catalog_pair("pnorm:2").phi
     assert conjugate(phi)(1e-3) == pytest.approx(5e-7, rel=1e-12)  # default cap 1e3
     assert conjugate(phi)(1e-4) == pytest.approx(5e-9, rel=1e-12)
-    maximizer = conjugate(phi, SearchSpec(bracket_cap=1e200)).derivative
+    maximizer = conjugate(phi, 1e200).derivative
     assert maximizer(1e-250) == pytest.approx(1e-250, rel=1e-12)
     bare = YoungFunction(fn=lambda x: np.asarray(x, float) ** 2 / 2.0, name="bare")
     assert conjugate(bare)(1e-4) == pytest.approx(5e-9, rel=1e-7)
@@ -417,7 +416,7 @@ def test_hopeless_equivalence_candidates_stop_within_a_few_density_evaluations()
     # its 1e200 cap: such a candidate raises after a galloping bracket, not 660 doublings
     xlog = young._xlog()
     density, calls = _counted(xlog.derivative)
-    psi = conjugate(YoungFunction(xlog.fn, "xlog", density), young._CATALOG_SEARCH)
+    psi = conjugate(YoungFunction(xlog.fn, "xlog", density), young._CATALOG_CAP)
     per_candidate = []
 
     def recorded(x):

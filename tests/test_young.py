@@ -12,7 +12,6 @@ from orliczlab.errors import (
     NonMonotoneGeneratorError,
 )
 from orliczlab.young import (
-    SearchSpec,
     YoungFunction,
     build_from_generator,
     catalog_names,
@@ -24,7 +23,7 @@ from orliczlab.young import (
     young_gap,
 )
 
-BIG = SearchSpec(bracket_cap=1e200)
+BIG = 1e200
 
 
 def test_catalog_names_cover_the_four_families():

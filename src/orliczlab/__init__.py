@@ -71,6 +71,7 @@ from .space import (
     orlicz_norm,
     orlicz_norms,
     random_vector,
+    random_vectors,
     weighted_norm,
 )
 from .young import (

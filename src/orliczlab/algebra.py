@@ -61,7 +61,7 @@ import numpy as np
 from .cocycles import Cocycle, DecompositionWitness
 from .errors import FactorizationError, GroupMismatchError
 from .groups import Group, Weight
-from .space import OrliczVector, cdiv, cmul, orlicz_norms, random_vector
+from .space import OrliczVector, cdiv, cmul, orlicz_norms, random_vectors
 from .young import ComplementaryPair
 
 __all__ = [
@@ -334,14 +334,10 @@ class UnitReport:
 
 def unit_check(om: Cocycle, samples: int = 50, seed: int = 0, radius: int = 3) -> UnitReport:
     """Verify delta_e is a two-sided unit for the twisted convolution."""
-    group = om.group
-    rng = np.random.default_rng(seed)
-    e = OrliczVector.delta(group, group.identity())
-    left, right = [], []
-    for _ in range(samples):
-        f = random_vector(group, rng, radius, _SUPPORT)
-        left.append(twisted_convolve(om, e, f).distance_l1(f))
-        right.append(twisted_convolve(om, f, e).distance_l1(f))
+    e = OrliczVector.delta(om.group, om.group.identity())
+    fs = random_vectors(om.group, seed, radius, _SUPPORT, samples)
+    left = [twisted_convolve(om, e, f).distance_l1(f) for f in fs]
+    right = [twisted_convolve(om, f, e).distance_l1(f) for f in fs]
     worst_l, worst_r = (float(np.max(d, initial=0.0)) for d in (left, right))  # NaN propagates
     return UnitReport(worst_l, worst_r, samples, seed)
 
@@ -371,17 +367,11 @@ def submultiplicativity_probe(
 ) -> ProbeReport:
     """Sample |f*g|_Phi / (|f|_Phi |g|_Phi) across balls of growing radius."""
     spec = spec or ProbeSpec()
-    group = om.group
     rows = []
     for i, radius in enumerate(spec.radii):
-        rng = np.random.default_rng((spec.seed, i))  # per-radius derived seed
-        fs, gs = [], []
-        for _ in range(spec.samples):
-            f = random_vector(group, rng, radius, _SUPPORT)
-            g = random_vector(group, rng, radius, _SUPPORT)
-            if f and g:
-                fs.append(f)
-                gs.append(g)
+        # per-radius derived seed; f and g alternate in the stream
+        fgs = random_vectors(om.group, (spec.seed, i), radius, _SUPPORT, 2 * spec.samples)
+        fs, gs = fgs[0::2], fgs[1::2]
         num = orlicz_norms(pair, [twisted_convolve(om, f, g) for f, g in zip(fs, gs)])
         den = orlicz_norms(pair, fs) * orlicz_norms(pair, gs)
         live = den > 0.0

@@ -43,6 +43,7 @@ from .errors import ConfigError, OrliczLabError
 from .harness import (
     SUITE_ORDER,
     SuiteConfig,
+    _config_errors,
     emit_report,
     format_vector,
     parse_cocycle,
@@ -53,7 +54,7 @@ from .harness import (
     run_all,
 )
 from .space import norm_report
-from .young import catalog_pair, conjugate, delta2_estimate, strong_equivalence
+from .young import conjugate, delta2_estimate, strong_equivalence
 
 CONFIG_ENV = "ORLICZ_LAB_CONFIG"
 
@@ -142,20 +143,21 @@ def _load_config(args) -> SuiteConfig:
 def _young_fn(spec: str):
     """A catalog function, or its numeric conjugate via a conj: prefix."""
     if spec.startswith("conj:"):
-        return catalog_pair(spec[5:]).psi
-    return catalog_pair(spec).phi
+        return parse_pair(spec[5:]).psi
+    return parse_pair(spec).phi
 
 
 def _cmd_young(args) -> int:
     if args.young_command == "conjugate":
-        pair = catalog_pair(args.phi)
-        ys = np.array([float(v) for v in args.at.split(",")])
+        pair = parse_pair(args.phi)
+        with _config_errors("list of numbers", args.at):
+            ys = np.array([float(v) for v in args.at.split(",")])
         psi = pair.psi if pair.numeric_side == "psi" else conjugate(pair.phi)
         for y, val in zip(ys, np.atleast_1d(psi(ys))):
             print(f"conj({args.phi})({y:g}) = {float(val)!r}")
         return 0
     if args.young_command == "delta2":
-        est = delta2_estimate(catalog_pair(args.phi).phi)
+        est = delta2_estimate(parse_pair(args.phi).phi)
         if est.bounded:
             print(f"doubling constant K = {est.constant!r} (bounded)")
         else:
@@ -193,7 +195,8 @@ def _cmd_group(args) -> int:
             print(f"  |B_{n}| = {c}")
         return 0
     w = parse_weight(args.kind, group)
-    g = group.element(int(v) for v in args.at.split(","))
+    with _config_errors("element", args.at):
+        g = group.element(args.at.split(","))
     print(f"{w.label}({g}) = {w(g)!r}   (tau = {group.word_length(g)})")
     return 0
 

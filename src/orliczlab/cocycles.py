@@ -329,8 +329,8 @@ def sup_norm_estimate(om: Cocycle, radius: int) -> float:
 class DecompositionWitness:
     """Verified dominating pair: |Om(s,t)| <= u(s) + v(t) on the ball.
 
-    u and v are array functions of (..., d) coordinate rows; found ones
-    are u_tau and v_tau of the word length, tied to the underlying weight
+    u and v are array functions of (..., d) coordinate rows, u_tau and
+    v_tau the same functions of the word length, tied to the underlying weight
     (no tabulation), so the verification radius can grow without
     rebuilding them.  max_violation is the exact maximum of |Om| - u - v
     over the checked pairs; success means it is <= 0.
@@ -352,32 +352,15 @@ def _worst_pair(elems, mod, u_vals, v_vals):
     return float(viol[i, j]), (elems[i], elems[j])
 
 
-def decomposition_witness(
-    om: Cocycle,
-    radius: int,
-    u: Callable | None = None,
-    v: Callable | None = None,
-) -> DecompositionWitness:
-    """Find (or verify) u, v >= 0 dominating |Om| additively on a ball.
+def decomposition_witness(om: Cocycle, radius: int) -> DecompositionWitness:
+    """Find u, v >= 0 dominating |Om| additively on a ball.
 
-    With user-supplied u, v (array functions of coordinate rows) the
-    inequality is checked directly.  Otherwise the construction of om must
-    expose the weight behind |Om|; the candidate for each weight family is
-    listed in the module docstring.
+    The construction of om must expose the weight behind |Om|; the
+    candidate for each weight family is listed in the module docstring.
     """
     group = om.group
     elems = group.ball(radius)
     X = group.coords_array(elems)
-    if u is not None or v is not None:
-        if u is None or v is None:
-            raise InputError("supply both u and v, or neither")
-        violation, worst = _worst_pair(elems, np.abs(om.table(elems)), u(X), v(X))
-        if violation > 0.0:
-            raise WitnessSearchError(worst, violation, "user-supplied")
-        return DecompositionWitness(
-            u, v, None, None, radius, violation, "user-supplied"
-        )
-
     w = om.modulus_weight()
     if w is None:
         raise WitnessSearchError(None, math.inf, f"none (opaque construction {om.kind})")

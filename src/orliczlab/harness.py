@@ -41,6 +41,7 @@ import configparser
 import io
 import math
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, List
@@ -61,7 +62,7 @@ from .cocycles import (
     sup_norm_estimate,
     trivial_cocycle,
 )
-from .errors import ConfigError, InputError, OrliczLabError
+from .errors import ConfigError, OrliczLabError
 from .groups import (
     Group,
     Weight,
@@ -83,6 +84,7 @@ from .space import (
     orlicz_norm,
     orlicz_norms,
     random_vector,
+    random_vectors,
     weighted_norm,
 )
 from .young import (
@@ -116,6 +118,17 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+@contextmanager
+def _config_errors(what: str, spec: str):
+    """Turn the ValueError (InputError included), IndexError, ArithmeticError
+    or OSError of a block that parses spec, or reads the file spec, into a
+    ConfigError that names it."""
+    try:
+        yield
+    except (ValueError, IndexError, ArithmeticError, OSError) as exc:
+        raise ConfigError(f"bad {what} {spec!r}: {exc}") from exc
 
 
 _CONFIG_KEYS = (  # (section, key, field, cast), in to_text order
@@ -187,7 +200,7 @@ class SuiteConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "SuiteConfig":
-        with open(path, "r", encoding="utf-8") as fh:
+        with _config_errors("config file", path), open(path, "r", encoding="utf-8") as fh:
             return cls.from_text(fh.read())
 
 
@@ -198,38 +211,37 @@ class SuiteConfig:
 def parse_group(spec: str) -> Group:
     """z<d> free abelian, heis, cyc<n> cyclic."""
     spec = spec.strip().lower()
-    if spec == "heis":
-        return Group.heisenberg()
-    if spec.startswith("cyc"):
-        return Group.cyclic(int(spec[3:]))
-    if spec.startswith("z"):
-        return Group.free_abelian(int(spec[1:]))
+    with _config_errors("group spec", spec):
+        if spec == "heis":
+            return Group.heisenberg()
+        if spec.startswith("cyc"):
+            return Group.cyclic(int(spec[3:]))
+        if spec.startswith("z"):
+            return Group.free_abelian(int(spec[1:]))
     raise ConfigError(f"unknown group spec {spec!r} (want z<d>, heis, or cyc<n>)")
 
 
 def _parse_weight_atom(spec: str, group: Group) -> Weight:
     name, _, rest = spec.partition(":")
     args = [a for a in rest.split(":") if a] if rest else []
-    try:
-        if name == "trivial":
-            return trivial_weight(group)
-        if name == "poly":
-            return polynomial_weight(group, float(args[0]))
-        if name == "subexp":
-            return subexp_weight(group, float(args[0]), float(args[1]))
-        if name == "subexplog":
-            return subexp_log_weight(group, float(args[0]), float(args[1]))
-    except (IndexError, ValueError, InputError) as exc:
-        raise ConfigError(f"bad weight spec {spec!r}: {exc}") from exc
+    if name == "trivial":
+        return trivial_weight(group)
+    if name == "poly":
+        return polynomial_weight(group, float(args[0]))
+    if name == "subexp":
+        return subexp_weight(group, float(args[0]), float(args[1]))
+    if name == "subexplog":
+        return subexp_log_weight(group, float(args[0]), float(args[1]))
     raise ConfigError(f"unknown weight spec {spec!r}")
 
 
 def parse_weight(spec: str, group: Group) -> Weight:
     """trivial | poly:<beta> | subexp:<alpha>:<C> | subexplog:<gamma>:<C>, '*'-products."""
     parts = [p.strip() for p in spec.split("*")]
-    w = _parse_weight_atom(parts[0], group)
-    for p in parts[1:]:
-        w = product_weight(w, _parse_weight_atom(p, group))
+    with _config_errors("weight spec", spec):
+        w = _parse_weight_atom(parts[0], group)
+        for p in parts[1:]:
+            w = product_weight(w, _parse_weight_atom(p, group))
     return w
 
 
@@ -272,17 +284,16 @@ def parse_cocycle(spec: str, group: Group) -> Cocycle:
     # weight, so only split on '*' when a part is a phase or trivial atom
     if all(not p.startswith(("phase", "trivial")) for p in parts):
         return coboundary_from_weight(parse_weight(spec, group))
-    om = _parse_cocycle_atom(parts[0], group)
-    for p in parts[1:]:
-        om = product_cocycle(om, _parse_cocycle_atom(p, group))
+    with _config_errors("cocycle spec", spec):
+        om = _parse_cocycle_atom(parts[0], group)
+        for p in parts[1:]:
+            om = product_cocycle(om, _parse_cocycle_atom(p, group))
     return om
 
 
 def parse_pair(spec: str) -> ComplementaryPair:
-    try:
+    with _config_errors("pair spec", spec):
         return catalog_pair(spec.strip())
-    except InputError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def parse_vector_file(path: str, group: Group) -> OrliczVector:
@@ -291,7 +302,7 @@ def parse_vector_file(path: str, group: Group) -> OrliczVector:
     Repeated (or aliased) coordinates sum, as in every OrliczVector.
     """
     data = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _config_errors("vector file", path), open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -304,7 +315,7 @@ def parse_vector_file(path: str, group: Group) -> OrliczVector:
             coords = tuple(int(v) for v in parts[: group.dim])
             amp = complex(float(parts[-2]), float(parts[-1]))
             data.append((coords, amp))
-    return OrliczVector(group, data)
+        return OrliczVector(group, data)
 
 
 def format_vector(f: OrliczVector) -> str:
@@ -403,14 +414,9 @@ def _fixture(build):
 
 
 def _draws(rng, group, radius, support, count, arity):
-    """count tuples of arity random vectors.
-
-    rng is a Generator or a seed; each draw takes its vectors from it in
-    tuple order, so the stream matches a hand-written draw loop.
-    """
-    rng = np.random.default_rng(rng)
-    for _ in range(count):
-        yield tuple(random_vector(group, rng, radius, support) for _ in range(arity))
+    """count tuples of arity consecutive vectors of one random_vectors draw
+    (rng a Generator or a seed), the stream of a hand-written draw loop."""
+    return zip(*[iter(random_vectors(group, rng, radius, support, count * arity))] * arity)
 
 
 def _rel_err(values, ref) -> np.ndarray:
@@ -582,7 +588,7 @@ def _norm_stats(cfg):
     groups = (_C7(), _Z2())
     for pair in _catalog():
         for group in groups:
-            vecs = [v for (v,) in _draws(rng, group, 6, 8, per_pair, 1)]
+            vecs = random_vectors(group, rng, 6, 8, per_pair)
             orl, gap, lux = orlicz_gauges(pair, vecs)
             violations.append(np.maximum(lux - orl, orl - 2.0 * lux))
             gaps.append(gap)
@@ -606,10 +612,9 @@ def _method_agreement(run, _seed):
 
 @_law("norms", "unit-ball", "N_Phi(f) <= 1 exactly when modular(f) <= 1", 1e-9)
 def _unit_ball(run, seed):
-    rng = np.random.default_rng(seed)
     pair = catalog_pair(run.cfg.pair)
     yield 0.0
-    fs = [f for (f,) in _draws(rng, _C7(), 2, 5, 100, 1) if f]
+    fs = [f for f in random_vectors(_C7(), seed, 2, 5, 100) if f]
     scaled = [
         f.scale(c / n)
         for f, n in zip(fs, luxemburg_norms(pair.phi, fs).tolist())
@@ -628,7 +633,7 @@ def _homogeneity(_run, seed):
     rng = np.random.default_rng(seed)
     group = _Z2()
     for pair in _catalog()[:4]:
-        vecs = [v for (v,) in _draws(rng, group, 4, 6, 50, 1)]
+        vecs = random_vectors(group, rng, 4, 6, 50)
         orl, _, lux = orlicz_gauges(pair, vecs)
         for c in (0.3, 2.5, 0.7 + 0.4j):
             orl_c, _, lux_c = orlicz_gauges(pair, [v.scale(c) for v in vecs])
@@ -641,8 +646,8 @@ def _triangle(_run, seed):
     rng = np.random.default_rng(seed)
     group = _Z2()
     for pair in _catalog():
-        fs = [f for (f,) in _draws(rng, group, 4, 6, 60, 1)]
-        gs = [g for (g,) in _draws(rng, group, 4, 6, 60, 1)]
+        fs = random_vectors(group, rng, 4, 6, 60)
+        gs = random_vectors(group, rng, 4, 6, 60)
         o_sum, _, n_sum = orlicz_gauges(pair, [f + g for f, g in zip(fs, gs)])
         o_f, _, n_f = orlicz_gauges(pair, fs)
         o_g, _, n_g = orlicz_gauges(pair, gs)
@@ -672,7 +677,7 @@ def _pnorm_closed_form(_run, seed):
     for p in (1.5, 2.0, 3.0):
         pair = catalog_pair(f"pnorm:{p:g}")
         q = p / (p - 1.0)
-        vecs = [v for (v,) in _draws(rng, group, 5, 7, 200, 1)]
+        vecs = random_vectors(group, rng, 5, 7, 200)
         lp = np.array([np.sum(v.abs_amplitudes() ** p) for v in vecs]) ** (1.0 / p)
         orl, _, lux = orlicz_gauges(pair, vecs)
         yield np.abs(lux - lp * p ** (-1.0 / p))
@@ -686,8 +691,8 @@ def _holder(run, seed):
     pairs = _catalog()
     per = max(1, run.cfg.samples // len(pairs))
     for pair in pairs:
-        fs = [f for (f,) in _draws(rng, group, 3, 5, per, 1)]
-        gs = [g for (g,) in _draws(rng, group, 3, 5, per, 1)]
+        fs = random_vectors(group, rng, 3, 5, per)
+        gs = random_vectors(group, rng, 3, 5, per)
         of, _, nf = orlicz_gauges(pair, fs)
         og, _, ng = orlicz_gauges(pair.flip(), gs)  # N_Psi is the flip's gauge
         pointwise = []
@@ -704,7 +709,7 @@ def _weighted_norm(_run, seed):
     f = OrliczVector.delta(group, (2, 1))
     yield abs(weighted_norm(pair, polynomial_weight(group, 1.0), f) - 4.0 * math.sqrt(2.0))
     triv = trivial_weight(group)
-    vs = [v for (v,) in _draws(seed, group, 4, 6, 20, 1)]
+    vs = random_vectors(group, seed, 4, 6, 20)
     weighted = orlicz_norms(pair, [v.pointwise_mul(triv.at) for v in vs])
     yield np.abs(weighted - orlicz_norms(pair, vs))
 
@@ -1117,7 +1122,7 @@ def _xi_pointwise_bound(run, seed):
 def _isometry(run, seed):
     w = polynomial_weight(_Z2(), 1.0)
     pair = catalog_pair(run.cfg.pair)
-    fs = [f for (f,) in _draws(seed, w.group, 4, 6, 100, 1)]
+    fs = random_vectors(w.group, seed, 4, 6, 100)
     a = orlicz_norms(pair, [algebra.lambda_transform(w, f).pointwise_mul(w.at) for f in fs])
     b = orlicz_norms(pair, fs)
     yield np.abs(a - b) / np.maximum(b, 1e-300)
@@ -1349,20 +1354,9 @@ for _case, _text, _check in (
 # ---------------------------------------------------------------------------
 # registry and entry points
 
-SUITE_ORDER = (
-    "young",
-    "norms",
-    "cocycle",
-    "twisted",
-    "duality",
-    "splitting",
-    "lambda",
-    "growth",
-    "membership",
-)
-
-# Static registry: every law the suites must report on.  run_suite checks
-# its output against this list, so a silently dropped case is an error.
+# Static registry: every law the suites must report on, suite by suite in
+# run order.  run_suite checks its output against this list, so a silently
+# dropped case is an error.
 REGISTRY = {
     "young": (
         "biconjugation",
@@ -1453,6 +1447,7 @@ REGISTRY = {
         "finite-saturation",
     ),
 }
+SUITE_ORDER = tuple(REGISTRY)
 
 
 def run_suite(cfg: SuiteConfig, suite: str) -> List[VerificationRecord]:

@@ -39,6 +39,10 @@ quotients by a real and moduli as CPython does, so each entry equals the
 scalar computation bit for bit.  items, support, abs_amplitudes, l1 and
 pairing all read the store in row order.
 
+Every random vector comes from random_vectors: it reads the ball once per
+batch, then draws each vector with one choice and one uniform call, so a
+batch is the stream of one-vector draws (random_vector is count = 1).
+
 The norms satisfy N(f) <= |f| <= 2 N(f).  Batched variants run whole
 sweeps of vectors through the same solvers at once.  Every element of a
 solve stops at its own first converged step and the Amemiya bracket
@@ -73,6 +77,7 @@ __all__ = [
     "NormReport",
     "MembershipReport",
     "random_vector",
+    "random_vectors",
     "amplitude_matrix",
     "modular",
     "luxemburg_norm",
@@ -267,16 +272,28 @@ class OrliczVector:
         return (self - other).l1()
 
 
+def random_vectors(group: Group, rng, radius: int, size: int, count: int) -> list[OrliczVector]:
+    """count vectors, each with size distinct support points drawn uniformly
+    in the ball (all of it when smaller) and amplitudes uniform on [-1,1]^2;
+    rng is a Generator or a seed."""
+    rng = np.random.default_rng(rng)
+    ball = group.ball_array(radius)
+    k = min(size, len(ball))
+    idx, parts = np.empty((count, k), dtype=np.int64), np.empty((count, k, 2))
+    for i in range(count):
+        idx[i] = rng.choice(len(ball), size=k, replace=False)  # distinct rows: nothing to sum
+        parts[i] = rng.uniform(-1.0, 1.0, size=(k, 2))
+    up = idx.argsort(axis=1)  # the ball is sorted, so its rows in index order are too
+    rows = ball[np.take_along_axis(idx, up, 1)]
+    amps = np.take_along_axis(parts.view(complex)[..., 0], up, 1)  # a + bj, exactly
+    return [OrliczVector._distinct(group, r, a) for r, a in zip(rows, amps)]
+
+
 def random_vector(
     group: Group, rng: np.random.Generator, radius: int, size: int = 8
 ) -> OrliczVector:
-    """Support drawn uniformly in a ball, amplitudes uniform on [-1,1]^2."""
-    ball = group.ball_array(radius)
-    k = min(size, len(ball))
-    idx = rng.choice(len(ball), size=k, replace=False)  # distinct rows: nothing to sum
-    amps = rng.uniform(-1.0, 1.0, size=(k, 2)).view(complex).ravel()  # a + bj, exactly
-    up = idx.argsort()  # the ball is sorted, so its rows in index order are too
-    return OrliczVector._distinct(group, ball[idx[up]], amps[up])
+    """One vector of random_vectors."""
+    return random_vectors(group, rng, radius, size, 1)[0]
 
 
 def amplitude_matrix(vectors) -> np.ndarray:

@@ -287,13 +287,17 @@ def test_witness_trivial_on_finite_group():
     assert wit.max_violation == pytest.approx(-1.0)
 
 
-def test_witness_user_supplied_and_failure():
+def test_witness_dominates_the_ball_and_a_failed_search_names_its_worst_pair():
     w1 = polynomial_weight(Z2, 1.0)
     om = coboundary_from_weight(w1)
-    wit = decomposition_witness(om, 8, u=lambda X: 2.0 / w1.at(X), v=lambda X: 2.0 / w1.at(X))
-    assert wit.max_violation <= 0.0
+    wit = decomposition_witness(om, 8)
+    X = Z2.ball_array(8)
+    assert np.array_equal(wit.u(X), 2.0 / w1.at(X)) and np.array_equal(wit.v(X), 2.0 / w1.at(X))
+    # checked here pair by pair, independently of the search
+    assert np.all(np.abs(om.table(Z2.ball(8))) <= wit.u(X)[:, None] + wit.v(X)[None, :])
+    # no kappa / w' of the grid dominates this log-damped coboundary on B_10
     with pytest.raises(WitnessSearchError) as err:
-        decomposition_witness(om, 8, u=lambda X: np.zeros(len(X)), v=lambda X: np.zeros(len(X)))
+        decomposition_witness(coboundary_from_weight(subexp_log_weight(Z2, 0.05, 5.0)), 10)
     assert err.value.violation > 0.0
     assert err.value.worst_pair is not None
 

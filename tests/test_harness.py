@@ -301,6 +301,38 @@ def test_cli_verify_rejects_samples_and_radius_below_one(tmp_path, capsys):
     assert "radius must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "ball", "--group", "cycx", "--radius", "2"],
+        ["group", "ball", "--group", "zz", "--radius", "2"],
+        ["group", "ball", "--group", "z0", "--radius", "2"],
+        ["group", "ball", "--group", "cyc1", "--radius", "2"],
+        ["cocycle", "check", "--group", "z2", "--cocycle", "phase:abc"],
+        ["cocycle", "check", "--group", "z2", "--cocycle", "phase:pi:1,2"],
+        ["cocycle", "check", "--group", "z2", "--cocycle", "phase:pi/0"],
+        ["young", "conjugate", "--phi", "pnorm:3", "--at", "1,x"],
+        ["young", "conjugate", "--phi", "nope", "--at", "1"],
+        ["young", "delta2", "--phi", "nope"],
+        ["young", "equiv", "--phi1", "conj:nope", "--phi2", "pnorm:2"],
+        ["norm", "--phi", "nope", "--vec", "VEC"],
+        ["group", "weight", "--group", "z2", "--kind", "poly:1", "--at", "1"],
+        ["norm", "--phi", "pnorm:2", "--vec", "BADVEC"],
+        ["verify", "--config", "MISSING/cfg.ini"],
+        ["conv", "--f", "MISSING/f.vec", "--g", "VEC"],
+    ],
+    ids=" ".join,
+)
+def test_cli_malformed_arguments_are_configuration_errors(tmp_path, capsys, argv):
+    (tmp_path / "f.vec").write_text("1,0,1.0,0.0\n", encoding="utf-8")
+    (tmp_path / "bad.vec").write_text("1,0,x,0.0\n", encoding="utf-8")
+    paths = {"VEC": "f.vec", "BADVEC": "bad.vec", "MISSING/cfg.ini": "missing/cfg.ini",
+             "MISSING/f.vec": "missing/f.vec"}
+    argv = [str(tmp_path / paths[a]) if a in paths else a for a in argv]
+    assert cli.main(argv) == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
 def test_cli_young_equiv_when_every_candidate_overflows(capsys):
     # every a-candidate blows the conjugate's bracket, so no failing
     # candidate exists: the command reports gap inf instead of crashing

@@ -18,6 +18,7 @@ from orliczlab.space import (
     norm_report,
     orlicz_norm,
     random_vector,
+    random_vectors,
     weighted_norm,
 )
 from orliczlab.young import ComplementaryPair, catalog_names, catalog_pair
@@ -250,6 +251,35 @@ def test_random_vector_draws_as_from_the_tuple_ball(group):
             want = OrliczVector._summed(group, group.coords_array([ball[i] for i in idx]), amps)
             assert got._rows.tolist() == want._rows.tolist()
             assert got._amps.tobytes() == want._amps.tobytes()
+
+
+def _one_draw(group, rng, radius, size):
+    """The one-vector draw as random_vector made it before the batch sampler:
+    the ball copied per draw, then one choice and one uniform call."""
+    ball = group.ball_array(radius)
+    k = min(size, len(ball))
+    idx = rng.choice(len(ball), size=k, replace=False)
+    amps = rng.uniform(-1.0, 1.0, size=(k, 2)).view(complex).ravel()
+    up = idx.argsort()
+    return OrliczVector._distinct(group, ball[idx[up]], amps[up])
+
+
+@pytest.mark.parametrize(
+    "group", [Group.free_abelian(2), Group.heisenberg(), Group.cyclic(7)], ids=repr
+)
+@pytest.mark.parametrize("radius, size", [(4, 6), (3, 5), (3, 8), (0, 3)])
+@pytest.mark.parametrize("count", [0, 1, 17])
+def test_random_vectors_equal_the_per_draw_stream(group, radius, size, count):
+    # (3, 8) on Z_7 asks for more points than the ball's 7; (0, 3) has a one-point ball
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    got = random_vectors(group, rng, radius, size, count)
+    want = [_one_draw(group, ref, radius, size) for _ in range(count)]
+    assert [repr(list(v.items())) for v in got] == [repr(list(v.items())) for v in want]
+    assert all(len(v) == min(size, group.ball_count(radius)) for v in got)
+    assert rng.random() == ref.random()  # the generators end in the same state
+    # a seed stands for its Generator
+    again = random_vectors(group, 11, radius, size, count)
+    assert [repr(list(v.items())) for v in again] == [repr(list(v.items())) for v in got]
 
 
 # The pointwise maps as they were written over dict-backed vectors: one scalar

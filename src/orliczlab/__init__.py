@@ -60,19 +60,17 @@ from .harness import (
 )
 from .space import (
     MembershipReport,
-    NormReport,
     OrliczVector,
-    holder_gap,
+    holder_gaps,
     luxemburg_norm,
     luxemburg_norms,
     membership_diagnostic,
     modular,
-    norm_report,
     orlicz_norm,
     orlicz_norms,
     random_vector,
     random_vectors,
-    weighted_norm,
+    weighted_norms,
 )
 from .young import (
     ComplementaryPair,

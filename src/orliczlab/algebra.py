@@ -83,10 +83,7 @@ __all__ = [
     "lambda_transform",
     "augmentation",
     "unit_check",
-    "UnitReport",
     "submultiplicativity_probe",
-    "ProbeSpec",
-    "ProbeReport",
 ]
 
 
@@ -324,57 +321,33 @@ def augmentation(f: OrliczVector) -> complex:
 _SUPPORT = 6  # support size of the vectors unit_check and the probe draw
 
 
-@dataclass(frozen=True)
-class UnitReport:
-    max_left_deviation: float
-    max_right_deviation: float
-    samples: int
-    seed: int
-
-
-def unit_check(om: Cocycle, samples: int = 50, seed: int = 0, radius: int = 3) -> UnitReport:
-    """Verify delta_e is a two-sided unit for the twisted convolution."""
+def unit_check(om: Cocycle, samples: int = 50, seed: int = 0, radius: int = 3) -> tuple:
+    """(worst left, worst right) l1 deviation of delta_e * f and f * delta_e
+    from f over random f: delta_e is a two-sided unit when both are 0."""
     e = OrliczVector.delta(om.group, om.group.identity())
     fs = random_vectors(om.group, seed, radius, _SUPPORT, samples)
     left = [twisted_convolve(om, e, f).distance_l1(f) for f in fs]
     right = [twisted_convolve(om, f, e).distance_l1(f) for f in fs]
-    worst_l, worst_r = (float(np.max(d, initial=0.0)) for d in (left, right))  # NaN propagates
-    return UnitReport(worst_l, worst_r, samples, seed)
-
-
-@dataclass(frozen=True)
-class ProbeSpec:
-    radii: tuple = (4, 8)
-    samples: int = 100
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Empirical lower bounds for the multiplicative norm constant.
-
-    c_hat per radius is max |f*g| / (|f| |g|) over the sampled pairs; it
-    can only under-estimate the true constant.
-    """
-
-    rows: tuple  # (radius, c_hat, samples)
-    spec: ProbeSpec
-    note: str = "c_hat is an empirical lower bound for the true constant"
+    return tuple(float(np.max(d, initial=0.0)) for d in (left, right))  # NaN propagates
 
 
 def submultiplicativity_probe(
-    pair: ComplementaryPair, om: Cocycle, spec: ProbeSpec | None = None
-) -> ProbeReport:
-    """Sample |f*g|_Phi / (|f|_Phi |g|_Phi) across balls of growing radius."""
-    spec = spec or ProbeSpec()
+    pair: ComplementaryPair, om: Cocycle, radii=(4, 8), samples: int = 100, seed: int = 0
+) -> tuple:
+    """Sample |f*g|_Phi / (|f|_Phi |g|_Phi) across balls of growing radius.
+
+    Returns one (radius, c_hat, samples) row per radius, c_hat the max ratio
+    over the sampled pairs.  c_hat is an empirical lower bound for the true
+    constant: it can only under-estimate it.
+    """
     rows = []
-    for i, radius in enumerate(spec.radii):
+    for i, radius in enumerate(radii):
         # per-radius derived seed; f and g alternate in the stream
-        fgs = random_vectors(om.group, (spec.seed, i), radius, _SUPPORT, 2 * spec.samples)
+        fgs = random_vectors(om.group, (seed, i), radius, _SUPPORT, 2 * samples)
         fs, gs = fgs[0::2], fgs[1::2]
         num = orlicz_norms(pair, [twisted_convolve(om, f, g) for f, g in zip(fs, gs)])
         den = orlicz_norms(pair, fs) * orlicz_norms(pair, gs)
         live = den > 0.0
         ratios = num[live] / den[live]
-        rows.append((radius, float(np.max(ratios, initial=0.0)), spec.samples))  # NaN propagates
-    return ProbeReport(tuple(rows), spec)
+        rows.append((radius, float(np.max(ratios, initial=0.0)), samples))  # NaN propagates
+    return tuple(rows)

@@ -27,6 +27,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -53,7 +54,7 @@ from .harness import (
     parse_weight,
     run_all,
 )
-from .space import norm_report
+from .space import orlicz_gauges
 from .young import conjugate, delta2_estimate, strong_equivalence
 
 CONFIG_ENV = "ORLICZ_LAB_CONFIG"
@@ -236,10 +237,10 @@ def _cmd_norm(args) -> int:
     group = parse_group(args.group)
     pair = parse_pair(args.phi)
     f = parse_vector_file(args.vec, group)
-    rep = norm_report(pair, f)
-    print(f"luxemburg = {rep.luxemburg!r}")
-    print(f"orlicz    = {rep.orlicz!r}")
-    print(f"method agreement gap = {rep.method_agreement!r}")
+    norm, gap, lux = orlicz_gauges(pair, [f])[:, 0].tolist()
+    print(f"luxemburg = {lux!r}")
+    print(f"orlicz    = {norm!r}")
+    print(f"method agreement gap = {gap!r}")
     return 0
 
 
@@ -248,14 +249,10 @@ def _cmd_conv(args) -> int:
     if args.rest == "probe":
         pair = parse_pair(args.phi)
         om = parse_cocycle(args.cocycle, group)
-        spec = algebra.ProbeSpec(
-            radii=(max(1, args.radius // 2), args.radius),
-            samples=args.samples,
-            seed=args.seed,
-        )
-        rep = algebra.submultiplicativity_probe(pair, om, spec)
-        print(f"# {rep.note}")
-        for radius, c_hat, samples in rep.rows:
+        radii = (max(1, args.radius // 2), args.radius)
+        rows = algebra.submultiplicativity_probe(pair, om, radii, args.samples, args.seed)
+        print("# c_hat is an empirical lower bound for the true constant")
+        for radius, c_hat, samples in rows:
             print(f"radius {radius}: c_hat = {c_hat!r} ({samples} samples, seed {args.seed})")
         return 0
     if not args.f or not args.g:
@@ -269,14 +266,34 @@ def _cmd_conv(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
-    records = run_all(cfg, args.suite)
-    text = emit_report(records, args.format, cfg=cfg)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _config_errors("output file", args.out):  # before the run, which it would lose
+        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        records = run_all(cfg, args.suite)
+        fh.write(emit_report(records, args.format, cfg=cfg))
     return 0 if all(r.verdict == "pass" for r in records) else 1
+
+
+# The bound each numeric flag must meet, by subcommand: (flag, bound, strict).
+_FLAG_BOUNDS = {
+    "equiv": (("xmax", 0, True),),
+    "ball": (("radius", 0, False),),
+    "growth": (("max_r", 6, False),),
+    "check": (("radius", 0, False),),
+    "witness": (("radius", 0, False),),
+    "polar": (("radius", 0, False),),
+    "probe": (("radius", 1, False), ("samples", 1, False)),
+}
+
+
+def _check_flags(args) -> None:
+    """Raise ConfigError for a numeric flag out of its subcommand's bounds."""
+    sub = getattr(args, f"{args.command}_command", None) or getattr(args, "rest", None)
+    for name, bound, strict in _FLAG_BOUNDS.get(sub, ()):
+        value = getattr(args, name)
+        if not (value > bound if strict else value >= bound):
+            op = ">" if strict else ">="
+            raise ConfigError(f"--{name.replace('_', '-')} must be {op} {bound}, got {value!r}")
 
 
 def main(argv=None) -> int:
@@ -291,6 +308,7 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        _check_flags(args)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -345,11 +345,11 @@ class DecompositionWitness:
     description: str
 
 
-def _worst_pair(elems, mod, u_vals, v_vals):
-    """Max of |Om| - u - v over elems x elems and the pair attaining it."""
+def _worst_pair(X, mod, u_vals, v_vals):
+    """Max of |Om| - u - v over the pairs of rows of X and the pair attaining it."""
     viol = mod - u_vals[:, None] - v_vals[None, :]
-    i, j = divmod(int(np.argmax(viol)), len(elems))
-    return float(viol[i, j]), (elems[i], elems[j])
+    i, j = divmod(int(np.argmax(viol)), len(X))
+    return float(viol[i, j]), (tuple(X[i].tolist()), tuple(X[j].tolist()))
 
 
 def decomposition_witness(om: Cocycle, radius: int) -> DecompositionWitness:
@@ -359,8 +359,7 @@ def decomposition_witness(om: Cocycle, radius: int) -> DecompositionWitness:
     candidate for each weight family is listed in the module docstring.
     """
     group = om.group
-    elems = group.ball(radius)
-    X = group.coords_array(elems)
+    X = group.ball_array(radius)
     w = om.modulus_weight()
     if w is None:
         raise WitnessSearchError(None, math.inf, f"none (opaque construction {om.kind})")
@@ -403,7 +402,7 @@ def decomposition_witness(om: Cocycle, radius: int) -> DecompositionWitness:
     mod = w.coboundary(X[:, None], X[None, :])
     best = None
     for desc, u_tau, v_tau in candidates:
-        violation, worst = _worst_pair(elems, mod, u_tau(tau), v_tau(tau))
+        violation, worst = _worst_pair(X, mod, u_tau(tau), v_tau(tau))
         if violation <= 0.0:
             u_fn = lambda Y, f=u_tau: f(group.tau_array(Y))
             v_fn = lambda Y, f=v_tau: f(group.tau_array(Y))

@@ -121,7 +121,7 @@ class Group:
     DEFAULT_ELEMENT_CAP = 10**6
     DEFAULT_RADIUS_CAP = 64
 
-    def __init__(self, kind: str, param: int, element_cap: int | None = None):
+    def __init__(self, kind: str, param: int):
         if kind not in ("free_abelian", "heisenberg3", "cyclic"):
             raise InputError(f"unknown group kind {kind!r}")
         if kind == "free_abelian" and param < 1:
@@ -130,7 +130,7 @@ class Group:
             raise InputError("cyclic order must be >= 2")
         self.kind = kind
         self.param = int(param)
-        self.element_cap = element_cap or self.DEFAULT_ELEMENT_CAP
+        self.element_cap = self.DEFAULT_ELEMENT_CAP
         self.radius_cap = self.DEFAULT_RADIUS_CAP
         # the BFS table: sorted rows, their lengths, and the last sphere
         self._frontier = np.zeros((1, self.dim), dtype=np.int64)
@@ -239,9 +239,9 @@ class Group:
             return min(g[0], self.param - g[0])
         return self.word_length_bfs(g)
 
-    def word_length_bfs(self, g: Element, radius_cap: int | None = None) -> int:
+    def word_length_bfs(self, g: Element) -> int:
         """BFS word length; the oracle for the closed forms above."""
-        return int(self.bfs_lengths(self.coords_array([self.element(g)]), radius_cap)[0])
+        return int(self.bfs_lengths(self.coords_array([self.element(g)]))[0])
 
     def _grow(self) -> None:
         """Add the next sphere to the BFS table, or raise MemoryCapError and
@@ -257,17 +257,17 @@ class Group:
         self._tau = np.append(self._tau, np.full(len(P), self._radius))[first]
         self._index = RowIndex(table)
 
-    def bfs_lengths(self, X: np.ndarray, radius_cap: int | None = None) -> np.ndarray:
+    def bfs_lengths(self, X: np.ndarray) -> np.ndarray:
         """BFS word lengths of the rows of X (shape (..., d)), growing the
         table until it holds every row; RadiusCapError when a row is still
         missing at the radius cap or past a finite group's last sphere."""
-        cap = radius_cap or self.radius_cap
         flat = X.reshape(-1, self.dim)
         pos = self._index.locate(flat)
         out, todo = self._tau[pos], np.flatnonzero(pos < 0)  # a miss reads a placeholder
         while todo.size:
-            if self._radius >= cap or not len(self._frontier):
-                raise RadiusCapError(tuple(flat[todo[0]].tolist()), cap, self.element_cap)
+            if self._radius >= self.radius_cap or not len(self._frontier):
+                row = tuple(flat[todo[0]].tolist())
+                raise RadiusCapError(row, self.radius_cap, self.element_cap)
             self._grow()
             pos = self._index.locate(flat[todo])
             out[todo] = self._tau[pos]

@@ -79,13 +79,14 @@ from .space import (
     luxemburg_norms,
     membership_diagnostic,
     cdiv,
+    holder_gaps,
     modular,
     orlicz_gauges,
     orlicz_norm,
     orlicz_norms,
     random_vector,
     random_vectors,
-    weighted_norm,
+    weighted_norms,
 )
 from .young import (
     ComplementaryPair,
@@ -462,9 +463,7 @@ def _biconjugation(_run, _seed):
 )
 def _conjugate_closed_forms(_run, _seed):
     grid = np.logspace(-2, 2, 100)
-    yield from _closed_form_gaps(
-        grid, lambda pair: pair.phi, lambda pair: pair.phi.closed_form_conjugate(grid)
-    )
+    yield from _closed_form_gaps(grid, lambda pair: pair.phi, lambda pair: pair.psi(grid))
 
 
 @_law("young", "young-inequality", "x*y <= Phi(x) + Psi(y) on random sweeps of [0,50]^2", 1e-9)
@@ -693,25 +692,17 @@ def _holder(run, seed):
     for pair in pairs:
         fs = random_vectors(group, rng, 3, 5, per)
         gs = random_vectors(group, rng, 3, 5, per)
-        of, _, nf = orlicz_gauges(pair, fs)
-        og, _, ng = orlicz_gauges(pair.flip(), gs)  # N_Psi is the flip's gauge
-        pointwise = []
-        for f, g in zip(fs, gs):
-            at = dict(g.items())
-            pointwise.append(sum(abs(a * at.get(s, 0.0 + 0.0j)) for s, a in f.items()))
-        yield np.array(pointwise) - np.minimum(nf * og, of * ng)
+        yield -holder_gaps(pair, fs, gs)
 
 
 @_law("norms", "weighted-norm", "|f|_{Phi,w} = |f w|_Phi; trivial weight changes nothing", 1e-9)
-def _weighted_norm(_run, seed):
+def _weighted_norm_identity(_run, seed):
     group = _Z2()
     pair = catalog_pair("pnorm:2")
     f = OrliczVector.delta(group, (2, 1))
-    yield abs(weighted_norm(pair, polynomial_weight(group, 1.0), f) - 4.0 * math.sqrt(2.0))
-    triv = trivial_weight(group)
+    yield np.abs(weighted_norms(pair, polynomial_weight(group, 1.0), [f]) - 4.0 * math.sqrt(2.0))
     vs = random_vectors(group, seed, 4, 6, 20)
-    weighted = orlicz_norms(pair, [v.pointwise_mul(triv.at) for v in vs])
-    yield np.abs(weighted - orlicz_norms(pair, vs))
+    yield np.abs(weighted_norms(pair, trivial_weight(group), vs) - orlicz_norms(pair, vs))
 
 
 # ---------------------------------------------------------------------------
@@ -914,8 +905,7 @@ def _unit(run, _seed):
     for _group, radius, oms in _twisted_setups(run):
         for om in oms:
             seed = _derive_seed(run.cfg.seed, "twisted", om.label)
-            rep = algebra.unit_check(om, samples=20, seed=seed, radius=radius)
-            yield from (rep.max_left_deviation, rep.max_right_deviation)
+            yield from algebra.unit_check(om, samples=20, seed=seed, radius=radius)
 
 
 @_law("twisted", "l1-bound", "|f*g|_1 <= sup|Omega| |f|_1 |g|_1", 1e-9)
@@ -984,10 +974,7 @@ def _submultiplicativity_probe(run, _seed):
     pair = catalog_pair(run.cfg.pair)
     om = coboundary_from_weight(polynomial_weight(_Z2(), 2.0))
     seed = _derive_seed(run.cfg.seed, "twisted", "probe")
-    rep = algebra.submultiplicativity_probe(
-        pair, om, algebra.ProbeSpec(radii=(4, 8), samples=60, seed=seed)
-    )
-    c_hats = [row[1] for row in rep.rows]
+    c_hats = [row[1] for row in algebra.submultiplicativity_probe(pair, om, (4, 8), 60, seed)]
     yield 0.0 if all(math.isfinite(c) and c > 0 for c in c_hats) else math.inf
 
 
@@ -1025,8 +1012,7 @@ def _action_oracle(_run, seed):
 def _action_norm_bound(run, seed):
     om = _c7_coboundary()
     pair = catalog_pair(run.cfg.pair)
-    spec = algebra.ProbeSpec(radii=(3,), samples=300, seed=seed)
-    c_hat = algebra.submultiplicativity_probe(pair, om, spec).rows[0][1]
+    c_hat = algebra.submultiplicativity_probe(pair, om, (3,), 300, seed)[0][1]
     gs, hs = zip(*_draws(seed, om.group, 3, 5, 100, 2))
     lhs = orlicz_norms(pair.flip(), [algebra.module_action_left(om, g, h) for g, h in zip(gs, hs)])
     yield lhs - 2.0 * c_hat * orlicz_norms(pair, gs) * luxemburg_norms(pair.psi, hs)
@@ -1123,9 +1109,8 @@ def _isometry(run, seed):
     w = polynomial_weight(_Z2(), 1.0)
     pair = catalog_pair(run.cfg.pair)
     fs = random_vectors(w.group, seed, 4, 6, 100)
-    a = orlicz_norms(pair, [algebra.lambda_transform(w, f).pointwise_mul(w.at) for f in fs])
-    b = orlicz_norms(pair, fs)
-    yield np.abs(a - b) / np.maximum(b, 1e-300)
+    a = weighted_norms(pair, w, [algebra.lambda_transform(w, f) for f in fs])
+    yield _rel_err(a, orlicz_norms(pair, fs))
 
 
 @_law(

@@ -50,9 +50,10 @@ widens per row, so a row's answer never depends on its batch mates: a
 batch of equal-width rows equals its one-row solves bit for bit.
 Zero-padded rows are invisible to every modular (Phi(0) = 0) but change
 numpy's row-sum association, so orlicz_gauges, orlicz_norms and
-luxemburg_norms bucket vectors by support size and never pad; orlicz_norm,
-luxemburg_norm and norm_report are their one-vector case.  Only callers of
-amplitude_matrix pad.
+luxemburg_norms bucket vectors by support size and never pad; orlicz_norm
+and luxemburg_norm are their one-vector case.  Only callers of
+amplitude_matrix pad.  holder_gaps and weighted_norms take whole lists of
+vectors the same way.
 
 membership_diagnostic probes whether sum_s Psi(alpha h(s)) converges as
 the summation ball grows, for each requested alpha -- a finite-radius
@@ -74,7 +75,6 @@ from .young import ComplementaryPair, YoungFunction, _find_root, _golden_min
 
 __all__ = [
     "OrliczVector",
-    "NormReport",
     "MembershipReport",
     "random_vector",
     "random_vectors",
@@ -85,9 +85,8 @@ __all__ = [
     "orlicz_norm",
     "orlicz_norms",
     "orlicz_gauges",
-    "norm_report",
-    "holder_gap",
-    "weighted_norm",
+    "holder_gaps",
+    "weighted_norms",
     "membership_diagnostic",
     "luxemburg_batch",
     "orlicz_batch",
@@ -494,19 +493,10 @@ def orlicz_batch(pair: ComplementaryPair, A: np.ndarray):
     return _orlicz_gauge_batch(pair, A)[:2]
 
 
-@dataclass(frozen=True)
-class NormReport:
-    """Both norms of one vector plus the cross-method agreement gap."""
-
-    luxemburg: float
-    orlicz: float
-    method_agreement: float
-
-
 def orlicz_gauges(pair: ComplementaryPair, vectors) -> np.ndarray:
     """(norms, agreement gaps, Luxemburg norms N_Phi) of the vectors as the
     rows of a (3, len(vectors)) array, each column equal to its vector's
-    norm_report bit for bit."""
+    one-vector call bit for bit."""
     return _bucketed(lambda A: _orlicz_gauge_batch(pair, A), vectors, 3)
 
 
@@ -519,28 +509,21 @@ def orlicz_norm(pair: ComplementaryPair, f: OrliczVector) -> float:
     return float(orlicz_norms(pair, [f])[0])
 
 
-def norm_report(pair: ComplementaryPair, f: OrliczVector) -> NormReport:
-    norm, gap, lux = orlicz_gauges(pair, [f])[:, 0].tolist()
-    return NormReport(lux, norm, gap)
+def holder_gaps(pair: ComplementaryPair, fs, gs) -> np.ndarray:
+    """min{ N_Phi(f) |g|_Psi , |f|_Phi N_Psi(g) } - sum |f g| for each f of fs
+    and the g of gs at the same place; >= 0 in exact math."""
+    of, _, nf = orlicz_gauges(pair, fs)
+    og, _, ng = orlicz_gauges(pair.flip(), gs)  # N_Psi is the flip's gauge
+    pointwise = []
+    for f, g in zip(fs, gs):
+        at = dict(g.items())
+        pointwise.append(sum(abs(a * at.get(s, 0.0 + 0.0j)) for s, a in f.items()))
+    return np.minimum(nf * og, of * ng) - np.array(pointwise, dtype=float)
 
 
-def holder_gap(pair: ComplementaryPair, f: OrliczVector, g: OrliczVector) -> float:
-    """min{ N_Phi(f) |g|_Psi , |f|_Phi N_Psi(g) } - sum |f g|; >= 0 in exact math."""
-    at = dict(g.items())
-    pointwise = float(sum(abs(a * at.get(s, 0j)) for s, a in f.items()))
-    if not f or not g:
-        return 0.0 - pointwise
-    flipped = pair.flip()
-    bound = min(
-        luxemburg_norm(pair.phi, f) * orlicz_norm(flipped, g),
-        orlicz_norm(pair, f) * luxemburg_norm(pair.psi, g),
-    )
-    return bound - pointwise
-
-
-def weighted_norm(pair: ComplementaryPair, w: Weight, f: OrliczVector) -> float:
-    """Orlicz norm of the pointwise product f * w (the weighted-space norm)."""
-    return orlicz_norm(pair, f.pointwise_mul(w.at))
+def weighted_norms(pair: ComplementaryPair, w: Weight, vectors) -> np.ndarray:
+    """Orlicz norms of the pointwise products f * w (the weighted-space norms)."""
+    return orlicz_norms(pair, [f.pointwise_mul(w.at) for f in vectors])
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -86,16 +86,11 @@ class YoungFunction:
 
     fn maps nonnegative reals (scalar or ndarray) to nonnegative reals.
     derivative, when present, is the density gen with Phi(x) = int_0^x gen.
-    closed_form_conjugate is populated for catalog entries whose partner
-    has a closed form.
     """
 
     fn: Callable
     name: str
     derivative: Optional[Callable] = None
-    closed_form_conjugate: Optional["YoungFunction"] = field(
-        default=None, repr=False
-    )
 
     def __call__(self, x):
         return self.fn(x)
@@ -630,12 +625,7 @@ def pnorm_pair(p: float) -> ComplementaryPair:
     """The pair Phi = x^p/p, Psi = y^q/q with 1/p + 1/q = 1."""
     if not p > 1.0:
         raise InputError(f"pnorm exponent must exceed 1, got {p!r}")
-    q = p / (p - 1.0)
-    phi = _pnorm_fn(p)
-    psi = _pnorm_fn(q)
-    phi = replace(phi, closed_form_conjugate=psi)
-    psi = replace(psi, closed_form_conjugate=phi)
-    return ComplementaryPair(phi, psi)
+    return ComplementaryPair(_pnorm_fn(p), _pnorm_fn(p / (p - 1.0)))
 
 
 def _xlog() -> YoungFunction:
@@ -704,9 +694,5 @@ def catalog_pair(name: str) -> ComplementaryPair:
         phi = _coshm()
         return ComplementaryPair(phi, conjugate(phi, _CATALOG_CAP), numeric_side="psi")
     if name == "expm":
-        phi = _expm()
-        psi = _expm_conjugate()
-        phi = replace(phi, closed_form_conjugate=psi)
-        psi = replace(psi, closed_form_conjugate=phi)
-        return ComplementaryPair(phi, psi)
+        return ComplementaryPair(_expm(), _expm_conjugate())
     raise InputError(f"unknown Young-function name {name!r}")

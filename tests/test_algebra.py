@@ -148,9 +148,9 @@ def test_broken_cocycle_breaks_associativity():
 
 def test_unit_check():
     for om in (trivial_cocycle(C5), OM, bilinear_phase(Z2, np.array([[0, 0], [1, 0]]), math.pi)):
-        rep = algebra.unit_check(om, samples=20, seed=7, radius=3)
-        assert rep.max_left_deviation <= 1e-12
-        assert rep.max_right_deviation <= 1e-12
+        left, right = algebra.unit_check(om, samples=20, seed=7, radius=3)
+        assert left <= 1e-12
+        assert right <= 1e-12
 
 
 def test_module_actions_match_naive_and_example():
@@ -277,9 +277,9 @@ def test_split_factors_verify_rejects_nan():
 def test_unit_check_propagates_nan():
     # Omega(s, e) is NaN at s = (1, 0): only the right-hand products see it
     om = perturbed(trivial_cocycle(Z2), (1, 0), (0, 0), math.nan)
-    rep = algebra.unit_check(om, samples=50, seed=0)
-    assert rep.max_left_deviation == 0.0
-    assert math.isnan(rep.max_right_deviation)
+    left, right = algebra.unit_check(om, samples=50, seed=0)
+    assert left == 0.0
+    assert math.isnan(right)
 
 
 def test_probe_constant_propagates_nan(monkeypatch):
@@ -290,9 +290,8 @@ def test_probe_constant_propagates_nan(monkeypatch):
         return np.full_like(norms, math.nan) if next(calls) % 3 == 0 else norms
 
     monkeypatch.setattr(algebra, "orlicz_norms", nan_numerators)
-    spec = algebra.ProbeSpec(radii=(3,), samples=5)
-    rep = algebra.submultiplicativity_probe(catalog_pair("pnorm:2"), OM, spec)
-    assert math.isnan(rep.rows[0][1])
+    rows = algebra.submultiplicativity_probe(catalog_pair("pnorm:2"), OM, radii=(3,), samples=5)
+    assert math.isnan(rows[0][1])
 
 
 def test_xi_eta_definitions_and_zeta_crosscheck():
@@ -361,12 +360,13 @@ def test_augmentation():
 
 def test_probe_reports_and_is_deterministic():
     pair = catalog_pair("pnorm:2")
-    spec = algebra.ProbeSpec(radii=(2, 4), samples=30, seed=99)
-    a = algebra.submultiplicativity_probe(pair, OM, spec)
-    b = algebra.submultiplicativity_probe(pair, OM, spec)
-    assert a.rows == b.rows
-    assert "lower bound" in a.note
-    for radius, c_hat, samples in a.rows:
+    a = algebra.submultiplicativity_probe(pair, OM, radii=(2, 4), samples=30, seed=99)
+    b = algebra.submultiplicativity_probe(pair, OM, radii=(2, 4), samples=30, seed=99)
+    assert a == b
+    assert [r[0] for r in a] == [2, 4]
+    assert "empirical lower bound" in algebra.submultiplicativity_probe.__doc__
+    assert [r[0] for r in algebra.submultiplicativity_probe(pair, OM, samples=2)] == [4, 8]
+    for radius, c_hat, samples in a:
         assert math.isfinite(c_hat) and c_hat > 0.0
         assert samples == 30
     # delta pairs: ratio is |Omega(s,t)| / |delta|_Phi for counting measure
@@ -382,8 +382,7 @@ def test_dual_action_norm_bound_with_probed_constant():
     rng = np.random.default_rng(33)
     pair = catalog_pair("pnorm:2")
     om7 = coboundary_from_weight(polynomial_weight(C7, 1.0))
-    spec = algebra.ProbeSpec(radii=(3,), samples=200, seed=12)
-    c_hat = algebra.submultiplicativity_probe(pair, om7, spec).rows[0][1]
+    c_hat = algebra.submultiplicativity_probe(pair, om7, radii=(3,), samples=200, seed=12)[0][1]
     for _ in range(40):
         g = random_vector(C7, rng, 3, 5)
         h = random_vector(C7, rng, 3, 5)
@@ -403,9 +402,8 @@ def test_polynomial_growth_probes_on_the_heisenberg_group():
                   subexp_weight(heis, 0.5, 1.0)):
             for radius in (5, 6):
                 assert decomposition_witness(coboundary_from_weight(w), radius).max_violation <= 0.0
-        spec = algebra.ProbeSpec(radii=(5, 6), samples=60)
         om = coboundary_from_weight(polynomial_weight(heis, 2.0))
-        rows = algebra.submultiplicativity_probe(catalog_pair("pnorm:2"), om, spec).rows
+        rows = algebra.submultiplicativity_probe(catalog_pair("pnorm:2"), om, (5, 6), 60)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -145,7 +145,8 @@ def test_negative_radius_rejected():
 
 
 def test_memory_cap_carries_partial_count():
-    tight = Group("free_abelian", 2, element_cap=30)
+    tight = Group.free_abelian(2)
+    tight.element_cap = 30
     with pytest.raises(MemoryCapError) as err:
         tight.ball(10)
     assert err.value.partial_count > 30
@@ -156,7 +157,8 @@ def test_memory_cap_carries_partial_count():
     [("free_abelian", 2, 30, 6, 85), ("heisenberg3", 3, 40, 5, 299)],
 )
 def test_a_memory_cap_error_leaves_the_table_intact(kind, param, cap, radius, count):
-    group = Group(kind, param, element_cap=cap)
+    group = Group(kind, param)
+    group.element_cap = cap
     with pytest.raises(MemoryCapError):
         group.ball(10)
     group.element_cap = Group.DEFAULT_ELEMENT_CAP
@@ -206,8 +208,9 @@ def test_the_bfs_table_does_not_depend_on_how_it_was_grown(make, radius):
 
 def test_radius_cap_error_for_unreachable_element():
     heis = Group.heisenberg()
+    heis.radius_cap = 6
     with pytest.raises(RadiusCapError) as err:
-        heis.word_length_bfs((0, 0, 10**6), radius_cap=6)
+        heis.word_length_bfs((0, 0, 10**6))
     assert err.value.radius_cap == 6
 
 

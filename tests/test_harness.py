@@ -275,7 +275,10 @@ def test_cli_conv_and_probe(tmp_path, capsys):
         "conv", "probe", "--group", "z2", "--cocycle", "poly:2",
         "--phi", "pnorm:2", "--radius", "4", "--samples", "10", "--seed", "3",
     ]) == 0
-    assert "c_hat" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "# c_hat is an empirical lower bound for the true constant"
+    assert [line.split(":")[0] for line in out[1:]] == ["radius 2", "radius 4"]
+    assert all("(10 samples, seed 3)" in line for line in out[1:])
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):
@@ -320,14 +323,28 @@ def test_cli_verify_rejects_samples_and_radius_below_one(tmp_path, capsys):
         ["norm", "--phi", "pnorm:2", "--vec", "BADVEC"],
         ["verify", "--config", "MISSING/cfg.ini"],
         ["conv", "--f", "MISSING/f.vec", "--g", "VEC"],
+        ["group", "ball", "--group", "z2", "--radius", "-1"],
+        ["cocycle", "check", "--group", "z2", "--weight", "poly:1", "--radius", "-1"],
+        ["cocycle", "witness", "--weight", "poly:1", "--radius", "-1"],
+        ["cocycle", "polar", "--group", "z2", "--cocycle", "poly:1", "--radius", "-1"],
+        ["group", "growth", "--group", "z2", "--max-r", "5"],
+        ["conv", "probe", "--phi", "pnorm:2", "--radius", "4", "--samples", "0"],
+        ["conv", "probe", "--phi", "pnorm:2", "--radius", "0"],
+        ["young", "equiv", "--phi1", "pnorm:2", "--phi2", "pnorm:2", "--xmax", "0"],
+        ["young", "equiv", "--phi1", "pnorm:2", "--phi2", "pnorm:2", "--xmax", "-1"],
+        ["verify", "--suite", "membership", "--out", "MISSING/r.txt"],
     ],
     ids=" ".join,
 )
-def test_cli_malformed_arguments_are_configuration_errors(tmp_path, capsys, argv):
+def test_cli_malformed_arguments_are_configuration_errors(tmp_path, capsys, monkeypatch, argv):
+    def no_run(*_args):
+        raise AssertionError("verify ran its suites")
+
+    monkeypatch.setattr(cli, "run_all", no_run)  # a bad argument costs no run
     (tmp_path / "f.vec").write_text("1,0,1.0,0.0\n", encoding="utf-8")
     (tmp_path / "bad.vec").write_text("1,0,x,0.0\n", encoding="utf-8")
     paths = {"VEC": "f.vec", "BADVEC": "bad.vec", "MISSING/cfg.ini": "missing/cfg.ini",
-             "MISSING/f.vec": "missing/f.vec"}
+             "MISSING/f.vec": "missing/f.vec", "MISSING/r.txt": "missing/r.txt"}
     argv = [str(tmp_path / paths[a]) if a in paths else a for a in argv]
     assert cli.main(argv) == 2
     assert "configuration error:" in capsys.readouterr().err

@@ -10,16 +10,16 @@ from orliczlab.errors import GroupMismatchError, InputError, MethodDisagreementE
 from orliczlab.groups import Group, polynomial_weight, subexp_weight, trivial_weight
 from orliczlab.space import (
     OrliczVector,
-    holder_gap,
+    holder_gaps,
     luxemburg_batch,
     luxemburg_norm,
     membership_diagnostic,
     modular,
-    norm_report,
+    orlicz_gauges,
     orlicz_norm,
     random_vector,
     random_vectors,
-    weighted_norm,
+    weighted_norms,
 )
 from orliczlab.young import ComplementaryPair, catalog_names, catalog_pair
 
@@ -106,10 +106,10 @@ def test_norm_report_sandwich_invariant():
         pair = catalog_pair(name)
         for _ in range(20):
             f = random_vector(C7, rng, 3, 5)
-            rep = norm_report(pair, f)
-            assert rep.luxemburg <= rep.orlicz + 1e-9
-            assert rep.orlicz <= 2.0 * rep.luxemburg + 1e-9
-            assert rep.method_agreement <= 1e-5
+            orl, gap, lux = orlicz_gauges(pair, [f])[:, 0]
+            assert lux <= orl + 1e-9
+            assert orl <= 2.0 * lux + 1e-9
+            assert gap <= 1e-5
 
 
 def test_unit_ball_characterization():
@@ -182,29 +182,55 @@ def test_norms_of_a_vector_holding_nan_raise():
         orlicz_norm(P2, f)
 
 
+def _holder_gap_reference(pair, f, g):
+    """The per-pair Hoelder gap, one (f, g) at a time."""
+    at = dict(g.items())
+    pointwise = float(sum(abs(a * at.get(s, 0j)) for s, a in f.items()))
+    if not f or not g:
+        return 0.0 - pointwise
+    flipped = pair.flip()
+    bound = min(
+        luxemburg_norm(pair.phi, f) * orlicz_norm(flipped, g),
+        orlicz_norm(pair, f) * luxemburg_norm(pair.psi, g),
+    )
+    return bound - pointwise
+
+
 def test_holder_gap_cases():
     fd = OrliczVector.delta(C7, (1,))
+    zero = OrliczVector.zero(C7)
     # Cauchy-Schwarz equality case: bound = 2^-1/2 * 2^1/2 = 1, pairing = 1
-    assert holder_gap(P2, fd, fd) == pytest.approx(0.0, abs=1e-10)
-    assert holder_gap(P2, fd, OrliczVector.zero(C7)) == 0.0
+    assert holder_gaps(P2, [fd], [fd])[0] == pytest.approx(0.0, abs=1e-10)
+    assert holder_gaps(P2, [fd, zero, zero], [zero, fd, zero]).tolist() == [0.0, 0.0, 0.0]
+    assert holder_gaps(P2, [], []).shape == (0,)
     rng = np.random.default_rng(9)
     for name in catalog_names():
         pair = catalog_pair(name)
-        for _ in range(5):
-            f = random_vector(C7, rng, 3, 5)
-            g = random_vector(C7, rng, 3, 5)
-            assert holder_gap(pair, f, g) >= -1e-9
+        # support sizes 0-7 on both sides, so the buckets of fs and gs split
+        fs = [random_vector(C7, rng, 3, k) if k else zero for k in (5, 1, 7, 0, 3, 5, 2, 1)]
+        gs = [random_vector(C7, rng, 3, k) if k else zero for k in (5, 4, 2, 6, 0, 5, 1, 7)]
+        fs, gs = fs + [fd, fd, zero], gs + [fd, zero, fd]
+        gaps = holder_gaps(pair, fs, gs)
+        assert gaps.tolist() == [_holder_gap_reference(pair, f, g) for f, g in zip(fs, gs)]
+        assert np.all(gaps >= -1e-9)
 
 
 def test_weighted_norm():
     w1 = polynomial_weight(Z2, 1.0)
     f = OrliczVector.delta(Z2, (2, 1))
-    assert weighted_norm(P2, w1, f) == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-10)
+    assert weighted_norms(P2, w1, [f])[0] == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-10)
     assert luxemburg_norm(P2.phi, f.pointwise_mul(w1.at)) == pytest.approx(
         4.0 / math.sqrt(2.0), rel=1e-10
     )
     g = OrliczVector(Z2, {(0, 1): 1.5, (1, 1): -2.0j})
-    assert weighted_norm(P2, trivial_weight(Z2), g) == pytest.approx(orlicz_norm(P2, g))
+    assert weighted_norms(P2, trivial_weight(Z2), [g])[0] == pytest.approx(orlicz_norm(P2, g))
+    rng = np.random.default_rng(4)
+    vs = [random_vector(Z2, rng, 4, k) if k else OrliczVector.zero(Z2) for k in (6, 0, 3, 6, 1)]
+    for pair in (P2, catalog_pair("xlog")):
+        for w in (w1, subexp_weight(Z2, 0.5, 1.0), trivial_weight(Z2)):
+            want = [orlicz_norm(pair, v.pointwise_mul(w.at)) for v in vs]
+            assert weighted_norms(pair, w, vs).tolist() == want
+    assert weighted_norms(P2, w1, []).shape == (0,)
 
 
 def test_membership_diagnostic_verdicts():

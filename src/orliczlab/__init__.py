@@ -61,6 +61,7 @@ from .harness import (
 from .space import (
     MembershipReport,
     OrliczVector,
+    VectorBatch,
     holder_gaps,
     luxemburg_norm,
     luxemburg_norms,

@@ -7,11 +7,17 @@ For a cocycle Om the twisted convolution of finitely supported vectors is
 an exact finite sum here (no truncation, no FFT), with the naive double
 loop over a scalar kernel k(s, t), such as Om.value, kept as the oracle for
 the support-pair implementation.  That implementation, shared by every
-product below, forms all pairs of the two supports at once: the target
-rows with Group.multiply_array, the kernel values from one call of an
-array kernel, the terms (a b) k with complex products formed part by part,
-and then the scatter-add of the space module, in the pair order of a
-double loop over the sorted supports.
+product below, takes two batches of equal length (space.VectorBatch; a
+vector is the batch of one) and pairs vector i of one with vector i of the
+other.  It forms the support pairs of every vector at once, each vector's
+pairs in the order of a double loop over the sorted supports: the target
+rows with one Group.multiply_array, the kernel values from one call of an
+array kernel, the terms (a b) k with complex products formed part by
+part, and then one scatter-add of the space module keyed by (vector,
+target).  So a law evaluates a product over all its draws with one kernel
+call, and each vector of the result equals its one-vector product bit for
+bit.  The residuals below (associativity, duality, splitting) take
+vectors or batches alike and give a number per vector.
 
 Every function on the group passed in here is an array function of int64
 coordinate rows, mapping broadcastable (..., d) arrays to values of their
@@ -60,8 +66,17 @@ import numpy as np
 
 from .cocycles import Cocycle, DecompositionWitness
 from .errors import FactorizationError, GroupMismatchError
-from .groups import Group, Weight
-from .space import OrliczVector, cdiv, cmul, orlicz_norms, random_vectors
+from .groups import Weight
+from .space import (
+    OrliczVector,
+    VectorBatch,
+    _segment_sums,
+    cdiv,
+    cmul,
+    modulus,
+    orlicz_norms,
+    random_vectors,
+)
 from .young import ComplementaryPair
 
 __all__ = [
@@ -87,14 +102,26 @@ __all__ = [
 ]
 
 
-def _same_group(f: OrliczVector, g: OrliczVector) -> Group:
-    if f.group != g.group:
-        raise GroupMismatchError(f"operands on {f.group!r} vs {g.group!r}")
-    return f.group
+def _pairs(outer: VectorBatch, inner: VectorBatch):
+    """(p, q, seg): the entries p of outer and q of inner of each support
+    pair, vector i of outer with vector i of inner, in double-loop order
+    (outer entry, then inner entry, each in store order), and the vector
+    of each pair."""
+    outer._check(inner)
+    if outer._m == 1:  # the one-vector products: a plain double loop
+        p, q = np.divmod(np.arange(len(outer._amps) * len(inner._amps)), max(len(inner._amps), 1))
+        return p, q, np.zeros(len(p), dtype=np.int64)
+    seg = outer._segments()
+    reps = inner.sizes[seg]  # each outer entry meets every entry of its inner vector
+    p = np.repeat(np.arange(len(seg)), reps)
+    first = np.cumsum(reps) - reps  # the first pair of each outer entry
+    q = np.arange(len(p)) - np.repeat(first - inner._offsets[seg], reps)
+    return p, q, seg[p]
 
 
-def _kernel_sum(outer: OrliczVector, inner: OrliczVector, place: str, kernel=None) -> OrliczVector:
-    """Sum a * b * kernel over supp(outer) x supp(inner), one target per pair.
+def _kernel_sum(outer: VectorBatch, inner: VectorBatch, place: str, kernel=None):
+    """Sum a * b * kernel over supp(outer) x supp(inner), one target per pair,
+    for each vector of outer with the vector of inner at the same place.
 
     For x in supp(outer) with amplitude a and y in supp(inner) with
     amplitude b, the target and the kernel's arguments are
@@ -105,11 +132,13 @@ def _kernel_sum(outer: OrliczVector, inner: OrliczVector, place: str, kernel=Non
     the n complex values at their pairs.  With no kernel the term is a * b
     (no multiplication by a unit).  Pairs run over the outer support, then
     the inner support, each in its sorted store order, and the terms are
-    scatter-added in that order.
+    scatter-added in that order, keyed by (vector, target): one kernel
+    call and one scatter-add for the whole batch.  The result has outer's
+    type, so two vectors give a vector.
     """
-    group = _same_group(outer, inner)
-    p, q = np.divmod(np.arange(len(outer) * len(inner)), max(len(inner), 1))  # double-loop order
-    X, Y = outer._rows[p], inner._rows[q]
+    p, q, seg = _pairs(outer, inner)
+    group = outer.group
+    X, Y = np.take(outer._rows, p, axis=0), np.take(inner._rows, q, axis=0)
     if place == "xy":
         T = group.multiply_array(X, Y)
         S, R = X, Y
@@ -122,16 +151,16 @@ def _kernel_sum(outer: OrliczVector, inner: OrliczVector, place: str, kernel=Non
     terms = cmul(outer._amps[p], inner._amps[q])
     if kernel is not None:
         terms = cmul(terms, kernel(S, R))
-    return OrliczVector._summed(group, T, terms)
+    return outer._summed(group, T, terms, seg, outer._m)
 
 
-def twisted_convolve(om: Cocycle, f: OrliczVector, g: OrliczVector) -> OrliczVector:
+def twisted_convolve(om: Cocycle, f: VectorBatch, g: VectorBatch) -> VectorBatch:
     """(f * g)(t) = sum_s f(s) g(s^{-1}t) Om(s, s^{-1}t), support-pair form.
 
     Accumulates over supp(f) x supp(g) via t = s y, so the cocycle is
     evaluated at (s, y) directly; support lands inside supp(f)supp(g).
     """
-    if om.group != _same_group(f, g):
+    if om.group != f._check(g):
         raise GroupMismatchError("cocycle lives on a different group")
     return _kernel_sum(f, g, "xy", om.values)
 
@@ -139,7 +168,7 @@ def twisted_convolve(om: Cocycle, f: OrliczVector, g: OrliczVector) -> OrliczVec
 def twisted_convolve_naive(k: Callable, f: OrliczVector, g: OrliczVector) -> OrliczVector:
     """Literal transcription of the defining sum with a scalar kernel
     k(s, t), such as om.value; the oracle."""
-    group = _same_group(f, g)
+    group = f._check(g)
     mul, inv = group.multiply, group.invert
     fs, at = list(f.items()), dict(g.items())
     targets = sorted({mul(s, y) for s, _ in fs for y in at})
@@ -155,22 +184,24 @@ def twisted_convolve_naive(k: Callable, f: OrliczVector, g: OrliczVector) -> Orl
     return OrliczVector(group, out)
 
 
-def convolve(f: OrliczVector, g: OrliczVector) -> OrliczVector:
+def convolve(f: VectorBatch, g: VectorBatch) -> VectorBatch:
     """Plain (untwisted) convolution."""
     return _kernel_sum(f, g, "xy")
 
 
-def l1_bound_gap(om: Cocycle, f: OrliczVector, g: OrliczVector) -> float:
-    """sup|Om| * |f|_1 * |g|_1 - |f*g|_1 over the pairs the sum touches."""
-    if not f or not g:
-        return 0.0
-    W = om.values(f._rows[:, None], g._rows[None, :])
-    sup = float(np.hypot(W.real, W.imag).max())
-    return sup * f.l1() * g.l1() - twisted_convolve(om, f, g).l1()
+def l1_bound_gap(om: Cocycle, f: VectorBatch, g: VectorBatch):
+    """sup|Om| * |f|_1 * |g|_1 - |f*g|_1 over the pairs the sum touches; 0
+    when f or g is zero."""
+    p, q, seg = _pairs(f, g)
+    sup = np.full(f._m, -np.inf)
+    np.maximum.at(sup, seg, modulus(om.values(np.take(f._rows, p, 0), np.take(g._rows, q, 0))))
+    with np.errstate(invalid="ignore"):  # -inf * 0 where f or g is zero
+        gap = sup * f.l1() * g.l1() - twisted_convolve(om, f, g).l1()
+    return f._out(np.where(f.sizes * g.sizes > 0, gap, 0.0))
 
 
 def associativity_residual(
-    om: Cocycle, f: OrliczVector, g: OrliczVector, h: OrliczVector
+    om: Cocycle, f: VectorBatch, g: VectorBatch, h: VectorBatch
 ) -> float:
     """l1 distance between (f*g)*h and f*(g*h)."""
     left = twisted_convolve(om, twisted_convolve(om, f, g), h)
@@ -182,19 +213,19 @@ def associativity_residual(
 # dual-side actions and the pairing identities
 
 
-def module_action_left(om: Cocycle, g: OrliczVector, h: OrliczVector) -> OrliczVector:
+def module_action_left(om: Cocycle, g: VectorBatch, h: VectorBatch) -> VectorBatch:
     """(g *' h)(s) = sum_t g(t) h(st) Om(s,t)."""
     return _kernel_sum(h, g, "xy^-1", om.values)
 
 
-def module_action_right(om: Cocycle, h: OrliczVector, g: OrliczVector) -> OrliczVector:
+def module_action_right(om: Cocycle, h: VectorBatch, g: VectorBatch) -> VectorBatch:
     """(h *' g)(s) = sum_t g(t) h(ts) Om(t,s)."""
     return _kernel_sum(h, g, "y^-1x", om.values)
 
 
 def module_action_left_naive(k: Callable, g: OrliczVector, h: OrliczVector) -> OrliczVector:
     """The double loop of (g *' h)(s) with a scalar kernel k(s, t); the oracle."""
-    group = _same_group(g, h)
+    group = g._check(h)
     mul, inv = group.multiply, group.invert
     gs, at = list(g.items()), dict(h.items())
     candidates = sorted({mul(u, inv(t)) for u in at for t, _ in gs})
@@ -211,7 +242,7 @@ def module_action_left_naive(k: Callable, g: OrliczVector, h: OrliczVector) -> O
 
 def module_action_right_naive(k: Callable, h: OrliczVector, g: OrliczVector) -> OrliczVector:
     """The double loop of (h *' g)(s) with a scalar kernel k(s, t); the oracle."""
-    group = _same_group(g, h)
+    group = g._check(h)
     mul, inv = group.multiply, group.invert
     gs, at = list(g.items()), dict(h.items())
     candidates = sorted({mul(inv(t), u) for u in at for t, _ in gs})
@@ -227,13 +258,13 @@ def module_action_right_naive(k: Callable, h: OrliczVector, g: OrliczVector) -> 
 
 
 def duality_residual(
-    om: Cocycle, f: OrliczVector, g: OrliczVector, h: OrliczVector
+    om: Cocycle, f: VectorBatch, g: VectorBatch, h: VectorBatch
 ) -> float:
     """Deviation from <f*g, h> = <f, g*'h> = <g, h*'f>."""
     lhs = twisted_convolve(om, f, g).pairing(h)
     mid = f.pairing(module_action_left(om, g, h))
     rhs = g.pairing(module_action_right(om, h, f))
-    return abs(lhs - mid) + abs(lhs - rhs)
+    return modulus(lhs - mid) + modulus(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +304,17 @@ class SplitFactors:
                 raise FactorizationError(pair, float(r.flat[i]))
 
 
-def xi(L: Callable, g: OrliczVector, h: OrliczVector) -> OrliczVector:
+def xi(L: Callable, g: VectorBatch, h: VectorBatch) -> VectorBatch:
     """xi(g,h)(s) = sum_t g(t) h(st) L(s,t)."""
     return _kernel_sum(h, g, "xy^-1", L)
 
 
-def eta(L: Callable, f: OrliczVector, h: OrliczVector) -> OrliczVector:
+def eta(L: Callable, f: VectorBatch, h: VectorBatch) -> VectorBatch:
     """eta(f,h)(t) = sum_s f(s) h(st) L(s,t)."""
     return _kernel_sum(h, f, "y^-1x", L)
 
 
-def zeta(L: Callable, f: OrliczVector, g: OrliczVector) -> OrliczVector:
+def zeta(L: Callable, f: VectorBatch, g: VectorBatch) -> VectorBatch:
     """zeta(f,g)(t) = sum_s f(s) g(s^{-1}t) L(s, s^{-1}t)."""
     return _kernel_sum(f, g, "xy", L)
 
@@ -291,31 +322,33 @@ def zeta(L: Callable, f: OrliczVector, g: OrliczVector) -> OrliczVector:
 def splitting_residual(
     om: Cocycle,
     factors: SplitFactors,
-    f: OrliczVector,
-    g: OrliczVector,
-    h: OrliczVector,
+    f: VectorBatch,
+    g: VectorBatch,
+    h: VectorBatch,
 ) -> float:
-    """|<f*g,h> - <f u, xi(g,h)> - <g v, eta(f,h)>| after verifying the factors."""
-    factors.verify(om, f._rows[:, None], g._rows[None, :])
+    """|<f*g,h> - <f u, xi(g,h)> - <g v, eta(f,h)>| after verifying the
+    factors at every support pair of f and g (of every vector of a batch)."""
+    p, q, _ = _pairs(f, g)
+    factors.verify(om, np.take(f._rows, p, 0), np.take(g._rows, q, 0))
     lhs = twisted_convolve(om, f, g).pairing(h)
     fu = f.pointwise_mul(factors.u)
     gv = g.pointwise_mul(factors.v)
     rhs = fu.pairing(xi(factors.L, g, h)) + gv.pairing(eta(factors.L, f, h))
-    return abs(lhs - rhs)
+    return modulus(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
 # weight transform, augmentation, unit, probe
 
 
-def lambda_transform(w: Weight, f: OrliczVector) -> OrliczVector:
+def lambda_transform(w: Weight, f: VectorBatch) -> VectorBatch:
     """f -> f / w, the isometry onto the weighted space."""
     return f.pointwise_div(w.at)
 
 
-def augmentation(f: OrliczVector) -> complex:
+def augmentation(f: VectorBatch):
     """Sum of coefficients; multiplicative under plain convolution."""
-    return sum((a for _, a in f.items()), 0.0 + 0.0j)
+    return f._out(_segment_sums(f._segments(), f._amps, f._m))
 
 
 _SUPPORT = 6  # support size of the vectors unit_check and the probe draw
@@ -324,10 +357,10 @@ _SUPPORT = 6  # support size of the vectors unit_check and the probe draw
 def unit_check(om: Cocycle, samples: int = 50, seed: int = 0, radius: int = 3) -> tuple:
     """(worst left, worst right) l1 deviation of delta_e * f and f * delta_e
     from f over random f: delta_e is a two-sided unit when both are 0."""
-    e = OrliczVector.delta(om.group, om.group.identity())
     fs = random_vectors(om.group, seed, radius, _SUPPORT, samples)
-    left = [twisted_convolve(om, e, f).distance_l1(f) for f in fs]
-    right = [twisted_convolve(om, f, e).distance_l1(f) for f in fs]
+    es = VectorBatch.deltas(om.group, [om.group.identity()] * samples)
+    left = twisted_convolve(om, es, fs).distance_l1(fs)
+    right = twisted_convolve(om, fs, es).distance_l1(fs)
     return tuple(float(np.max(d, initial=0.0)) for d in (left, right))  # NaN propagates
 
 
@@ -343,9 +376,8 @@ def submultiplicativity_probe(
     rows = []
     for i, radius in enumerate(radii):
         # per-radius derived seed; f and g alternate in the stream
-        fgs = random_vectors(om.group, (seed, i), radius, _SUPPORT, 2 * samples)
-        fs, gs = fgs[0::2], fgs[1::2]
-        num = orlicz_norms(pair, [twisted_convolve(om, f, g) for f, g in zip(fs, gs)])
+        fs, gs = random_vectors(om.group, (seed, i), radius, _SUPPORT, 2 * samples).deal(2)
+        num = orlicz_norms(pair, twisted_convolve(om, fs, gs))
         den = orlicz_norms(pair, fs) * orlicz_norms(pair, gs)
         live = den > 0.0
         ratios = num[live] / den[live]

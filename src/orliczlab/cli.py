@@ -282,7 +282,7 @@ _FLAG_BOUNDS = {
     "check": (("radius", 0, False),),
     "witness": (("radius", 0, False),),
     "polar": (("radius", 0, False),),
-    "probe": (("radius", 1, False), ("samples", 1, False)),
+    "probe": (("radius", 1, False), ("samples", 1, False), ("seed", 0, False)),
 }
 
 

@@ -75,15 +75,36 @@ __all__ = [
 Element = tuple
 
 
-def _sorted_runs(rows: np.ndarray):
+_KEY_SORT_MIN = 512  # below this many rows one np.lexsort is cheaper than building keys
+
+
+def _sorted_runs(rows: np.ndarray, seg: np.ndarray | None = None):
     """(order, rows[order], head) for an (n, d) coordinate array: the stable
     lexicographic order of its rows, so equal rows keep their input order,
-    and the mask of the first row of each run of equal sorted rows."""
-    order = np.lexsort(rows.T[::-1])
-    srt = rows[order]
-    head = np.ones(len(rows), dtype=bool)
-    head[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    return order, srt, head
+    and the mask of the first row of each run of equal sorted rows.  With
+    an (n,) array seg the key is (seg, row): rows sort within each seg.
+
+    From _KEY_SORT_MIN rows on, each row's key is its mixed-radix place in
+    the rows' bounding box times n plus its position, so the keys are
+    distinct and one plain sort of them gives the stable order; np.lexsort
+    sorts fewer rows, or keys that would not fit in int64.
+    """
+    cols = list(rows.T) if seg is None else [seg, *rows.T]
+    n = len(rows)
+    lo = [int(c.min()) for c in cols] if n >= _KEY_SORT_MIN else []
+    span = [int(c.max()) - low + 1 for c, low in zip(cols, lo)]
+    if lo and math.prod(span) * n < 2**62:
+        key = cols[0] - lo[0]
+        for c, low, width in zip(cols[1:], lo[1:], span[1:]):
+            key = key * width + (c - low)
+        key, order = np.divmod(np.sort(key * n + np.arange(n)), n)
+        diffs = [key]
+    else:
+        order = np.lexsort(cols[::-1])
+        diffs = [c[order] for c in cols]
+    head = np.ones(n, dtype=bool)
+    head[1:] = np.logical_or.reduce([c[1:] != c[:-1] for c in diffs])
+    return order, np.take(rows, order, axis=0), head
 
 
 class RowIndex:

@@ -75,12 +75,15 @@ from .groups import (
 )
 from .space import (
     OrliczVector,
+    VectorBatch,
     luxemburg_batch,
     luxemburg_norms,
     membership_diagnostic,
     cdiv,
+    cmul,
     holder_gaps,
     modular,
+    modulus,
     orlicz_gauges,
     orlicz_norm,
     orlicz_norms,
@@ -392,8 +395,9 @@ class _Run:
 
 
 def _fold(residuals) -> float:
-    """np.max over the residuals (numbers or arrays), so a NaN anywhere is NaN."""
-    peaks = [np.max(r) if isinstance(r, np.ndarray) else r for r in residuals]
+    """np.max over the residuals (numbers or arrays, an empty array adding
+    nothing), so a NaN anywhere is NaN."""
+    peaks = [np.max(r) for r in residuals if np.size(r)]
     if not peaks:
         raise OrliczLabError("the law yielded no residuals")
     return float(np.max(peaks))
@@ -411,13 +415,7 @@ def _fixture(build):
 
 
 # ---------------------------------------------------------------------------
-# shared samplers and helpers
-
-
-def _draws(rng, group, radius, support, count, arity):
-    """count tuples of arity consecutive vectors of one random_vectors draw
-    (rng a Generator or a seed), the stream of a hand-written draw loop."""
-    return zip(*[iter(random_vectors(group, rng, radius, support, count * arity))] * arity)
+# shared helpers
 
 
 def _rel_err(values, ref) -> np.ndarray:
@@ -635,7 +633,7 @@ def _homogeneity(_run, seed):
         vecs = random_vectors(group, rng, 4, 6, 50)
         orl, _, lux = orlicz_gauges(pair, vecs)
         for c in (0.3, 2.5, 0.7 + 0.4j):
-            orl_c, _, lux_c = orlicz_gauges(pair, [v.scale(c) for v in vecs])
+            orl_c, _, lux_c = orlicz_gauges(pair, vecs.scale(c))
             yield _rel_err(lux_c, abs(c) * lux)
             yield _rel_err(orl_c, abs(c) * orl)
 
@@ -647,7 +645,7 @@ def _triangle(_run, seed):
     for pair in _catalog():
         fs = random_vectors(group, rng, 4, 6, 60)
         gs = random_vectors(group, rng, 4, 6, 60)
-        o_sum, _, n_sum = orlicz_gauges(pair, [f + g for f, g in zip(fs, gs)])
+        o_sum, _, n_sum = orlicz_gauges(pair, fs + gs)
         o_f, _, n_f = orlicz_gauges(pair, fs)
         o_g, _, n_g = orlicz_gauges(pair, gs)
         yield n_sum - n_f - n_g
@@ -875,29 +873,23 @@ def _twisted_setups(_cfg):
     return setups
 
 
-def _twisted_draws(run, seed, support, count, arity):
-    """(om, *vectors) for count draws per (group, cocycle) setup, one rng throughout."""
-    rng = np.random.default_rng(seed)
-    for group, radius, oms in _twisted_setups(run):
-        for om in oms:
-            for vectors in _draws(rng, group, radius, support, count, arity):
-                yield (om, *vectors)
-
-
 @_law("twisted", "delta-products", "delta_s * delta_t == Omega(s,t) delta_{st}", 1e-12)
 def _delta_products(run, seed):
     rng = np.random.default_rng(seed)
     for group, radius, oms in _twisted_setups(run):
         ball = group.ball(radius)
         for om in oms:
-            for _ in range(50):
-                s = ball[int(rng.integers(len(ball)))]
-                t = ball[int(rng.integers(len(ball)))]
-                left = algebra.twisted_convolve(
-                    om, OrliczVector.delta(group, s), OrliczVector.delta(group, t)
-                )
-                ref = OrliczVector.delta(group, group.multiply(s, t), om.value(s, t))
-                yield left.distance_l1(ref)
+            st = [
+                (ball[int(rng.integers(len(ball)))], ball[int(rng.integers(len(ball)))])
+                for _ in range(50)
+            ]
+            ss, ts = zip(*st)
+            left = algebra.twisted_convolve(
+                om, VectorBatch.deltas(group, ss), VectorBatch.deltas(group, ts)
+            )
+            prods = [group.multiply(s, t) for s, t in st]
+            ref = VectorBatch.deltas(group, prods, [om.value(s, t) for s, t in st])
+            yield left.distance_l1(ref)
 
 
 @_law("twisted", "unit", "delta_e is a two-sided unit", 1e-12)
@@ -910,8 +902,10 @@ def _unit(run, _seed):
 
 @_law("twisted", "l1-bound", "|f*g|_1 <= sup|Omega| |f|_1 |g|_1", 1e-9)
 def _l1_bound(run, seed):
-    for args in _twisted_draws(run, seed, 6, 30, 2):
-        yield -algebra.l1_bound_gap(*args)
+    rng = np.random.default_rng(seed)
+    for group, radius, oms in _twisted_setups(run):
+        for om in oms:
+            yield -algebra.l1_bound_gap(om, *random_vectors(group, rng, radius, 6, 60).deal(2))
 
 
 @_law(
@@ -922,14 +916,18 @@ def _l1_bound(run, seed):
 )
 def _l1_equality_positive(_run, seed):
     om = trivial_cocycle(Group.cyclic(7))
-    for f, g in _draws(seed, om.group, 3, 5, 30, 2):
-        yield abs(algebra.l1_bound_gap(om, f.abs(), g.abs()))
+    fs, gs = random_vectors(om.group, seed, 3, 5, 60).deal(2)
+    yield np.abs(algebra.l1_bound_gap(om, fs.abs(), gs.abs()))
 
 
 @_law("twisted", "associativity", "(f*g)*h == f*(g*h) whenever the cocycle identity holds", 1e-10)
 def _associativity(run, seed):
-    for args in _twisted_draws(run, seed, 5, max(20, run.cfg.samples // 10), 3):
-        yield algebra.associativity_residual(*args)
+    rng = np.random.default_rng(seed)
+    count = max(20, run.cfg.samples // 10)
+    for group, radius, oms in _twisted_setups(run):
+        for om in oms:
+            fgh = random_vectors(group, rng, radius, 5, 3 * count).deal(3)
+            yield algebra.associativity_residual(om, *fgh)
 
 
 @_law(
@@ -937,17 +935,20 @@ def _associativity(run, seed):
 )
 def _associativity_broken(_run, seed):
     bad = _broken_z2()
-    draws = _draws(seed, bad.group, 2, 8, 50, 3)
-    yield 1e-2 - np.max([algebra.associativity_residual(bad, *fgh) for fgh in draws])
+    fgh = random_vectors(bad.group, seed, 2, 8, 150).deal(3)
+    yield 1e-2 - np.max(algebra.associativity_residual(bad, *fgh))
 
 
 @_law(
     "twisted", "oracle-agreement", "support-pair convolution matches the literal double loop", 1e-12
 )
 def _oracle_agreement(run, seed):
-    for om, f, g in _twisted_draws(run, seed, 5, 10, 2):
-        fast = algebra.twisted_convolve(om, f, g)
-        yield fast.distance_l1(algebra.twisted_convolve_naive(om.value, f, g))
+    rng = np.random.default_rng(seed)
+    for group, radius, oms in _twisted_setups(run):
+        for om in oms:
+            fs, gs = random_vectors(group, rng, radius, 5, 20).deal(2)
+            naive = [algebra.twisted_convolve_naive(om.value, f, g) for f, g in zip(fs, gs)]
+            yield algebra.twisted_convolve(om, fs, gs).distance_l1(VectorBatch.of(naive))
 
 
 @_law(
@@ -989,18 +990,18 @@ def _c7_coboundary() -> Cocycle:
 @_law("duality", "pairing-identity", "<f*g, h> == <f, g*'h> == <g, h*'f>", 1e-10)
 def _pairing_identity(run, seed):
     om = _c7_coboundary()
-    for fgh in _draws(seed, om.group, 3, 5, run.cfg.samples, 3):
-        yield algebra.duality_residual(om, *fgh)
+    fgh = random_vectors(om.group, seed, 3, 5, 3 * run.cfg.samples).deal(3)
+    yield algebra.duality_residual(om, *fgh)
 
 
 @_law("duality", "action-oracle", "module actions match their literal double loops", 1e-12)
 def _action_oracle(_run, seed):
     om = _c7_coboundary()
-    for g, h in _draws(seed, om.group, 3, 5, 100, 2):
-        left = algebra.module_action_left(om, g, h)
-        yield left.distance_l1(algebra.module_action_left_naive(om.value, g, h))
-        right = algebra.module_action_right(om, h, g)
-        yield right.distance_l1(algebra.module_action_right_naive(om.value, h, g))
+    gs, hs = random_vectors(om.group, seed, 3, 5, 200).deal(2)
+    left = [algebra.module_action_left_naive(om.value, g, h) for g, h in zip(gs, hs)]
+    yield algebra.module_action_left(om, gs, hs).distance_l1(VectorBatch.of(left))
+    right = [algebra.module_action_right_naive(om.value, h, g) for g, h in zip(gs, hs)]
+    yield algebra.module_action_right(om, hs, gs).distance_l1(VectorBatch.of(right))
 
 
 @_law(
@@ -1013,8 +1014,8 @@ def _action_norm_bound(run, seed):
     om = _c7_coboundary()
     pair = catalog_pair(run.cfg.pair)
     c_hat = algebra.submultiplicativity_probe(pair, om, (3,), 300, seed)[0][1]
-    gs, hs = zip(*_draws(seed, om.group, 3, 5, 100, 2))
-    lhs = orlicz_norms(pair.flip(), [algebra.module_action_left(om, g, h) for g, h in zip(gs, hs)])
+    gs, hs = random_vectors(om.group, seed, 3, 5, 200).deal(2)
+    lhs = orlicz_norms(pair.flip(), algebra.module_action_left(om, gs, hs))
     yield lhs - 2.0 * c_hat * orlicz_norms(pair, gs) * luxemburg_norms(pair.psi, hs)
 
 
@@ -1037,8 +1038,8 @@ def _z2_split(_cfg):
 )
 def _identity_weighted(run, seed):
     om, factors = _z2_split(run)
-    for fgh in _draws(seed, om.group, 4, 6, max(50, run.cfg.samples // 10), 3):
-        yield algebra.splitting_residual(om, factors, *fgh)
+    fgh = random_vectors(om.group, seed, 4, 6, 3 * max(50, run.cfg.samples // 10)).deal(3)
+    yield algebra.splitting_residual(om, factors, *fgh)
 
 
 @_law("splitting", "identity-halves", "u = v = 1/2 splits the trivial cocycle exactly", 1e-12)
@@ -1046,8 +1047,8 @@ def _identity_halves(_run, seed):
     om = trivial_cocycle(Group.cyclic(5))
     half = lambda X: np.full(X.shape[:-1], 0.5)
     factors = algebra.SplitFactors(L=om.values, u=half, v=half)
-    for fgh in _draws(seed, om.group, 2, 4, 50, 3):
-        yield algebra.splitting_residual(om, factors, *fgh)
+    fgh = random_vectors(om.group, seed, 2, 4, 150).deal(3)
+    yield algebra.splitting_residual(om, factors, *fgh)
 
 
 @_law(
@@ -1064,8 +1065,8 @@ def _identity_random_uv(_run, seed):
     u = lambda X: uvals[X[..., 0]]
     v = lambda X: vvals[X[..., 0]]
     factors = algebra.SplitFactors(lambda S, T: cdiv(om.values(S, T), u(S) + v(T)), u, v)
-    for fgh in _draws(rng, c5, 2, 4, 50, 3):
-        yield algebra.splitting_residual(om, factors, *fgh)
+    fgh = random_vectors(c5, rng, 2, 4, 150).deal(3)
+    yield algebra.splitting_residual(om, factors, *fgh)
 
 
 @_law("splitting", "xi-eta-oracle", "xi and eta match their literal double loops", 1e-12)
@@ -1073,17 +1074,19 @@ def _xi_eta_oracle(run, seed):
     om, factors = _z2_split(run)
     L = factors.L
     Ls = lambda s, t: complex(L(np.array(s), np.array(t)))  # L at one pair
-    for g, h in _draws(seed, om.group, 3, 5, 40, 2):
-        yield algebra.xi(L, g, h).distance_l1(algebra.module_action_left_naive(Ls, g, h))
-        yield algebra.eta(L, g, h).distance_l1(algebra.module_action_right_naive(Ls, h, g))
+    gs, hs = random_vectors(om.group, seed, 3, 5, 80).deal(2)
+    left = [algebra.module_action_left_naive(Ls, g, h) for g, h in zip(gs, hs)]
+    yield algebra.xi(L, gs, hs).distance_l1(VectorBatch.of(left))
+    right = [algebra.module_action_right_naive(Ls, h, g) for g, h in zip(gs, hs)]
+    yield algebra.eta(L, gs, hs).distance_l1(VectorBatch.of(right))
 
 
 @_law("splitting", "zeta-crosscheck", "sum f xi(g,h) == sum h zeta(f,g)", 1e-10)
 def _zeta_crosscheck(run, seed):
     om, factors = _z2_split(run)
     L = factors.L
-    for f, g, h in _draws(seed, om.group, 3, 5, 40, 3):
-        yield abs(f.pairing(algebra.xi(L, g, h)) - h.pairing(algebra.zeta(L, f, g)))
+    fs, gs, hs = random_vectors(om.group, seed, 3, 5, 120).deal(3)
+    yield modulus(fs.pairing(algebra.xi(L, gs, hs)) - hs.pairing(algebra.zeta(L, fs, gs)))
 
 
 @_law(
@@ -1094,10 +1097,10 @@ def _zeta_crosscheck(run, seed):
 )
 def _xi_pointwise_bound(run, seed):
     om, factors = _z2_split(run)
-    for g, h in _draws(seed, om.group, 3, 5, 40, 2):
-        dom = dict(algebra.convolve(h.abs(), g.abs().reverse()).items())
-        for s, a in algebra.xi(factors.L, g, h).items():
-            yield abs(a) - dom.get(s, 0j).real
+    gs, hs = random_vectors(om.group, seed, 3, 5, 80).deal(2)
+    x = algebra.xi(factors.L, gs, hs)
+    dom = algebra.convolve(hs.abs(), gs.abs().reverse())
+    yield x.abs_amplitudes() - dom.values_at(x).real
 
 
 # ---------------------------------------------------------------------------
@@ -1109,7 +1112,7 @@ def _isometry(run, seed):
     w = polynomial_weight(_Z2(), 1.0)
     pair = catalog_pair(run.cfg.pair)
     fs = random_vectors(w.group, seed, 4, 6, 100)
-    a = weighted_norms(pair, w, [algebra.lambda_transform(w, f) for f in fs])
+    a = weighted_norms(pair, w, algebra.lambda_transform(w, fs))
     yield _rel_err(a, orlicz_norms(pair, fs))
 
 
@@ -1119,10 +1122,10 @@ def _isometry(run, seed):
 def _intertwining(run, seed):
     w = polynomial_weight(_Z2(), 1.0)
     om = coboundary_from_weight(w)
-    for f, g in _draws(seed, w.group, 3, 6, max(100, run.cfg.samples // 5), 2):
-        lhs = algebra.lambda_transform(w, algebra.twisted_convolve(om, f, g))
-        rhs = algebra.convolve(algebra.lambda_transform(w, f), algebra.lambda_transform(w, g))
-        yield lhs.distance_l1(rhs)
+    fs, gs = random_vectors(w.group, seed, 3, 6, 2 * max(100, run.cfg.samples // 5)).deal(2)
+    lhs = algebra.lambda_transform(w, algebra.twisted_convolve(om, fs, gs))
+    rhs = algebra.convolve(algebra.lambda_transform(w, fs), algebra.lambda_transform(w, gs))
+    yield lhs.distance_l1(rhs)
 
 
 @_law(
@@ -1150,8 +1153,8 @@ def _augmentation_kernel(_run, seed):
 )
 def _augmentation_multiplicative(_run, seed):
     aug = algebra.augmentation
-    for f, g in _draws(seed, Group.cyclic(5), 2, 4, 100, 2):
-        yield abs(aug(algebra.convolve(f, g)) - aug(f) * aug(g))
+    fs, gs = random_vectors(Group.cyclic(5), seed, 2, 4, 200).deal(2)
+    yield modulus(aug(algebra.convolve(fs, gs)) - cmul(aug(fs), aug(gs)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,21 +27,29 @@ stop rule and one overflow policy hold throughout: a bracket growing past
 1e300 raises BracketOverflowError and a solve that runs out of steps
 raises SolverCapError; no solver returns an unconverged value.
 
-A vector is stored as an (n, d) int64 array of coordinate rows and an
-(n,) complex array of amplitudes.  The rows are distinct, their
+Vectors live in one ragged store, the CSR layout of scipy.sparse: a
+VectorBatch of m vectors holds an (N, d) int64 array of coordinate rows,
+an (N,) complex array of amplitudes and an (m + 1,) offsets array, vector
+i being entries offsets[i] to offsets[i + 1].  An OrliczVector is the
+batch of one vector.  Within a vector the rows are distinct, their
 amplitudes nonzero, and they are in lexicographic order: one canonical
 form, whatever order the entries came in.  The constructor, + and the
-kernels of the algebra module all end in one scatter-add, which returns
-the rows sorted: equal rows sum from 0.0 in input order and exact zeros
-are pruned.  scale, abs and the pointwise maps by an array function of
-the rows keep the rows and only prune zeros; they form products,
-quotients by a real and moduli as CPython does, so each entry equals the
-scalar computation bit for bit.  items, support, abs_amplitudes, l1 and
-pairing all read the store in row order.
+kernels of the algebra module all end in one scatter-add keyed by
+(vector, row), which returns each vector's rows sorted: equal rows of a
+vector sum from 0.0 in input order (np.bincount adds in sequence) and
+exact zeros are pruned.  scale, abs and the pointwise maps by an array
+function of the rows keep the rows and only prune zeros; they form
+products, quotients by a real and moduli as CPython does, so each entry
+equals the scalar computation bit for bit.  l1, pairing and distance_l1
+give one value per vector, each summed in row order from 0.0, as a
+Python sum over the vector alone would be; on an OrliczVector they give
+one Python number.  So every vector of a batch comes out as it would
+alone, bit for bit.
 
-Every random vector comes from random_vectors: it reads the ball once per
-batch, then draws each vector with one choice and one uniform call, so a
-batch is the stream of one-vector draws (random_vector is count = 1).
+Every random vector comes from random_vectors: it reads the ball once,
+then draws each vector with one choice and one uniform call, in that
+order, writing the draws straight into one batch, so a batch is the
+stream of one-vector draws (random_vector is count = 1).
 
 The norms satisfy N(f) <= |f| <= 2 N(f).  Batched variants run whole
 sweeps of vectors through the same solvers at once.  Every element of a
@@ -52,8 +60,8 @@ Zero-padded rows are invisible to every modular (Phi(0) = 0) but change
 numpy's row-sum association, so orlicz_gauges, orlicz_norms and
 luxemburg_norms bucket vectors by support size and never pad; orlicz_norm
 and luxemburg_norm are their one-vector case.  Only callers of
-amplitude_matrix pad.  holder_gaps and weighted_norms take whole lists of
-vectors the same way.
+amplitude_matrix pad.  holder_gaps and weighted_norms take whole batches
+(or lists) of vectors the same way.
 
 membership_diagnostic probes whether sum_s Psi(alpha h(s)) converges as
 the summation ball grows, for each requested alpha -- a finite-radius
@@ -75,6 +83,7 @@ from .young import ComplementaryPair, YoungFunction, _find_root, _golden_min
 
 __all__ = [
     "OrliczVector",
+    "VectorBatch",
     "MembershipReport",
     "random_vector",
     "random_vectors",
@@ -123,37 +132,252 @@ def cdiv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         return complex_array((a.real + a.imag * ratio) / denom, (a.imag - a.real * ratio) / denom)
 
 
-def _scatter_add(rows: np.ndarray, amps: np.ndarray):
-    """Sum the amplitudes of equal coordinate rows, in sorted row order.
+def _scatter_add(rows: np.ndarray, amps: np.ndarray, seg: np.ndarray | None = None, m: int = 1):
+    """Sum the amplitudes of equal keys, in sorted key order: (rows, amps,
+    offsets) of m vectors.
 
-    Each sum starts from 0.0 and adds its amplitudes in input order (the
-    sort is stable); sums that are exactly zero are dropped.
+    The key is the (segment, row) pair, seg the segment of each row (not
+    needed for m = 1).  Each sum starts from 0.0 and adds its amplitudes in
+    input order (the sort is stable); sums that are exactly zero are dropped.
     """
-    order, srt, head = _sorted_runs(rows)
+    seg = None if m == 1 else seg
+    order, srt, head = _sorted_runs(rows, seg)
     amps = amps[order]
     if not head.all():
         run = head.cumsum() - 1
         amps = complex_array(np.bincount(run, amps.real), np.bincount(run, amps.imag))
-    return _pruned(srt[head], amps)
+    if seg is None:
+        offsets = np.array([0, len(amps)])
+    else:
+        offsets = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(seg[order][head], minlength=m), out=offsets[1:])
+    return _pruned(np.compress(head, srt, axis=0), amps, offsets)
 
 
-def _pruned(rows: np.ndarray, amps: np.ndarray):
-    """Distinct rows with their amplitudes, each added to 0.0 as the sums
-    above are (so a -0.0 part reads +0.0); exact zeros are dropped."""
+def _pruned(rows: np.ndarray, amps: np.ndarray, offsets: np.ndarray):
+    """Distinct rows with their amplitudes and segment offsets, each
+    amplitude added to 0.0 as the sums above are (so a -0.0 part reads
+    +0.0); exact zeros are dropped."""
     amps = amps + 0.0
     keep = amps != 0
-    return rows[keep], amps[keep]
+    if keep.all():
+        return rows, amps, offsets
+    gone = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(~keep, out=gone[1:])
+    return np.compress(keep, rows, axis=0), amps[keep], offsets - gone[offsets]
 
 
-class OrliczVector:
-    """Finitely supported complex amplitudes on group elements.
+def _segment_sums(seg: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
+    """The m sums of values by segment, each from 0.0 in input order
+    (np.bincount adds in sequence), so each equals a Python sum."""
+    if np.iscomplexobj(values):
+        re, im = (_segment_sums(seg, part, m) for part in (values.real, values.imag))
+        return complex_array(re, im)
+    return np.bincount(seg, values, minlength=m).astype(float)  # ints when there are no values
+
+
+def modulus(z) -> np.ndarray:
+    """|z| of complex values with hypot, as CPython's abs forms it."""
+    return np.hypot(np.real(z), np.imag(z))
+
+
+class VectorBatch:
+    """m finitely supported vectors on one group, in one ragged store.
+
+    The store is an (N, d) int64 array of coordinate rows, an (N,) complex
+    array of their amplitudes and an (m + 1,) offsets array: vector i is
+    entries offsets[i] to offsets[i + 1], its rows distinct and in
+    lexicographic order, its amplitudes nonzero.  Every operation acts on
+    each vector as on a vector alone, bit for bit; binary ones pair the
+    vectors of two batches of equal length place by place.  Reductions
+    (l1, pairing, distance_l1) give one value per vector.
+    """
+
+    __slots__ = ("group", "_rows", "_amps", "_offsets")
+
+    @classmethod
+    def _make(cls, group: Group, rows: np.ndarray, amps: np.ndarray, offsets: np.ndarray):
+        f = cls.__new__(cls)
+        f.group, f._rows, f._amps, f._offsets = group, rows, amps, offsets
+        return f
+
+    @classmethod
+    def _summed(cls, group: Group, rows: np.ndarray, amps: np.ndarray, seg=None, m: int = 1):
+        """The m vectors of coordinate rows made inside the package, so
+        already normalised, seg the vector of each row; equal rows of a
+        vector sum as in the constructor."""
+        return cls._make(group, *_scatter_add(rows, amps, seg, m))
+
+    @classmethod
+    def _distinct(cls, group: Group, rows: np.ndarray, amps: np.ndarray, offsets=None):
+        """The vectors of distinct, sorted coordinate rows made inside the
+        package (one vector when offsets is None); only exact zeros are
+        pruned, as the scatter-add would prune them."""
+        offsets = np.array([0, len(amps)]) if offsets is None else offsets
+        return cls._make(group, *_pruned(rows, amps, offsets))
+
+    @staticmethod
+    def of(vectors) -> "VectorBatch":
+        """A nonempty sequence of vectors on one group as one batch; a batch
+        is returned as it is."""
+        if isinstance(vectors, VectorBatch):
+            return vectors
+        vectors = list(vectors)
+        if not vectors:
+            raise InputError("a batch needs at least one vector")
+        group = vectors[0].group
+        if any(v.group != group for v in vectors):
+            raise GroupMismatchError("vectors live on different groups")
+        offsets = np.zeros(len(vectors) + 1, dtype=np.int64)
+        np.cumsum([len(v._amps) for v in vectors], out=offsets[1:])
+        rows = np.concatenate([v._rows for v in vectors])
+        return VectorBatch._make(group, rows, np.concatenate([v._amps for v in vectors]), offsets)
+
+    @staticmethod
+    def deltas(group: Group, elements, amplitudes=None) -> "VectorBatch":
+        """The batch of the point masses a delta_g, for the elements g and
+        amplitudes a (all 1.0 when None); a zero amplitude gives the zero vector."""
+        rows = group.coords_array([group.element(g) for g in elements])
+        amps = np.array(np.ones(len(rows)) if amplitudes is None else amplitudes, dtype=complex)
+        return VectorBatch._distinct(group, rows, amps, np.arange(len(rows) + 1))
+
+    # -- views ---------------------------------------------------------------
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """The support size of each vector."""
+        return np.diff(self._offsets)
+
+    @property
+    def _m(self) -> int:
+        """The number of vectors."""
+        return len(self._offsets) - 1
+
+    def _segments(self) -> np.ndarray:
+        """The vector of each stored row."""
+        return np.repeat(np.arange(self._m), self.sizes)
+
+    def __len__(self) -> int:
+        return self._m
+
+    def __getitem__(self, i):
+        """Vector i, or the batch of the vectors of a slice."""
+        if isinstance(i, slice):
+            idx = np.arange(self._m)[i]
+            sizes = self.sizes[idx]
+            offsets = np.zeros(len(idx) + 1, dtype=np.int64)
+            np.cumsum(sizes, out=offsets[1:])
+            at = np.repeat(self._offsets[idx] - offsets[:-1], sizes) + np.arange(offsets[-1])
+            rows = np.take(self._rows, at, axis=0)
+            return VectorBatch._make(self.group, rows, self._amps[at], offsets)
+        i = range(self._m)[i]  # negative i counts from the end; IndexError past it
+        lo, hi = self._offsets[i], self._offsets[i + 1]
+        rows, amps = self._rows[lo:hi], self._amps[lo:hi]
+        return OrliczVector._make(self.group, rows, amps, np.array([0, hi - lo]))
+
+    def __iter__(self):
+        return (self[i] for i in range(self._m))
+
+    def deal(self, k: int) -> tuple:
+        """k batches, vectors dealt in turn: self[0::k], ..., self[k-1::k]."""
+        return tuple(self[i::k] for i in range(k))
+
+    def __repr__(self) -> str:
+        return f"VectorBatch({self._m} vectors, {len(self._amps)} points on {self.group!r})"
+
+    def abs_amplitudes(self) -> np.ndarray:
+        return modulus(self._amps)
+
+    def _out(self, values: np.ndarray):
+        """A reduction's values, one per vector."""
+        return values
+
+    def _check(self, other: "VectorBatch") -> Group:
+        if self.group != other.group:
+            raise GroupMismatchError("vectors live on different groups")
+        if self._m != other._m:
+            raise InputError(f"batches of {self._m} and {other._m} vectors")
+        return self.group
+
+    def _common(self, other: "VectorBatch"):
+        """(i, j): the entries of self and of other with equal (vector, row),
+        in sorted order."""
+        seg = None if self._m == 1 else np.concatenate([self._segments(), other._segments()])
+        order, _, head = _sorted_runs(np.concatenate([self._rows, other._rows]), seg)
+        second = np.flatnonzero(~head)  # a vector's rows are distinct: runs are pairs, self first
+        return order[second - 1], order[second] - len(self._amps)
+
+    def values_at(self, other: "VectorBatch") -> np.ndarray:
+        """This batch's amplitude at each stored entry of other (same vector,
+        same row), 0 where it has none."""
+        self._check(other)
+        i, j = other._common(self)
+        out = np.zeros(len(other._amps), dtype=complex)
+        out[i] = self._amps[j]
+        return out
+
+    # -- algebra ---------------------------------------------------------------
+
+    def scale(self, c: complex):
+        return self._with(cmul(self._amps, np.complex128(c)))
+
+    def __add__(self, other: "VectorBatch"):
+        return self._summed(
+            self._check(other),
+            np.concatenate([self._rows, other._rows]),
+            np.concatenate([self._amps, other._amps]),
+            np.concatenate([self._segments(), other._segments()]),
+            self._m,
+        )
+
+    def __sub__(self, other: "VectorBatch"):
+        return self + other.scale(-1.0)
+
+    def _with(self, amps: np.ndarray):
+        """These rows with new amplitudes, in the same order; zeros are pruned."""
+        return self._distinct(self.group, self._rows, amps, self._offsets)
+
+    def pointwise_mul(self, fn: Callable):
+        """Multiply the amplitudes by fn(rows), fn an array function of the
+        (n, d) coordinate rows."""
+        return self._with(cmul(self._amps, np.asarray(fn(self._rows), dtype=complex)))
+
+    def pointwise_div(self, fn: Callable):
+        """Divide the amplitudes by the real fn(rows)."""
+        return self._with(cdiv(self._amps, np.asarray(fn(self._rows), dtype=float)))
+
+    def reverse(self):
+        """g -> f(g^{-1})."""
+        rows = self.group.invert_array(self._rows)
+        return self._summed(self.group, rows, self._amps, self._segments(), self._m)
+
+    def abs(self):
+        return self._with(modulus(self._amps).astype(complex))
+
+    def l1(self):
+        return self._out(_segment_sums(self._segments(), modulus(self._amps), self._m))
+
+    def pairing(self, other: "VectorBatch"):
+        """Bilinear pairing sum_s f(s) h(s) -- no complex conjugation."""
+        self._check(other)
+        i, j = self._common(other)
+        terms = cmul(self._amps[i], other._amps[j])
+        return self._out(_segment_sums(self._segments()[i], terms, self._m))
+
+    def distance_l1(self, other: "VectorBatch"):
+        return (self - other).l1()
+
+
+class OrliczVector(VectorBatch):
+    """Finitely supported complex amplitudes on group elements: the batch
+    of one vector.
 
     The store is an (n, d) int64 array of distinct coordinate rows, in
     lexicographic order, and an (n,) complex array of their nonzero
-    amplitudes.
+    amplitudes.  Reductions give one Python number.
     """
 
-    __slots__ = ("group", "_rows", "_amps")
+    __slots__ = ()
 
     def __init__(self, group: Group, data: Mapping | Iterable = ()):
         items = data.items() if isinstance(data, Mapping) else data
@@ -164,25 +388,9 @@ class OrliczVector:
         # Aliased elements (e.g. (0,) and (7,) on Z_7) sum; exact zeros left
         # after summing are pruned.
         self.group = group
-        self._rows, self._amps = _scatter_add(group.coords_array(rows), np.array(amps, dtype=complex))
-
-    @classmethod
-    def _summed(cls, group: Group, rows: np.ndarray, amps: np.ndarray) -> "OrliczVector":
-        """The vector of coordinate rows made inside the package, so already
-        normalised; equal rows sum as in the constructor."""
-        f = cls.__new__(cls)
-        f.group = group
-        f._rows, f._amps = _scatter_add(rows, amps)
-        return f
-
-    @classmethod
-    def _distinct(cls, group: Group, rows: np.ndarray, amps: np.ndarray) -> "OrliczVector":
-        """The vector of distinct, sorted coordinate rows made inside the
-        package; only exact zeros are pruned, as the scatter-add would prune them."""
-        f = cls.__new__(cls)
-        f.group = group
-        f._rows, f._amps = _pruned(rows, amps)
-        return f
+        self._rows, self._amps, self._offsets = _scatter_add(
+            group.coords_array(rows), np.array(amps, dtype=complex)
+        )
 
     # -- construction --------------------------------------------------------
 
@@ -216,65 +424,14 @@ class OrliczVector:
         """(element, amplitude) pairs in support order."""
         return zip(self.support, self._amps.tolist())
 
-    def abs_amplitudes(self) -> np.ndarray:
-        return np.hypot(self._amps.real, self._amps.imag)
-
-    # -- algebra ---------------------------------------------------------------
-
-    def scale(self, c: complex) -> "OrliczVector":
-        return self._with(cmul(self._amps, np.complex128(c)))
-
-    def __add__(self, other: "OrliczVector") -> "OrliczVector":
-        if self.group != other.group:
-            raise GroupMismatchError("vectors live on different groups")
-        return OrliczVector._summed(
-            self.group,
-            np.concatenate([self._rows, other._rows]),
-            np.concatenate([self._amps, other._amps]),
-        )
-
-    def __sub__(self, other: "OrliczVector") -> "OrliczVector":
-        return self + other.scale(-1.0)
-
-    def _with(self, amps: np.ndarray) -> "OrliczVector":
-        """These rows with new amplitudes, in the same order; zeros are pruned."""
-        return OrliczVector._distinct(self.group, self._rows, amps)
-
-    def pointwise_mul(self, fn: Callable) -> "OrliczVector":
-        """Multiply the amplitudes by fn(rows), fn an array function of the
-        (n, d) coordinate rows."""
-        return self._with(cmul(self._amps, np.asarray(fn(self._rows), dtype=complex)))
-
-    def pointwise_div(self, fn: Callable) -> "OrliczVector":
-        """Divide the amplitudes by the real fn(rows)."""
-        return self._with(cdiv(self._amps, np.asarray(fn(self._rows), dtype=float)))
-
-    def reverse(self) -> "OrliczVector":
-        """g -> f(g^{-1})."""
-        return OrliczVector._summed(self.group, self.group.invert_array(self._rows), self._amps)
-
-    def abs(self) -> "OrliczVector":
-        return self._with(np.hypot(self._amps.real, self._amps.imag).astype(complex))
-
-    def l1(self) -> float:
-        return float(sum(abs(a) for a in self._amps.tolist()))
-
-    def pairing(self, other: "OrliczVector") -> complex:
-        """Bilinear pairing sum_s f(s) h(s) -- no complex conjugation."""
-        if self.group != other.group:
-            raise GroupMismatchError("vectors live on different groups")
-        small, big = (self, other) if len(self) <= len(other) else (other, self)
-        at = dict(big.items())
-        return sum((a * at[g] for g, a in small.items() if g in at), 0.0 + 0.0j)
-
-    def distance_l1(self, other: "OrliczVector") -> float:
-        return (self - other).l1()
+    def _out(self, values: np.ndarray):
+        return values[0].item()
 
 
-def random_vectors(group: Group, rng, radius: int, size: int, count: int) -> list[OrliczVector]:
-    """count vectors, each with size distinct support points drawn uniformly
-    in the ball (all of it when smaller) and amplitudes uniform on [-1,1]^2;
-    rng is a Generator or a seed."""
+def random_vectors(group: Group, rng, radius: int, size: int, count: int) -> VectorBatch:
+    """A batch of count vectors, each with size distinct support points
+    drawn uniformly in the ball (all of it when smaller) and amplitudes
+    uniform on [-1,1]^2; rng is a Generator or a seed."""
     rng = np.random.default_rng(rng)
     ball = group.ball_array(radius)
     k = min(size, len(ball))
@@ -283,9 +440,9 @@ def random_vectors(group: Group, rng, radius: int, size: int, count: int) -> lis
         idx[i] = rng.choice(len(ball), size=k, replace=False)  # distinct rows: nothing to sum
         parts[i] = rng.uniform(-1.0, 1.0, size=(k, 2))
     up = idx.argsort(axis=1)  # the ball is sorted, so its rows in index order are too
-    rows = ball[np.take_along_axis(idx, up, 1)]
-    amps = np.take_along_axis(parts.view(complex)[..., 0], up, 1)  # a + bj, exactly
-    return [OrliczVector._distinct(group, r, a) for r, a in zip(rows, amps)]
+    rows = np.take(ball, np.take_along_axis(idx, up, 1).ravel(), axis=0)
+    amps = np.take_along_axis(parts.view(complex)[..., 0], up, 1).ravel()  # a + bj, exactly
+    return VectorBatch._distinct(group, rows, amps, k * np.arange(count + 1))
 
 
 def random_vector(
@@ -378,16 +535,26 @@ def luxemburg_batch(phi: YoungFunction, A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _batch(vectors) -> VectorBatch | None:
+    """A batch or a sequence of vectors as one batch; None for no vectors."""
+    if isinstance(vectors, VectorBatch):
+        return vectors
+    vectors = list(vectors)
+    return VectorBatch.of(vectors) if vectors else None
+
+
 def _bucketed(solve: Callable, vectors, k: int = 1) -> np.ndarray:
     """The (k, len(vectors)) values of solve(A) on the amplitude rows of the
-    vectors, one call per support size (unpadded, so each row sums as it
-    would alone); zero vectors give 0."""
-    vectors = list(vectors)
-    sizes = np.array([len(v) for v in vectors], dtype=np.int64)
-    out = np.zeros((k, len(vectors)))
+    vectors (a batch or a sequence), one call per support size (unpadded,
+    so each row sums as it would alone); zero vectors give 0."""
+    batch = _batch(vectors)
+    if batch is None:
+        return np.zeros((k, 0))
+    sizes, amps = batch.sizes, batch.abs_amplitudes()
+    out = np.zeros((k, len(sizes)))
     for n in np.unique(sizes[sizes > 0]):
         idx = np.flatnonzero(sizes == n)
-        out[:, idx] = solve(np.stack([vectors[i].abs_amplitudes() for i in idx]))
+        out[:, idx] = solve(amps[batch._offsets[idx, None] + np.arange(n)])
     return out
 
 
@@ -512,18 +679,19 @@ def orlicz_norm(pair: ComplementaryPair, f: OrliczVector) -> float:
 def holder_gaps(pair: ComplementaryPair, fs, gs) -> np.ndarray:
     """min{ N_Phi(f) |g|_Psi , |f|_Phi N_Psi(g) } - sum |f g| for each f of fs
     and the g of gs at the same place; >= 0 in exact math."""
+    fs, gs = _batch(fs), _batch(gs)
+    if fs is None:
+        return np.zeros(0)
     of, _, nf = orlicz_gauges(pair, fs)
     og, _, ng = orlicz_gauges(pair.flip(), gs)  # N_Psi is the flip's gauge
-    pointwise = []
-    for f, g in zip(fs, gs):
-        at = dict(g.items())
-        pointwise.append(sum(abs(a * at.get(s, 0.0 + 0.0j)) for s, a in f.items()))
-    return np.minimum(nf * og, of * ng) - np.array(pointwise, dtype=float)
+    terms = modulus(cmul(fs._amps, gs.values_at(fs)))  # |f(s) g(s)| over supp f, in order
+    return np.minimum(nf * og, of * ng) - _segment_sums(fs._segments(), terms, fs._m)
 
 
 def weighted_norms(pair: ComplementaryPair, w: Weight, vectors) -> np.ndarray:
     """Orlicz norms of the pointwise products f * w (the weighted-space norms)."""
-    return orlicz_norms(pair, [f.pointwise_mul(w.at) for f in vectors])
+    batch = _batch(vectors)
+    return np.zeros(0) if batch is None else orlicz_norms(pair, batch.pointwise_mul(w.at))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from orliczlab.errors import GroupMismatchError, InputError, MemoryCapError, Rad
 from orliczlab.groups import (
     Group,
     RowIndex,
+    _sorted_runs,
     polynomial_weight,
     product_weight,
     subexp_log_weight,
@@ -334,3 +335,23 @@ def test_tau_array_grows_the_heisenberg_table_on_a_miss():
     capped.radius_cap = 3
     with pytest.raises(RadiusCapError):
         capped.tau_array(np.array([[0, 0, 0], [5, 0, 0]]))
+
+
+@pytest.mark.parametrize("n", [0, 1, 300, 511, 512, 2000])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("width", [3, 2**20, 2**61])
+@pytest.mark.parametrize("segmented", [False, True])
+def test_sorted_runs_is_the_stable_lexicographic_order(n, d, width, segmented):
+    # small boxes repeat rows; a 2**61-wide box cannot be keyed in int64 and
+    # takes np.lexsort, like fewer than 512 rows do
+    rng = np.random.default_rng(n + d)
+    rows = rng.integers(-width, width, size=(n, d), dtype=np.int64)
+    rows[n // 2:] = rows[: n - n // 2]  # every box has equal rows in it
+    seg = rng.integers(0, 4, size=n) if segmented else None
+    keys = rows if seg is None else np.column_stack([seg, rows])
+    want = np.lexsort(keys.T[::-1])
+    order, srt, head = _sorted_runs(rows, seg)
+    assert order.tolist() == want.tolist()
+    assert srt.tolist() == rows[want].tolist()
+    sorted_keys = keys[want].tolist()
+    assert head.tolist() == [i == 0 or sorted_keys[i] != sorted_keys[i - 1] for i in range(n)]

@@ -175,6 +175,21 @@ def test_nan_associativity_residual_fails_the_law(monkeypatch):
     assert rec.verdict == "fail" and math.isnan(rec.residual)
 
 
+def test_the_product_suites_make_one_kernel_call_per_batch(monkeypatch):
+    # each law evaluates its products on whole batches, so the number of
+    # _kernel_sum calls does not grow with samples (159 at any samples)
+    real, calls = algebra._kernel_sum, itertools.count()
+
+    def counted(*args):
+        next(calls)
+        return real(*args)
+
+    monkeypatch.setattr(algebra, "_kernel_sum", counted)
+    records = run_all(SuiteConfig(samples=200), ["twisted", "duality", "splitting", "lambda"])
+    assert all(r.verdict == "pass" for r in records)
+    assert next(calls) <= 500
+
+
 def test_fixture_error_fails_only_the_cases_that_need_it(monkeypatch):
     def no_witness(*_args, **_kwargs):
         raise RuntimeError("witness search disabled")
@@ -330,6 +345,7 @@ def test_cli_verify_rejects_samples_and_radius_below_one(tmp_path, capsys):
         ["group", "growth", "--group", "z2", "--max-r", "5"],
         ["conv", "probe", "--phi", "pnorm:2", "--radius", "4", "--samples", "0"],
         ["conv", "probe", "--phi", "pnorm:2", "--radius", "0"],
+        ["conv", "probe", "--phi", "pnorm:2", "--radius", "4", "--seed", "-1"],
         ["young", "equiv", "--phi1", "pnorm:2", "--phi2", "pnorm:2", "--xmax", "0"],
         ["young", "equiv", "--phi1", "pnorm:2", "--phi2", "pnorm:2", "--xmax", "-1"],
         ["verify", "--suite", "membership", "--out", "MISSING/r.txt"],

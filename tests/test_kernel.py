@@ -27,7 +27,7 @@ from orliczlab.cocycles import (
     trivial_cocycle,
 )
 from orliczlab.groups import Group, polynomial_weight, subexp_log_weight, subexp_weight
-from orliczlab.space import OrliczVector, random_vector
+from orliczlab.space import OrliczVector, VectorBatch, random_vector
 
 GROUPS = (Group.free_abelian(2), Group.heisenberg(), Group.cyclic(7))
 
@@ -131,6 +131,38 @@ def test_array_kernel_matches_the_dict_loop(data, name, group):
     small, big = (mine, theirs) if len(mine) <= len(theirs) else (theirs, mine)  # as pairing does
     at = dict(big)
     assert got.pairing(w) == sum((a * at[g] for g, a in small if g in at), 0.0 + 0.0j)
+
+
+def _entries(v):
+    return repr(list(zip(v._rows.tolist(), v._amps.tolist())))
+
+
+@st.composite
+def _segment(draw, group):
+    """One vector's entries: often none or one, else as _raw_vector."""
+    one = _raw_vector(group).map(lambda entries: entries[:1])
+    return draw(st.one_of(st.just([]), one, _raw_vector(group)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), place=st.sampled_from(["xy", "xy^-1", "y^-1x"]),
+       group=st.sampled_from(GROUPS), m=st.integers(1, 5), aliased=st.booleans())
+def test_segmented_kernel_equals_its_one_vector_calls(data, place, group, m, aliased):
+    # each vector of a batch must come out as it would alone: the sums are
+    # keyed by (vector, row), so equal rows of different vectors never meet
+    om = data.draw(st.sampled_from(_families(group)))
+    kernel = None if place == "xy" and data.draw(st.booleans()) else om.values
+    us, ws = ([OrliczVector(group, data.draw(_segment(group))) for _ in range(m)] for _ in "uw")
+    vs = us if aliased else [OrliczVector(group, data.draw(_segment(group))) for _ in range(m)]
+    U, V, W = VectorBatch.of(us), VectorBatch.of(vs), VectorBatch.of(ws)
+    got = algebra._kernel_sum(U, V, place, kernel)
+    ones = [algebra._kernel_sum(u, v, place, kernel) for u, v in zip(us, vs)]
+    assert type(got) is VectorBatch and len(got) == m
+    assert [_entries(got[i]) for i in range(m)] == [_entries(one) for one in ones]
+    assert repr(got.l1().tolist()) == repr([one.l1() for one in ones])
+    assert repr(got.distance_l1(W).tolist()) == repr([o.distance_l1(w) for o, w in zip(ones, ws)])
+    assert repr(got.pairing(W).tolist()) == repr([o.pairing(w) for o, w in zip(ones, ws)])
+    assert repr(W.pairing(got).tolist()) == repr([w.pairing(o) for o, w in zip(ones, ws)])
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=repr)

@@ -108,9 +108,6 @@ def _pairs(outer: VectorBatch, inner: VectorBatch):
     (outer entry, then inner entry, each in store order), and the vector
     of each pair."""
     outer._check(inner)
-    if outer._m == 1:  # the one-vector products: a plain double loop
-        p, q = np.divmod(np.arange(len(outer._amps) * len(inner._amps)), max(len(inner._amps), 1))
-        return p, q, np.zeros(len(p), dtype=np.int64)
     seg = outer._segments()
     reps = inner.sizes[seg]  # each outer entry meets every entry of its inner vector
     p = np.repeat(np.arange(len(seg)), reps)

@@ -237,7 +237,7 @@ def _cmd_norm(args) -> int:
     group = parse_group(args.group)
     pair = parse_pair(args.phi)
     f = parse_vector_file(args.vec, group)
-    norm, gap, lux = orlicz_gauges(pair, [f])[:, 0].tolist()
+    norm, gap, lux = orlicz_gauges(pair, f)[:, 0].tolist()
     print(f"luxemburg = {lux!r}")
     print(f"orlicz    = {norm!r}")
     print(f"method agreement gap = {gap!r}")

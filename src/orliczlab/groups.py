@@ -75,23 +75,20 @@ __all__ = [
 Element = tuple
 
 
-_KEY_SORT_MIN = 512  # below this many rows one np.lexsort is cheaper than building keys
-
-
 def _sorted_runs(rows: np.ndarray, seg: np.ndarray | None = None):
     """(order, rows[order], head) for an (n, d) coordinate array: the stable
     lexicographic order of its rows, so equal rows keep their input order,
     and the mask of the first row of each run of equal sorted rows.  With
     an (n,) array seg the key is (seg, row): rows sort within each seg.
 
-    From _KEY_SORT_MIN rows on, each row's key is its mixed-radix place in
-    the rows' bounding box times n plus its position, so the keys are
-    distinct and one plain sort of them gives the stable order; np.lexsort
-    sorts fewer rows, or keys that would not fit in int64.
+    Each row's key is its mixed-radix place in the rows' bounding box
+    times n plus its position, so the keys are distinct and one plain sort
+    of them gives the stable order.  Keys too wide for int64 fall back to
+    np.lexsort.
     """
     cols = list(rows.T) if seg is None else [seg, *rows.T]
     n = len(rows)
-    lo = [int(c.min()) for c in cols] if n >= _KEY_SORT_MIN else []
+    lo = [int(c.min()) for c in cols] if n else []
     span = [int(c.max()) - low + 1 for c, low in zip(cols, lo)]
     if lo and math.prod(span) * n < 2**62:
         key = cols[0] - lo[0]

@@ -698,7 +698,7 @@ def _weighted_norm_identity(_run, seed):
     group = _Z2()
     pair = catalog_pair("pnorm:2")
     f = OrliczVector.delta(group, (2, 1))
-    yield np.abs(weighted_norms(pair, polynomial_weight(group, 1.0), [f]) - 4.0 * math.sqrt(2.0))
+    yield np.abs(weighted_norms(pair, polynomial_weight(group, 1.0), f) - 4.0 * math.sqrt(2.0))
     vs = random_vectors(group, seed, 4, 6, 20)
     yield np.abs(weighted_norms(pair, trivial_weight(group), vs) - orlicz_norms(pair, vs))
 

@@ -41,10 +41,10 @@ exact zeros are pruned.  scale, abs and the pointwise maps by an array
 function of the rows keep the rows and only prune zeros; they form
 products, quotients by a real and moduli as CPython does, so each entry
 equals the scalar computation bit for bit.  l1, pairing and distance_l1
-give one value per vector, each summed in row order from 0.0, as a
-Python sum over the vector alone would be; on an OrliczVector they give
-one Python number.  So every vector of a batch comes out as it would
-alone, bit for bit.
+give one value per vector, each a left fold of its terms in row order
+from 0.0 (not Python's sum, which compensates floats from 3.12 on); on an
+OrliczVector they give one Python number.  So every vector of a batch
+comes out as it would alone, bit for bit, on every Python.
 
 Every random vector comes from random_vectors: it reads the ball once,
 then draws each vector with one choice and one uniform call, in that
@@ -61,7 +61,8 @@ numpy's row-sum association, so orlicz_gauges, orlicz_norms and
 luxemburg_norms bucket vectors by support size and never pad; orlicz_norm
 and luxemburg_norm are their one-vector case.  Only callers of
 amplitude_matrix pad.  holder_gaps and weighted_norms take whole batches
-(or lists) of vectors the same way.
+of vectors the same way.  Each of these takes a batch, a vector (the
+batch of one) or a sequence of vectors, through VectorBatch.of.
 
 membership_diagnostic probes whether sum_s Psi(alpha h(s)) converges as
 the summation ball grows, for each requested alpha -- a finite-radius
@@ -168,8 +169,8 @@ def _pruned(rows: np.ndarray, amps: np.ndarray, offsets: np.ndarray):
 
 
 def _segment_sums(seg: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
-    """The m sums of values by segment, each from 0.0 in input order
-    (np.bincount adds in sequence), so each equals a Python sum."""
+    """The m sums of values by segment, each a left fold from 0.0 in input
+    order (np.bincount adds in sequence)."""
     if np.iscomplexobj(values):
         re, im = (_segment_sums(seg, part, m) for part in (values.real, values.imag))
         return complex_array(re, im)
@@ -217,21 +218,22 @@ class VectorBatch:
         return cls._make(group, *_pruned(rows, amps, offsets))
 
     @staticmethod
-    def of(vectors) -> "VectorBatch":
-        """A nonempty sequence of vectors on one group as one batch; a batch
-        is returned as it is."""
+    def of(vectors, group: Group | None = None) -> "VectorBatch":
+        """A sequence of vectors on one group as one batch; a batch, or a
+        vector as the batch of one, keeps its store.  No vectors give the
+        empty batch on group, on no group when it is None."""
         if isinstance(vectors, VectorBatch):
-            return vectors
+            return VectorBatch._make(vectors.group, vectors._rows, vectors._amps, vectors._offsets)
         vectors = list(vectors)
-        if not vectors:
-            raise InputError("a batch needs at least one vector")
-        group = vectors[0].group
+        group = vectors[0].group if vectors else group
         if any(v.group != group for v in vectors):
             raise GroupMismatchError("vectors live on different groups")
         offsets = np.zeros(len(vectors) + 1, dtype=np.int64)
         np.cumsum([len(v._amps) for v in vectors], out=offsets[1:])
-        rows = np.concatenate([v._rows for v in vectors])
-        return VectorBatch._make(group, rows, np.concatenate([v._amps for v in vectors]), offsets)
+        dim = 0 if group is None else group.dim
+        rows = np.concatenate([np.zeros((0, dim), dtype=np.int64)] + [v._rows for v in vectors])
+        amps = np.concatenate([np.zeros(0, dtype=complex)] + [v._amps for v in vectors])
+        return VectorBatch._make(group, rows, amps, offsets)
 
     @staticmethod
     def deltas(group: Group, elements, amplitudes=None) -> "VectorBatch":
@@ -409,7 +411,14 @@ class OrliczVector(VectorBatch):
         return tuple(map(tuple, self._rows.tolist()))
 
     def __len__(self) -> int:
+        """The support size."""
         return len(self._amps)
+
+    def __getitem__(self, i):
+        raise TypeError("an OrliczVector is one vector, not a batch: use items() or amplitude()")
+
+    def __iter__(self):
+        raise TypeError("an OrliczVector is one vector, not a batch: use items()")
 
     def __bool__(self) -> bool:
         return len(self) > 0
@@ -535,21 +544,11 @@ def luxemburg_batch(phi: YoungFunction, A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch(vectors) -> VectorBatch | None:
-    """A batch or a sequence of vectors as one batch; None for no vectors."""
-    if isinstance(vectors, VectorBatch):
-        return vectors
-    vectors = list(vectors)
-    return VectorBatch.of(vectors) if vectors else None
-
-
 def _bucketed(solve: Callable, vectors, k: int = 1) -> np.ndarray:
-    """The (k, len(vectors)) values of solve(A) on the amplitude rows of the
-    vectors (a batch or a sequence), one call per support size (unpadded,
-    so each row sums as it would alone); zero vectors give 0."""
-    batch = _batch(vectors)
-    if batch is None:
-        return np.zeros((k, 0))
+    """The (k, m) values of solve(A) on the amplitude rows of the m vectors
+    of VectorBatch.of(vectors), one call per support size (unpadded, so
+    each row sums as it would alone); zero vectors give 0."""
+    batch = VectorBatch.of(vectors)
     sizes, amps = batch.sizes, batch.abs_amplitudes()
     out = np.zeros((k, len(sizes)))
     for n in np.unique(sizes[sizes > 0]):
@@ -565,7 +564,7 @@ def luxemburg_norms(phi: YoungFunction, vectors) -> np.ndarray:
 
 def luxemburg_norm(phi: YoungFunction, f: OrliczVector) -> float:
     """inf { k > 0 : modular(f / k) <= 1 }; 0 for the zero vector."""
-    return float(luxemburg_norms(phi, [f])[0])
+    return float(luxemburg_norms(phi, f)[0])
 
 
 def _stationarity_batch(pair: ComplementaryPair, A: np.ndarray) -> np.ndarray:
@@ -673,15 +672,13 @@ def orlicz_norms(pair: ComplementaryPair, vectors) -> np.ndarray:
 
 
 def orlicz_norm(pair: ComplementaryPair, f: OrliczVector) -> float:
-    return float(orlicz_norms(pair, [f])[0])
+    return float(orlicz_norms(pair, f)[0])
 
 
 def holder_gaps(pair: ComplementaryPair, fs, gs) -> np.ndarray:
     """min{ N_Phi(f) |g|_Psi , |f|_Phi N_Psi(g) } - sum |f g| for each f of fs
     and the g of gs at the same place; >= 0 in exact math."""
-    fs, gs = _batch(fs), _batch(gs)
-    if fs is None:
-        return np.zeros(0)
+    fs, gs = VectorBatch.of(fs), VectorBatch.of(gs)
     of, _, nf = orlicz_gauges(pair, fs)
     og, _, ng = orlicz_gauges(pair.flip(), gs)  # N_Psi is the flip's gauge
     terms = modulus(cmul(fs._amps, gs.values_at(fs)))  # |f(s) g(s)| over supp f, in order
@@ -690,8 +687,7 @@ def holder_gaps(pair: ComplementaryPair, fs, gs) -> np.ndarray:
 
 def weighted_norms(pair: ComplementaryPair, w: Weight, vectors) -> np.ndarray:
     """Orlicz norms of the pointwise products f * w (the weighted-space norms)."""
-    batch = _batch(vectors)
-    return np.zeros(0) if batch is None else orlicz_norms(pair, batch.pointwise_mul(w.at))
+    return orlicz_norms(pair, VectorBatch.of(vectors, w.group).pointwise_mul(w.at))
 
 
 # ---------------------------------------------------------------------------

@@ -337,13 +337,13 @@ def test_tau_array_grows_the_heisenberg_table_on_a_miss():
         capped.tau_array(np.array([[0, 0, 0], [5, 0, 0]]))
 
 
-@pytest.mark.parametrize("n", [0, 1, 300, 511, 512, 2000])
+@pytest.mark.parametrize("n", [0, 1, 2, 300, 2000])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("width", [3, 2**20, 2**61])
 @pytest.mark.parametrize("segmented", [False, True])
 def test_sorted_runs_is_the_stable_lexicographic_order(n, d, width, segmented):
     # small boxes repeat rows; a 2**61-wide box cannot be keyed in int64 and
-    # takes np.lexsort, like fewer than 512 rows do
+    # takes np.lexsort
     rng = np.random.default_rng(n + d)
     rows = rng.integers(-width, width, size=(n, d), dtype=np.int64)
     rows[n // 2:] = rows[: n - n // 2]  # every box has equal rows in it

@@ -10,7 +10,9 @@ normalisation.  The array kernel must reproduce the entries, sorted by
 row, and the bits of the sums read from them.
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -30,6 +32,12 @@ from orliczlab.groups import Group, polynomial_weight, subexp_log_weight, subexp
 from orliczlab.space import OrliczVector, VectorBatch, random_vector
 
 GROUPS = (Group.free_abelian(2), Group.heisenberg(), Group.cyclic(7))
+
+
+def _fold(terms, start):
+    """The terms added left to right from start; Python's sum compensates
+    floats from 3.12 on, the package's reductions do not."""
+    return functools.reduce(operator.add, terms, start)
 
 
 def _loop_kernel_sum(outer, inner, place, kernel=None):
@@ -126,11 +134,11 @@ def test_array_kernel_matches_the_dict_loop(data, name, group):
     # rows in sorted order; amplitudes to the bit, signed zeros too
     want = sorted(want)
     assert repr(list(zip(got._rows.tolist(), got._amps.tolist()))) == repr(want)
-    assert got.l1() == sum(abs(a) for _, a in want)
+    assert got.l1() == _fold((abs(a) for _, a in want), 0.0)
     mine, theirs = [(tuple(r), a) for r, a in want], list(w.items())
     small, big = (mine, theirs) if len(mine) <= len(theirs) else (theirs, mine)  # as pairing does
     at = dict(big)
-    assert got.pairing(w) == sum((a * at[g] for g, a in small if g in at), 0.0 + 0.0j)
+    assert got.pairing(w) == _fold((a * at[g] for g, a in small if g in at), 0.0 + 0.0j)
 
 
 def _entries(v):

@@ -1,6 +1,8 @@
 """Orlicz-space tests: modulars, both norms, Hoelder, weighted norms, membership."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from orliczlab.errors import GroupMismatchError, InputError, MethodDisagreementE
 from orliczlab.groups import Group, polynomial_weight, subexp_weight, trivial_weight
 from orliczlab.space import (
     OrliczVector,
+    VectorBatch,
+    amplitude_matrix,
     holder_gaps,
     luxemburg_batch,
     luxemburg_norm,
@@ -17,6 +21,7 @@ from orliczlab.space import (
     modular,
     orlicz_gauges,
     orlicz_norm,
+    orlicz_norms,
     random_vector,
     random_vectors,
     weighted_norms,
@@ -185,7 +190,8 @@ def test_norms_of_a_vector_holding_nan_raise():
 def _holder_gap_reference(pair, f, g):
     """The per-pair Hoelder gap, one (f, g) at a time."""
     at = dict(g.items())
-    pointwise = float(sum(abs(a * at.get(s, 0j)) for s, a in f.items()))
+    # a left fold from 0.0, as holder_gaps sums (Python's sum compensates from 3.12 on)
+    pointwise = functools.reduce(operator.add, (abs(a * at.get(s, 0j)) for s, a in f.items()), 0.0)
     if not f or not g:
         return 0.0 - pointwise
     flipped = pair.flip()
@@ -213,6 +219,25 @@ def test_holder_gap_cases():
         gaps = holder_gaps(pair, fs, gs)
         assert gaps.tolist() == [_holder_gap_reference(pair, f, g) for f, g in zip(fs, gs)]
         assert np.all(gaps >= -1e-9)
+
+
+def test_a_vector_is_a_batch_of_one_and_not_a_sequence():
+    # len of a vector is its support size, so it neither iterates nor
+    # indexes; where a batch is expected it is the batch of one vector
+    rng = np.random.default_rng(4)
+    f, g = random_vector(C7, rng, 3, 5), random_vector(C7, rng, 3, 2)
+    w = polynomial_weight(C7, 1.0)
+    for misuse in (lambda: list(f), lambda: f[0], lambda: amplitude_matrix(f)):
+        with pytest.raises(TypeError, match="not a batch"):
+            misuse()
+    one = VectorBatch.of(f)
+    assert type(one) is VectorBatch and len(one) == 1 and len(f) == 5
+    assert list(one[0].items()) == list(f.items())
+    assert orlicz_norms(P2, f).tolist() == [orlicz_norm(P2, f)]
+    assert orlicz_gauges(P2, f).tolist() == orlicz_gauges(P2, [f]).tolist()
+    assert holder_gaps(P2, f, g).tolist() == holder_gaps(P2, [f], [g]).tolist()
+    assert weighted_norms(P2, w, f).tolist() == weighted_norms(P2, w, [f]).tolist()
+    assert len(VectorBatch.of([])) == 0 and VectorBatch.of([], C7).group == C7
 
 
 def test_weighted_norm():

@@ -18,7 +18,9 @@ Two norms are computed and cross-checked:
   mu = 1/lam the root of the binding constraint sum Psi(v) = 1, and
   (b) the Amemiya formula, minimizing k -> (1 + modular(Phi, k f)) / k
   (a computational device whose agreement with (a) is enforced, not
-  assumed).  The two must agree to 1e-5 relative or a hard
+  assumed).  By the Young equality the minimizer is the mu of (a), where
+  (b) starts its search; (b) still minimizes the objective itself and
+  widens past a wrong mu.  The two must agree to 1e-5 relative or a hard
   MethodDisagreementError fires.
 
 Every root above is found by the shared root finder of the young module
@@ -105,7 +107,7 @@ __all__ = [
 _AGREEMENT_LIMIT = 1e-5
 _NORM_CAP = 1e300  # norms outside [1/_NORM_CAP, _NORM_CAP] raise
 _AMEMIYA_EXPANSIONS = 8
-_AMEMIYA_SPAN = 256.0  # the first Amemiya bracket is [1/(span N), span/N]
+_AMEMIYA_DELTA = 1e-6  # the first Amemiya bracket is [mu/(1+d), mu(1+d)]
 
 
 def complex_array(re, im) -> np.ndarray:
@@ -515,18 +517,6 @@ def _live_rows(A):
     return A, sums > 0.0
 
 
-def _gauges(phi: YoungFunction, B: np.ndarray) -> np.ndarray:
-    """Luxemburg norms of rows that are not all zero: 1/x for the root x of
-    modular(x f) = 1."""
-    x = _find_root(
-        lambda x: _rows_modular(phi.fn, B * x[:, None]),
-        np.ones(B.shape[0]),
-        _NORM_CAP,
-        "solving for a Luxemburg norm",
-    )
-    return 1.0 / x
-
-
 def luxemburg_batch(phi: YoungFunction, A: np.ndarray) -> np.ndarray:
     """Luxemburg norms of the rows of a nonnegative amplitude matrix.
 
@@ -538,9 +528,15 @@ def luxemburg_batch(phi: YoungFunction, A: np.ndarray) -> np.ndarray:
     InputError.
     """
     A, live = _live_rows(A)
-    out = np.zeros(A.shape[0])
+    B, out = A[live], np.zeros(A.shape[0])
     if np.any(live):
-        out[live] = _gauges(phi, A[live])
+        x = _find_root(
+            lambda x: _rows_modular(phi.fn, B * x[:, None]),
+            np.ones(B.shape[0]),
+            _NORM_CAP,
+            "solving for a Luxemburg norm",
+        )
+        out[live] = 1.0 / x
     return out
 
 
@@ -567,8 +563,8 @@ def luxemburg_norm(phi: YoungFunction, f: OrliczVector) -> float:
     return float(luxemburg_norms(phi, f)[0])
 
 
-def _stationarity_batch(pair: ComplementaryPair, A: np.ndarray) -> np.ndarray:
-    """Orlicz norms via the dual optimizer v = dens(mu |f|).
+def _stationarity_batch(pair: ComplementaryPair, A: np.ndarray):
+    """(Orlicz norms, multipliers mu) via the dual optimizer v = dens(mu |f|).
 
     The binding constraint sum Psi(v) = 1 is solved for mu = 1/lam by the
     shared root finder.  When Psi has no closed form, Psi(dens(w)) is
@@ -596,16 +592,19 @@ def _stationarity_batch(pair: ComplementaryPair, A: np.ndarray) -> np.ndarray:
         constraint, np.ones(A.shape[0]), _NORM_CAP, "solving the stationarity constraint"
     )
     v = np.asarray(dens(A * mu[:, None]), dtype=float)
-    return (A * v).sum(axis=1)
+    return (A * v).sum(axis=1), mu
 
 
-def _amemiya_batch(pair: ComplementaryPair, A: np.ndarray, lux: np.ndarray) -> np.ndarray:
+def _amemiya_batch(pair: ComplementaryPair, A: np.ndarray, centre: np.ndarray) -> np.ndarray:
     """Orlicz norms as min_k (1 + modular(Phi, k f)) / k by golden section.
 
-    The objective is the perspective of a convex function, hence unimodal;
-    the bracket sits around 1/N(f) and, for the rows whose minimum pins to
-    an edge, widens 16-fold and is searched again, at most 8 times before
-    SolverCapError; the other rows keep their minima.
+    The objective is the perspective of a convex function, hence unimodal,
+    and its stationary point solves sum Psi(dens(k |f|)) = 1 (the Young
+    equality), so its minimizer is the mu of _stationarity_batch, passed as
+    centre c.  Each row searches [c/(1+d), c(1+d)] with d = 1e-6, and again
+    with d 256-fold while its minimizer lies within 5% of the bracket's
+    log-width from an edge, at most 8 times before SolverCapError.  A wrong
+    centre only widens the search; it cannot move the minimum found.
     """
     phi_fn = pair.phi.fn
 
@@ -613,40 +612,19 @@ def _amemiya_batch(pair: ComplementaryPair, A: np.ndarray, lux: np.ndarray) -> n
         with np.errstate(over="ignore"):  # subnormal k for norms near 1e308
             return (1.0 + _rows_modular(phi_fn, B * k[:, None])) / k
 
-    base = 1.0 / lux
-    k = np.zeros_like(base)
-    rows = np.arange(len(base))  # the rows still to search
-    span = np.full(len(base), _AMEMIYA_SPAN)
+    k = np.zeros_like(centre)
+    rows = np.arange(len(centre))  # the rows still to search
+    delta = np.full(len(centre), _AMEMIYA_DELTA)
     for _ in range(_AMEMIYA_EXPANSIONS):
-        B, lo, hi = A[rows], base[rows] / span[rows], base[rows] * span[rows]
+        B, grow = A[rows], 1.0 + delta[rows]
+        lo, hi, edge = centre[rows] / grow, centre[rows] * grow, grow**0.1
         kr = _golden_min(lambda x: h(B, x), lo, hi, "minimizing the Amemiya objective")
         k[rows] = kr
-        rows = rows[(kr < lo * 1.05) | (kr > hi * 0.95)]
+        rows = rows[(kr < lo * edge) | (kr > hi / edge)]
         if not rows.size:
             return h(A, k)
-        span[rows] *= 16.0
+        delta[rows] *= 256.0
     raise SolverCapError("bracketing the Amemiya minimum", _AMEMIYA_EXPANSIONS)
-
-
-def _orlicz_gauge_batch(pair: ComplementaryPair, A: np.ndarray):
-    """(norms, agreement gaps, Luxemburg norms N_Phi) for the rows of an
-    amplitude matrix: orlicz_batch, keeping the gauge that brackets its
-    Amemiya minimum for callers that need both norms of the same rows."""
-    A, live = _live_rows(A)
-    norms, gaps, lux = np.zeros((3, A.shape[0]))
-    if not np.any(live):
-        return norms, gaps, lux
-    B = A[live]
-    stat = _stationarity_batch(pair, B)
-    lux[live] = gauge = _gauges(pair.phi, B)
-    amem = _amemiya_batch(pair, B, gauge)
-    rel = np.abs(stat - amem) / np.maximum(np.maximum(stat, amem), 1e-300)
-    if not np.max(rel) <= _AGREEMENT_LIMIT:
-        i = int(np.argmax(rel))  # the first NaN, if any
-        raise MethodDisagreementError(float(stat[i]), float(amem[i]), float(rel[i]), _AGREEMENT_LIMIT)
-    norms[live] = np.maximum(stat, amem)
-    gaps[live] = rel
-    return norms, gaps, lux
 
 
 def orlicz_batch(pair: ComplementaryPair, A: np.ndarray):
@@ -656,19 +634,32 @@ def orlicz_batch(pair: ComplementaryPair, A: np.ndarray):
     their relative gap beyond 1e-5, or a NaN gap, is an implementation
     fault and raises.  A row holding NaN raises InputError.
     """
-    return _orlicz_gauge_batch(pair, A)[:2]
+    A, live = _live_rows(A)
+    norms, gaps = np.zeros((2, A.shape[0]))
+    if not np.any(live):
+        return norms, gaps
+    B = A[live]
+    stat, mu = _stationarity_batch(pair, B)
+    amem = _amemiya_batch(pair, B, mu)
+    rel = np.abs(stat - amem) / np.maximum(np.maximum(stat, amem), 1e-300)
+    if not np.max(rel) <= _AGREEMENT_LIMIT:
+        i = int(np.argmax(rel))  # the first NaN, if any
+        raise MethodDisagreementError(float(stat[i]), float(amem[i]), float(rel[i]), _AGREEMENT_LIMIT)
+    norms[live] = np.maximum(stat, amem)
+    gaps[live] = rel
+    return norms, gaps
 
 
 def orlicz_gauges(pair: ComplementaryPair, vectors) -> np.ndarray:
     """(norms, agreement gaps, Luxemburg norms N_Phi) of the vectors as the
     rows of a (3, len(vectors)) array, each column equal to its vector's
     one-vector call bit for bit."""
-    return _bucketed(lambda A: _orlicz_gauge_batch(pair, A), vectors, 3)
+    return _bucketed(lambda A: (*orlicz_batch(pair, A), luxemburg_batch(pair.phi, A)), vectors, 3)
 
 
 def orlicz_norms(pair: ComplementaryPair, vectors) -> np.ndarray:
     """Orlicz norms of the vectors, each equal to its orlicz_norm bit for bit."""
-    return orlicz_gauges(pair, vectors)[0]
+    return _bucketed(lambda A: orlicz_batch(pair, A)[0], vectors)[0]
 
 
 def orlicz_norm(pair: ComplementaryPair, f: OrliczVector) -> float:

@@ -347,8 +347,8 @@ def conjugate(phi: YoungFunction, cap: float = 1e3) -> YoungFunction:
     When phi carries a density the supremum is located by solving
     gen(x) = y with the shared root finder; otherwise by golden section on
     x*y - Phi(x), bracketed in [x, 4x] where the chord slope
-    (Phi(2x) - Phi(x))/x crosses y.  Both evaluate all y in one vectorized
-    call.  The maximizer is bracketed geometrically from 1, and a bracket
+    (Phi(2x) - Phi(x))/x crosses y.  Both solve all y not <= 0 in one
+    vectorized call, and give 0 at the rest.  The maximizer is bracketed geometrically from 1, and a bracket
     that grows past cap raises BracketOverflowError naming the offending y
     and the cap; the stop rules are the norm solvers'.  The returned
     function carries the maximizer as its derivative, which is exact for
@@ -359,25 +359,29 @@ def conjugate(phi: YoungFunction, cap: float = 1e3) -> YoungFunction:
 
     if gen is not None:
 
-        def maximizer(y):
-            arr, scalar = _as_1d(y)
-            return _restore(_find_root(gen, arr, cap, "conjugating"), scalar)
+        def solve(y):
+            return _find_root(gen, y, cap, "conjugating")
 
     else:
 
         def chord_slope(x):
             return (np.asarray(fn(2.0 * x), dtype=float) - np.asarray(fn(x), dtype=float)) / x
 
-        def maximizer(y):
+        def solve(y):
             # By convexity Phi'(x) <= chord_slope(x) <= Phi'(2x), so a chord
             # bracket chord_slope(x) <= y <= chord_slope(2x) puts the
             # maximizer in [x, 4x].
-            arr, scalar = _as_1d(y)
-            lo, hi, _, _ = _bracket(chord_slope, arr, cap, "conjugating")
-            best = _golden_min(
-                lambda u: np.asarray(fn(u), dtype=float) - u * arr, lo, 2.0 * hi, "conjugating"
+            lo, hi, _, _ = _bracket(chord_slope, y, cap, "conjugating")
+            return _golden_min(
+                lambda u: np.asarray(fn(u), dtype=float) - u * y, lo, 2.0 * hi, "conjugating"
             )
-            return _restore(np.where(arr <= 0.0, 0.0, best), scalar)
+
+    def maximizer(y):
+        # entries solve alone, so skipping y <= 0 (not NaN) changes no bit
+        arr, scalar = _as_1d(y)
+        xs, live = np.zeros(arr.shape), ~(arr <= 0.0)
+        xs[live] = solve(arr[live])
+        return _restore(xs, scalar)
 
     def value(y):
         arr, scalar = _as_1d(y)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orliczlab import space, young
-from orliczlab.errors import BracketOverflowError, SolverCapError
+from orliczlab.errors import BracketOverflowError, MethodDisagreementError, SolverCapError
 from orliczlab.groups import Group
 from orliczlab.space import (
     OrliczVector,
@@ -111,9 +111,10 @@ def test_minimizer_raises_on_a_huge_bracket():
 
 
 def test_amemiya_raises_when_its_bracket_widenings_run_out():
-    # a gauge 1e30 times too small centres the bracket far from the minimum
+    # the minimum of (1 + k^2/2)/k sits at sqrt 2; a centre 1e30 times too
+    # small keeps it beyond the widest bracket, which reaches 7.2e10 times out
     with pytest.raises(SolverCapError):
-        _amemiya_batch(catalog_pair("pnorm:2"), np.array([[1.0]]), np.array([1e-30]))
+        _amemiya_batch(catalog_pair("pnorm:2"), np.array([[1.0]]), np.array([math.sqrt(2.0) * 1e-30]))
 
 
 @pytest.mark.parametrize("a", [1e-60, 1e-100])
@@ -205,14 +206,8 @@ def test_bucketed_norms_equal_the_per_vector_norms_bitwise(which, sizes, seed):
     assert want[-1] == 0.0
 
 
-def test_a_row_that_widens_its_amemiya_bracket_leaves_its_batch_mates_alone(monkeypatch):
-    # For expm the Amemiya minimum of these rows sits at 0.873-0.921 times
-    # 1/N(f), by the shape of f; a first span of 1.2 pins the rows below
-    # 1.05 / 1.2 = 0.875 to the left edge, so those widen once and the rest
-    # keep their first minimum.
-    pair = catalog_pair("expm")
-    A = np.random.default_rng(0).uniform(0.0, 1.0, size=(40, 6)) ** 4
-    monkeypatch.setattr(space, "_AMEMIYA_SPAN", 1.2)
+def _recording_golden_min(monkeypatch):
+    """The row counts of the golden-section searches made from space."""
     searched = []
 
     def recording(h, a, b, task):
@@ -220,15 +215,66 @@ def test_a_row_that_widens_its_amemiya_bracket_leaves_its_batch_mates_alone(monk
         return _golden_min(h, a, b, task)
 
     monkeypatch.setattr(space, "_golden_min", recording)
-    lux = luxemburg_batch(pair.phi, A)
-    batch = _amemiya_batch(pair, A, lux)
-    assert len(searched) == 2 and searched[0] == len(A) and 0 < searched[1] < len(A)
+    return searched
+
+
+def test_a_row_that_widens_its_amemiya_bracket_leaves_its_batch_mates_alone(monkeypatch):
+    # Centres 1e-4 above the multiplier put those rows' minima left of the
+    # first bracket (half-width 1e-6), so they widen once (to 2.56e-4); the
+    # rest keep their first minimum.
+    pair = catalog_pair("expm")
+    A = np.random.default_rng(0).uniform(0.0, 1.0, size=(40, 6)) ** 4
+    moved = np.arange(len(A)) % 3 == 0
+    centre = space._stationarity_batch(pair, A)[1] * np.where(moved, 1.0 + 1e-4, 1.0)
+    searched = _recording_golden_min(monkeypatch)
+    batch = _amemiya_batch(pair, A, centre)
+    assert searched == [len(A), np.count_nonzero(moved)]
     for i in range(len(A)):
-        one = _amemiya_batch(pair, A[i : i + 1], lux[i : i + 1])
+        one = _amemiya_batch(pair, A[i : i + 1], centre[i : i + 1])
         assert one.tobytes() == batch[i : i + 1].tobytes()
     norms, _ = orlicz_batch(pair, A)
     for i in range(len(A)):
         assert orlicz_batch(pair, A[i : i + 1])[0].tobytes() == norms[i : i + 1].tobytes()
+
+
+# the stationarity multiplier as a mutant would get it wrong: the two-method
+# check must stay live when the Amemiya search starts from that multiplier
+
+_LIVE_ROWS = np.array([[3.0, 4.0, 0.5], [0.2, 0.0, 1.0], [1e-3, 2.0, 7.0]])
+
+
+@pytest.mark.parametrize(("name", "flip"), _PAIRS)
+def test_a_wrong_amemiya_centre_widens_to_the_true_minimum(name, flip, monkeypatch):
+    pair = _pair(name, flip)
+    want, _ = orlicz_batch(pair, _LIVE_ROWS)
+    stationarity = space._stationarity_batch
+
+    def far_centre(p, A):
+        norms, mu = stationarity(p, A)
+        return norms, mu * 1e3
+
+    monkeypatch.setattr(space, "_stationarity_batch", far_centre)
+    searched = _recording_golden_min(monkeypatch)
+    if (name, flip) == ("xlog", True):
+        # the widened bracket reaches past y = 461, where the maximizer
+        # e^(y-1) of conj(xlog) passes its 1e200 cap: an error, not a value
+        with pytest.raises(BracketOverflowError):
+            orlicz_batch(pair, _LIVE_ROWS)
+        return
+    got, _ = orlicz_batch(pair, _LIVE_ROWS)
+    assert len(searched) > 1
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(("name", "flip"), _PAIRS)
+def test_a_wrong_stationarity_multiplier_is_a_method_disagreement(name, flip, monkeypatch):
+    def off(f, targets, cap, task):
+        root = _find_root(f, targets, cap, task)
+        return root * (1.0 + 1e-4) if task == "solving the stationarity constraint" else root
+
+    monkeypatch.setattr(space, "_find_root", off)
+    with pytest.raises(MethodDisagreementError):
+        orlicz_batch(_pair(name, flip), _LIVE_ROWS)
 
 
 # ---------------------------------------------------------------------------

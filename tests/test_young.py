@@ -10,9 +10,13 @@ from orliczlab.errors import (
     InputError,
     InvariantViolationError,
     NonMonotoneGeneratorError,
+    SolverCapError,
 )
 from orliczlab.young import (
     YoungFunction,
+    _bracket,
+    _find_root,
+    _golden_min,
     build_from_generator,
     catalog_names,
     catalog_pair,
@@ -57,6 +61,43 @@ def test_conjugate_without_derivative_uses_golden_section():
     num = conjugate(bare)
     ys = np.linspace(0.1, 5.0, 9)
     assert np.max(np.abs(num(ys) - ys**2 / 2.0)) < 1e-8
+
+
+def _full_maximizer(phi, y, cap):
+    """The conjugate's maximizer solved at every entry, y <= 0 included."""
+    y = np.asarray(y, dtype=float)
+    if phi.derivative is not None:
+        return _find_root(phi.derivative, y, cap, "conjugating")
+    lo, hi, _, _ = _bracket(lambda x: (phi.fn(2.0 * x) - phi.fn(x)) / x, y, cap, "conjugating")
+    best = _golden_min(lambda u: phi.fn(u) - u * y, lo, 2.0 * hi, "conjugating")
+    return np.where(y <= 0.0, 0.0, best)
+
+
+_XLOG = catalog_pair("xlog").phi
+
+
+@pytest.mark.parametrize(
+    "phi", [_XLOG, YoungFunction(fn=_XLOG.fn, name="xlog without density")], ids=["root", "golden"]
+)
+@pytest.mark.parametrize(
+    "y",
+    [
+        [[0.0, 2.5, 0.0], [1e-3, -0.0, 40.0], [-1.0, 0.0, 7.0]],
+        np.zeros((2, 3)),
+        np.zeros(0),
+        np.zeros((0, 4)),
+    ],
+    ids=["zeros", "all-zero", "empty", "empty-2d"],
+)
+def test_conjugate_maximizer_skips_nonpositive_entries_bit_for_bit(phi, y):
+    got = conjugate(phi, BIG).derivative(y)
+    want = _full_maximizer(phi, y, BIG)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_conjugate_maximizer_still_fails_on_nan():
+    with pytest.raises(SolverCapError):
+        conjugate(_XLOG, BIG).derivative(np.array([1.0, np.nan, 0.0]))
 
 
 def test_conjugate_bracket_cap_names_y_and_cap():

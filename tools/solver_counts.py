@@ -1,15 +1,19 @@
-"""Print the shared root finder's calls and f-evaluations per solver task,
-and the twisted-product kernel's calls and terms per suite.
+"""Print the shared root finder's and minimizer's calls and evaluations per
+solver task, and the twisted-product kernel's calls and terms per suite.
 
 Runs the default `orlicz-lab verify` in process, suite by suite, with
-`young._find_root` wrapped from outside (in `young` and in `space`, which
-imports it by name) and `algebra._kernel_sum` wrapped likewise.  The first
-table has one line per task: the calls, the evaluations of f (each one
-call of f on all elements of a solve), and the evaluations per call.  A
-solve nested inside another solve's f counts under its own task.  The
-second table has one line per suite: the `_kernel_sum` calls and their
-terms (the support pairs summed, over all vectors of each batch).  The
-last line counts the laws that passed.  Run from anywhere:
+`young._find_root` and `young._golden_min` wrapped from outside (in `young`
+and in `space`, which imports them by name) and `algebra._kernel_sum` and
+`space._amemiya_batch` wrapped likewise.  The first table has one line per
+root-finder task: the calls, the evaluations of f (each one call of f on
+all elements of a solve), and the evaluations per call.  The second has
+the same for each golden-section task, counting evaluations of h.  A solve
+nested inside another solve's f counts under its own task.  Then comes the
+number of Amemiya rows that searched again in a wider bracket (the rows of
+its golden searches less the rows it was given).  The last table has one
+line per suite: the `_kernel_sum` calls and their terms (the support pairs
+summed, over all vectors of each batch).  The last line counts the laws
+that passed.  Run from anywhere:
 
     python tools/solver_counts.py
 """
@@ -23,30 +27,49 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from orliczlab import algebra, harness, space, young  # noqa: E402
 
 
+def _table(head: str, calls: collections.Counter, evals: collections.Counter) -> None:
+    print(f"{'task':<40}{'calls':>8}{head:>10}{'per call':>10}")
+    for task in sorted(calls):
+        print(f"{task:<40}{calls[task]:>8}{evals[task]:>10}{evals[task] / calls[task]:>10.1f}")
+
+
 def main() -> None:
-    calls = collections.Counter()
-    evals = collections.Counter()
+    calls, evals = collections.Counter(), collections.Counter()
+    golden_calls, golden_evals = collections.Counter(), collections.Counter()
+    amemiya_rows = collections.Counter()
     kernel_calls = collections.Counter()
     kernel_terms = collections.Counter()
-    find_root, kernel_sum = young._find_root, algebra._kernel_sum
+    find_root, golden_min = young._find_root, young._golden_min
+    kernel_sum, amemiya_batch = algebra._kernel_sum, space._amemiya_batch
     suite = None
 
-    def counted(f, targets, cap, task):
-        calls[task] += 1
+    def counting(solve, n_calls, n_evals):
+        def counted(f, *args):
+            task = args[-1]
+            n_calls[task] += 1
 
-        def g(x):
-            evals[task] += 1
-            return f(x)
+            def g(x):
+                n_evals[task] += 1
+                return f(x)
 
-        return find_root(g, targets, cap, task)
+            if task == "minimizing the Amemiya objective":
+                amemiya_rows["searched"] += len(args[0])
+            return solve(g, *args)
+
+        return counted
+
+    def counted_amemiya(pair, A, centre):
+        amemiya_rows["given"] += len(centre)
+        return amemiya_batch(pair, A, centre)
 
     def counted_kernel(outer, inner, place, kernel=None):
         kernel_calls[suite] += 1
         kernel_terms[suite] += int(outer.sizes @ inner.sizes)
         return kernel_sum(outer, inner, place, kernel)
 
-    young._find_root = space._find_root = counted
-    algebra._kernel_sum = counted_kernel
+    young._find_root = space._find_root = counting(find_root, calls, evals)
+    young._golden_min = space._golden_min = counting(golden_min, golden_calls, golden_evals)
+    algebra._kernel_sum, space._amemiya_batch = counted_kernel, counted_amemiya
     records = []
     try:
         cfg = harness.SuiteConfig()
@@ -54,10 +77,13 @@ def main() -> None:
             records += harness.run_suite(cfg, suite)
     finally:
         young._find_root = space._find_root = find_root
-        algebra._kernel_sum = kernel_sum
-    print(f"{'task':<40}{'calls':>8}{'f-evals':>10}{'per call':>10}")
-    for task in sorted(calls):
-        print(f"{task:<40}{calls[task]:>8}{evals[task]:>10}{evals[task] / calls[task]:>10.1f}")
+        young._golden_min = space._golden_min = golden_min
+        algebra._kernel_sum, space._amemiya_batch = kernel_sum, amemiya_batch
+    _table("f-evals", calls, evals)
+    print()
+    _table("h-evals", golden_calls, golden_evals)
+    searched_again = amemiya_rows["searched"] - amemiya_rows["given"]
+    print(f"\nAmemiya rows searched again: {searched_again} of {amemiya_rows['given']}")
     print(f"\n{'suite':<40}{'kernel calls':>14}{'terms':>10}")
     for name in kernel_calls:
         print(f"{name:<40}{kernel_calls[name]:>14}{kernel_terms[name]:>10}")

@@ -20,7 +20,8 @@ exactly at y = Phi'(x).  This module provides:
 
 Evaluators are plain callables that accept a float or a numpy array and
 are pure; everything here is immutable after construction and safe to
-share across workers.
+share across workers (a numeric conjugate fills its density table at its
+first solve, and any worker that fills it fills it with the same values).
 """
 
 from __future__ import annotations
@@ -157,17 +158,24 @@ _MIN_EXP = -1022  # 2**_MIN_EXP is the smallest normal double
 _ITP_K1 = 0.2  # the ITP truncation is 0.2 w^2 / w0 (kappa1 = 0.2 / w0, kappa2 = 2)
 
 
-def _bracket(f: Callable, t: np.ndarray, cap: float, task: str):
+def _bracket(f: Callable, t: np.ndarray, cap: float, task: str, table=None):
     """Per element (lo, hi, f(lo), f(hi)) with f(lo) <= t <= f(hi), for increasing f, f(0) = 0.
 
     The bracket is [2^(e-1), 2^e], the one that doubling or halving [1, 2]
     one step at a time reaches: where f(2) < t, 2^e is the first power of
     two upward from 2 with f(2^e) >= t, else 2^(e-1) is the first one
     downward from 1 with f(2^(e-1)) <= t.  Elements with t <= 0 keep
-    [1, 2].  Each element finds e by galloping away from 2, its step in
-    the exponent doubling at every probe, and then bisecting the exponent
-    between its last two probes: O(log e) evaluations of f instead of e,
-    with all elements probing in the same calls of f.
+    [1, 2].
+
+    With a table (_density_table: f at every power of two up to the cap,
+    nondecreasing, no NaN) each element reads e from it by a binary
+    search, without calling f.  Otherwise (row solves, and densities
+    without a table) each element finds e by galloping away from 2, its
+    step in the exponent doubling at every probe, and then bisecting the
+    exponent between its last two probes: O(log e) evaluations of f
+    instead of e, with all elements probing in the same calls of f.  On a
+    nondecreasing f both find the one crossing of t, so they give the
+    same bracket and end values bit for bit.
 
     - An element with f(2^k) < t at the largest 2^k <= cap raises
       BracketOverflowError, naming the first such t.
@@ -179,8 +187,11 @@ def _bracket(f: Callable, t: np.ndarray, cap: float, task: str):
       it probes only where single steps would.
 
     f(lo) and f(hi) are the values f took at the probes; f(lo) reads 0
-    where lo = 0 and where t <= 0 (f(1) is not probed there).
+    where lo = 0 and where t <= 0 (f(1) is not probed there).  All four
+    arrays are fresh: the root finder updates them in place.
     """
+    if table is not None:
+        return _read_bracket(table, t, cap, task)
     top = math.frexp(cap)[1] - 1  # the largest k with 2^k <= cap
     fb = np.array(f(np.full(t.shape, 2.0)), dtype=float)  # a copy: the root finder updates it
     up = fb < t  # never true where t <= 0, as f >= 0
@@ -220,6 +231,43 @@ def _bracket(f: Callable, t: np.ndarray, cap: float, task: str):
         b, fb = np.where(high, p, b), np.where(high, fp, fb)
 
 
+def _density_table(f: Callable, cap: float):
+    """f at 2^p for p = -1022, ..., the largest p with 2^p <= cap, for
+    _bracket to read; None where such a table cannot stand in for its
+    gallop: a cap below 2, or an f that raises a solver error on the
+    table (a nested solve past its own cap), gives NaN on it or decreases
+    somewhere on it."""
+    top = math.frexp(cap)[1] - 1
+    if top < 1:
+        return None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = np.asarray(f(np.ldexp(1.0, np.arange(_MIN_EXP, top + 1))), dtype=float)
+    except (BracketOverflowError, SolverCapError):
+        return None
+    if np.isnan(table).any() or (table[1:] < table[:-1]).any():
+        return None
+    return table
+
+
+def _read_bracket(table: np.ndarray, t: np.ndarray, cap: float, task: str):
+    """_bracket read from a _density_table, in which index i holds f(2^(i - 1022)).
+
+    e below is the index of hi; lo is 0 where e = 0.
+    """
+    two = 1 - _MIN_EXP  # the index of f(2)
+    up = table[two] < t
+    e = np.searchsorted(table, t, "left")  # upward: the first f(hi) >= t
+    over = up & (e == len(table))
+    if over.any():
+        raise BracketOverflowError(float(t[over][0]), cap, task)
+    down = np.minimum(np.searchsorted(table, t, "right"), two)  # the first f(hi) > t, or 2
+    e = np.where(up, e, np.where(t > 0.0, down, two))
+    lo = np.where(e > 0, np.ldexp(1.0, e - (1 - _MIN_EXP)), 0.0)
+    flo = np.where((t > 0.0) & (e > 0), table[np.maximum(e - 1, 0)], 0.0)
+    return lo, np.ldexp(1.0, e + _MIN_EXP), flo, table[e]
+
+
 def _itp_probe(t, lo, hi, flo, fhi, w0, j: int) -> np.ndarray:
     """The ITP probe at step j of each bracket [lo, hi] for f = t, of width
     w and initial width w0.
@@ -248,10 +296,11 @@ def _itp_probe(t, lo, hi, flo, fhi, w0, j: int) -> np.ndarray:
     return x
 
 
-def _find_root(f: Callable, targets, cap: float, task: str) -> np.ndarray:
+def _find_root(f: Callable, targets, cap: float, task: str, table=None) -> np.ndarray:
     """Solve f(x) = t per element for increasing f with f(0) = 0; t <= 0 gives 0.
 
-    Brackets with _bracket, then takes ITP steps (interpolate, truncate,
+    Brackets with _bracket (read from table, a _density_table of f, when
+    given), then takes ITP steps (interpolate, truncate,
     project: Oliveira and Takahashi, ACM TOMS 47(1), 2020, with
     kappa1 = 0.2 / w0, kappa2 = 2 and n0 = 1).  Step j probes the regula
     falsi point of the bracket [lo, hi], moved toward the midpoint by
@@ -271,7 +320,7 @@ def _find_root(f: Callable, targets, cap: float, task: str) -> np.ndarray:
     t = np.asarray(targets, dtype=float)
     dead = t <= 0.0
     root_tol = np.where(dead, np.inf, _ROOT_RTOL * t)
-    lo, hi, flo, fhi = _bracket(f, t, cap, task)
+    lo, hi, flo, fhi = _bracket(f, t, cap, task, table)
     root = np.zeros(t.shape)
     if not t.size:
         return root
@@ -348,19 +397,32 @@ def conjugate(phi: YoungFunction, cap: float = 1e3) -> YoungFunction:
     gen(x) = y with the shared root finder; otherwise by golden section on
     x*y - Phi(x), bracketed in [x, 4x] where the chord slope
     (Phi(2x) - Phi(x))/x crosses y.  Both solve all y not <= 0 in one
-    vectorized call, and give 0 at the rest.  The maximizer is bracketed geometrically from 1, and a bracket
-    that grows past cap raises BracketOverflowError naming the offending y
-    and the cap; the stop rules are the norm solvers'.  The returned
-    function carries the maximizer as its derivative, which is exact for
-    conjugates of smooth strictly convex functions.
+    vectorized call, and give 0 at the rest.  The maximizer is bracketed
+    in [2^(e-1), 2^e], and a bracket that grows past cap raises
+    BracketOverflowError naming the offending y and the cap; the stop
+    rules are the norm solvers'.
+
+    A density is evaluated once, at the first solve, at every power of
+    two from 2^-1022 to the cap (at most 2046 values, kept by this
+    conjugate), and every solve reads its brackets from that table
+    instead of galloping.  Where the table cannot stand in (the density
+    raises a solver error on it, as a nested conjugate's maximizer does
+    past its own cap, or gives NaN, or decreases somewhere) the solves
+    gallop; the brackets, and so the values, are the same either way.
+
+    The returned function carries the maximizer as its derivative, which
+    is exact for conjugates of smooth strictly convex functions.
     """
     gen = phi.derivative
     fn = phi.fn
 
     if gen is not None:
+        tables = []  # the density table, built at the first solve (None: gallop)
 
         def solve(y):
-            return _find_root(gen, y, cap, "conjugating")
+            if not tables:
+                tables.append(_density_table(gen, cap))
+            return _find_root(gen, y, cap, "conjugating", table=tables[0])
 
     else:
 
@@ -552,6 +614,32 @@ class EquivalenceResult:
     gap: Optional[float] = None
 
 
+def _candidate_rows(phi: YoungFunction, cands: np.ndarray, xs: np.ndarray) -> list:
+    """Per candidate c, phi(c xs) or the solver error phi raises on it alone.
+
+    All candidates go to phi in one call; a block that raises a solver
+    error is halved until each raising candidate stands alone, keeping its
+    exception.  phi acts elementwise, so each row equals its own call.
+    """
+    rows = [None] * len(cands)
+
+    def fill(lo: int, hi: int) -> None:
+        args = cands[lo:hi, None] * xs
+        try:
+            with np.errstate(over="ignore"):
+                rows[lo:hi] = np.asarray(phi(args.ravel()), dtype=float).reshape(args.shape)
+        except (BracketOverflowError, SolverCapError) as err:
+            if hi - lo == 1:
+                rows[lo] = err
+                return
+            mid = (lo + hi) // 2
+            fill(lo, mid)
+            fill(mid, hi)
+
+    fill(0, len(cands))
+    return rows
+
+
 def strong_equivalence(
     phi1: YoungFunction,
     phi2: YoungFunction,
@@ -566,12 +654,20 @@ def strong_equivalence(
     Phi2(x) <= Phi1(b x); failure reports the nearest candidate and its
     worst grid point, or gap inf with no candidate when every candidate
     overflows.
+
+    Phi1 is evaluated at every candidate in one call (a block that raises
+    a solver error is halved until each raising candidate stands alone),
+    and both searches then scan these rows in candidate order.  A
+    candidate whose conjugation bracket overflows fails; any other error
+    is raised when a search reaches its candidate, and not at all past
+    the candidates where both searches stop.
     """
     tol = tol or Tolerances()
     xs = np.asarray(grid if grid is not None else np.logspace(-3, 3, 61), dtype=float)
     with np.errstate(over="ignore"):
         v2 = np.asarray(phi2(xs), dtype=float)
     cands = 2.0 ** (np.arange(-60, 61) / 4.0)
+    rows = list(zip(map(float, cands), _candidate_rows(phi1, cands, xs)))
 
     def first_pass(order, lower: bool):
         """The first candidate c that passes, else None, and the best failure
@@ -580,12 +676,11 @@ def strong_equivalence(
         A blown conjugation bracket means phi1(c x) is astronomically large,
         so the candidate simply fails."""
         best = (np.inf, None, None)
-        for c in map(float, order):
-            try:
-                with np.errstate(over="ignore"):
-                    v1 = np.asarray(phi1(c * xs), dtype=float)
-            except BracketOverflowError:
+        for c, v1 in order:
+            if isinstance(v1, BracketOverflowError):
                 continue
+            if isinstance(v1, Exception):
+                raise v1
             diff, slack = (v1 - v2, tol.slack(v2)) if lower else (v2 - v1, tol.slack(v1))
             gap = float(np.max(diff - slack))
             if gap <= 0.0:
@@ -594,8 +689,8 @@ def strong_equivalence(
                 best = (gap, c, int(np.argmax(diff)))
         return None, best
 
-    a_star, best_a = first_pass(cands[::-1], True)
-    b_star, best_b = first_pass(cands, False)
+    a_star, best_a = first_pass(rows[::-1], True)
+    b_star, best_b = first_pass(rows, False)
     if a_star is not None and b_star is not None and a_star <= b_star:
         return EquivalenceResult(True, a_star, b_star)
     gap, cand, worst = best_a if a_star is None else best_b
@@ -686,8 +781,10 @@ def catalog_pair(name: str) -> ComplementaryPair:
     """Look up a complementary pair by catalog name.
 
     pnorm:<p> pairs are closed-form; expm pairs with (1+y)ln(1+y)-y in
-    closed form; xlog and cosh carry numeric conjugates (their partners
-    have no elementary closed form, only strong equivalents).
+    closed form.  xlog and cosh carry numeric conjugates.  xlog's partner
+    has no elementary closed form, only strong equivalents; cosh's has
+    one, y asinh(y) - sqrt(1+y^2) + 1, which the tests hold the numeric
+    conjugate to.
     """
     if name.startswith("pnorm:"):
         return pnorm_pair(float(name.split(":", 1)[1]))

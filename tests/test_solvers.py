@@ -23,8 +23,11 @@ from orliczlab.space import (
     random_vector,
 )
 from orliczlab.young import (
+    EquivalenceResult,
+    Tolerances,
     YoungFunction,
     _bracket,
+    _density_table,
     _find_root,
     _golden_min,
     build_from_generator,
@@ -473,3 +476,256 @@ def test_hopeless_equivalence_candidates_stop_within_a_few_density_evaluations()
         YoungFunction(recorded, "conj(xlog)"), catalog_pair("cosh").phi, grid=np.logspace(-2, np.log10(30.0), 40)
     )
     assert per_candidate and max(per_candidate) < 60
+
+
+# ---------------------------------------------------------------------------
+# the conjugates' density tables against the gallop
+
+
+def _flat(x):
+    """Increasing up to 4, flat on [4, 64], increasing again after."""
+    x = np.asarray(x, dtype=float)
+    return np.minimum(x, 4.0) + np.maximum(x - 64.0, 0.0)
+
+
+# every closed-form density of the catalog (sinh saturates to inf), and a flat one
+_TABLED = {
+    f"{name} {side}": getattr(catalog_pair(name), side).derivative
+    for name in catalog_names()
+    for side in ("phi", "psi")
+    if catalog_pair(name).numeric_side != side
+}
+_TABLED["flat"] = _flat
+_TABLE_CAPS = [2.0, 3.0, 1e3, 1e200, 2.0**1023]
+
+
+def _both_brackets(f, t, cap):
+    """_bracket galloping and read from f's table: four arrays each, or the y of the overflow."""
+    table = _density_table(f, cap)
+    assert table is not None
+    out = []
+    for tab in (None, table):
+        try:
+            with np.errstate(over="ignore"):
+                out.append(_bracket(f, t.copy(), cap, "testing", tab))
+        except BracketOverflowError as err:
+            assert err.cap == cap and err.task == "testing"
+            out.append(err.y)
+    return out
+
+
+def _assert_same_brackets(f, t, cap):
+    galloped, read = _both_brackets(f, t, cap)
+    if isinstance(galloped, float) or isinstance(read, float):
+        assert galloped == read  # the same first target past the cap
+    else:
+        assert [a.tobytes() for a in galloped] == [b.tobytes() for b in read]
+
+
+def _edge_targets(f):
+    # the values f(2^p) at p = -30, 0, 1 (downward side) and 2, 8 (upward)
+    ties = np.asarray(f(np.ldexp(1.0, [-30, 0, 1, 2, 8])), dtype=float)
+    specials = [0.0, -0.0, -3.0, -np.inf, np.nan, np.inf, 5e-324, 1e-310, np.finfo(float).tiny]
+    return np.concatenate([specials, ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf), 10.0 ** np.arange(-300.0, 301.0, 25.0)])
+
+
+@pytest.mark.parametrize("cap", _TABLE_CAPS)
+@pytest.mark.parametrize("name", sorted(_TABLED))
+def test_a_tabled_bracket_equals_the_gallop_bit_for_bit(name, cap):
+    f = _TABLED[name]
+    t = _edge_targets(f)
+    for one in t:
+        _assert_same_brackets(f, np.array([one]), cap)
+    _assert_same_brackets(f, t, cap)  # past the cap: the same first y
+    top = _density_table(f, cap)[-1]  # f at the largest power of two within the cap
+    t = np.array([np.nan, 3.0, 1e300, np.inf, 2.0])
+    galloped, read = _both_brackets(f, t, cap)
+    if top < np.inf:
+        assert galloped == read == t[top < t][0]
+    with np.errstate(over="ignore"):
+        inside = t[~(np.asarray(f(np.float64(cap))) < t)]
+    _assert_same_brackets(f, inside, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_TABLED)), targets=_TARGETS, cap=st.sampled_from(_TABLE_CAPS))
+def test_tabled_brackets_equal_the_gallop_on_random_targets(name, targets, cap):
+    _assert_same_brackets(_TABLED[name], np.array(targets), cap)
+
+
+def test_a_tabled_bracket_is_fresh_and_leaves_the_table_alone():
+    f = young._xlog().derivative
+    table = _density_table(f, 1e200)
+    kept = table.copy()
+    t = np.array([0.5, 3.0, 0.0, 100.0])
+    ends = _bracket(f, t, 1e200, "testing", table)
+    for end in ends:
+        assert not np.shares_memory(end, table)
+    _find_root(f, t, 1e200, "testing", table)
+    assert table.tobytes() == kept.tobytes()
+
+
+def _table_grid(cap):
+    return np.ldexp(1.0, np.arange(-1022, math.frexp(cap)[1]))
+
+
+def test_a_conjugate_evaluates_its_density_table_once():
+    xlog = young._xlog()
+    seen = []
+
+    def density(x):
+        seen.append(np.array(x))
+        return xlog.derivative(x)
+
+    psi = conjugate(YoungFunction(xlog.fn, "xlog", density), young._CATALOG_CAP)
+    ys = [np.logspace(-3, 2, 17), np.array([0.5]), np.linspace(0.0, 400.0, 9), np.array([7.0, 0.0, 3.0])]
+    for y in ys:
+        got = psi.derivative(y)
+        live = ~(y <= 0.0)
+        want = _find_root(xlog.derivative, y[live], young._CATALOG_CAP, "conjugating")
+        assert got[live].tobytes() == want.tobytes()
+        psi(y)
+    with pytest.raises(BracketOverflowError):
+        psi(np.array([1.0, 900.0]))
+    grid = _table_grid(young._CATALOG_CAP)
+    assert sum(x.shape == grid.shape and np.array_equal(x, grid) for x in seen) == 1
+    assert seen[0].tobytes() == grid.tobytes()
+
+
+def _nan_above(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(x < 1e10, x, np.nan)
+
+
+def _dip(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(x < 1e5, x, 0.1 * x)  # f(2^17) < f(2^16)
+
+
+_GALLOPING = {  # a nested density (the conjugate of a numeric conjugate), NaN far out, a dip, a tiny cap
+    "nested": (lambda: catalog_pair("xlog").psi.derivative, np.logspace(-2, 1, 12), 1e200),
+    "NaN past 1e10": (lambda: _nan_above, np.logspace(-3, 9, 13), 1e200),
+    "decreasing at 2^17": (lambda: _dip, np.logspace(-3, 4, 15), 1e200),
+    "cap below 2": (lambda: np.sqrt, np.logspace(-3, 0.1, 9), 1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GALLOPING))
+def test_densities_without_a_table_keep_galloping(name, monkeypatch):
+    make, y, cap = _GALLOPING[name]
+    gen = make()
+    assert _density_table(gen, cap) is None
+    tables = []
+
+    def spying(f, targets, cap, task, table=None):
+        if f is gen:
+            tables.append(table)
+        return _find_root(f, targets, cap, task, table)
+
+    monkeypatch.setattr(young, "_find_root", spying)
+    got = conjugate(YoungFunction(lambda x: x, name, gen), cap).derivative(y)
+    monkeypatch.undo()
+    assert tables == [None]
+    assert got.tobytes() == _find_root(gen, y, cap, "conjugating").tobytes()
+
+
+# ---------------------------------------------------------------------------
+# strong_equivalence against its search one candidate at a time
+
+
+def _reference_equivalence(phi1, phi2, grid=None, tol=None):
+    """strong_equivalence calling phi1 once per candidate, only when a search reaches it."""
+    tol = tol or Tolerances()
+    xs = np.asarray(grid if grid is not None else np.logspace(-3, 3, 61), dtype=float)
+    with np.errstate(over="ignore"):
+        v2 = np.asarray(phi2(xs), dtype=float)
+    cands = 2.0 ** (np.arange(-60, 61) / 4.0)
+
+    def first_pass(order, lower):
+        best = (np.inf, None, None)
+        for c in map(float, order):
+            try:
+                with np.errstate(over="ignore"):
+                    v1 = np.asarray(phi1(c * xs), dtype=float)
+            except BracketOverflowError:
+                continue
+            diff, slack = (v1 - v2, tol.slack(v2)) if lower else (v2 - v1, tol.slack(v1))
+            gap = float(np.max(diff - slack))
+            if gap <= 0.0:
+                return c, best
+            if gap < best[0]:
+                best = (gap, c, int(np.argmax(diff)))
+        return None, best
+
+    a_star, best_a = first_pass(cands[::-1], True)
+    b_star, best_b = first_pass(cands, False)
+    if a_star is not None and b_star is not None and a_star <= b_star:
+        return EquivalenceResult(True, a_star, b_star)
+    gap, cand, worst = best_a if a_star is None else best_b
+    return EquivalenceResult(
+        False, failing_candidate=cand, failing_x=None if worst is None else float(xs[worst]), gap=gap
+    )
+
+
+def _x_squared(x):
+    return np.asarray(x, dtype=float) ** 2
+
+
+_SHORT = np.logspace(-2, np.log10(30.0), 40)
+_EQUIVALENCES = {  # found, found through overflowing candidates, failing, every candidate overflowing
+    "pnorm:2 itself": (lambda: catalog_pair("pnorm:2").phi, lambda: catalog_pair("pnorm:2").phi, None),
+    "x^2 and x^2/2": (lambda: YoungFunction(_x_squared, "x^2"), lambda: catalog_pair("pnorm:2").phi, None),
+    "conj(xlog) and cosh": (lambda: catalog_pair("xlog").psi, lambda: catalog_pair("cosh").phi, _SHORT),
+    "conj(cosh) and xlog": (lambda: catalog_pair("cosh").psi, lambda: catalog_pair("xlog").phi, _SHORT),
+    "pnorm:2 and expm": (lambda: catalog_pair("pnorm:2").phi, lambda: catalog_pair("expm").phi, np.logspace(-2, 2, 40)),
+    "all overflow": (lambda: catalog_pair("xlog").psi, lambda: catalog_pair("pnorm:2").phi, np.logspace(-2, 8, 40)),
+}
+
+
+@pytest.mark.parametrize("name", list(_EQUIVALENCES))
+def test_strong_equivalence_equals_its_search_one_candidate_at_a_time(name):
+    make1, make2, grid = _EQUIVALENCES[name]
+    phi1, phi2 = make1(), make2()
+    assert strong_equivalence(phi1, phi2, grid) == _reference_equivalence(phi1, phi2, grid)
+
+
+def test_strong_equivalence_calls_phi1_once_when_no_candidate_raises():
+    calls = []
+
+    def phi1(x):
+        calls.append(np.size(x))
+        return np.asarray(x, dtype=float) ** 2 / 2.0
+
+    res = strong_equivalence(YoungFunction(phi1, "x^2/2"), catalog_pair("pnorm:2").phi)
+    assert res == EquivalenceResult(True, 1.0, 1.0) and calls == [121 * 61]
+
+
+def _raising_between(lo, hi):
+    """x^2/2 that raises SolverCapError on any argument in (lo, hi)."""
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        if ((x > lo) & (x < hi)).any():
+            raise SolverCapError("testing", 200)
+        return x**2 / 2.0
+
+    return YoungFunction(fn, "x^2/2, raising")
+
+
+def test_strong_equivalence_skips_errors_past_the_first_passing_candidates():
+    # with a relative slack of 20, a = 4 and b = 1/4 pass first, a > b, and
+    # neither search reaches the candidates between them: errors there stay unseen
+    tol, grid = Tolerances(absolute=0.0, relative=20.0), np.array([1.0])
+    phi1, phi2 = _raising_between(0.26, 3.9), catalog_pair("pnorm:2").phi
+    want = _reference_equivalence(phi1, phi2, grid, tol)
+    assert not want.found and want.failing_candidate == 2.0**-2.25
+    assert strong_equivalence(phi1, phi2, grid, tol) == want
+
+
+def test_strong_equivalence_raises_errors_before_the_first_passing_candidate():
+    # the a search starts at 2^15, whose arguments reach past 1e3
+    phi1, phi2 = _raising_between(1e3, np.inf), catalog_pair("pnorm:2").phi
+    for search in (_reference_equivalence, strong_equivalence):
+        with pytest.raises(SolverCapError) as err:
+            search(phi1, phi2)
+        assert err.value.task == "testing"

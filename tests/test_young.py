@@ -56,6 +56,13 @@ def test_conjugate_of_expm_matches_closed_form():
     assert np.max(np.abs(num(ys) - ref) / ref) < 1e-10
 
 
+def test_numeric_conjugate_of_cosh_matches_its_closed_form():
+    y = np.logspace(-2, np.log10(300.0), 2001)
+    want = y * np.arcsinh(y) - np.sqrt(1.0 + y * y) + 1.0
+    got = np.asarray(catalog_pair("cosh").psi(y))
+    assert np.max(np.abs(got - want) / want) <= 1e-9
+
+
 def test_conjugate_without_derivative_uses_golden_section():
     bare = YoungFunction(fn=lambda x: np.asarray(x, float) ** 2 / 2.0, name="bare")
     num = conjugate(bare)

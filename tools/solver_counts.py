@@ -6,7 +6,10 @@ Runs the default `orlicz-lab verify` in process, suite by suite, with
 and in `space`, which imports them by name) and `algebra._kernel_sum` and
 `space._amemiya_batch` wrapped likewise.  The first table has one line per
 root-finder task: the calls, the evaluations of f (each one call of f on
-all elements of a solve), and the evaluations per call.  The second has
+all elements of a solve), the evaluations per call, and how many of the
+calls read their brackets from a conjugate's density table and how many
+galloped (the table's own evaluation of the density is not counted: it
+is made outside the root finder, once per conjugate).  The second has
 the same for each golden-section task, counting evaluations of h.  A solve
 nested inside another solve's f counts under its own task.  Then comes the
 number of Amemiya rows that searched again in a wider bracket (the rows of
@@ -19,6 +22,7 @@ that passed.  Run from anywhere:
 """
 
 import collections
+import inspect
 import pathlib
 import sys
 
@@ -27,14 +31,17 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from orliczlab import algebra, harness, space, young  # noqa: E402
 
 
-def _table(head: str, calls: collections.Counter, evals: collections.Counter) -> None:
-    print(f"{'task':<40}{'calls':>8}{head:>10}{'per call':>10}")
+def _table(head: str, calls: collections.Counter, evals: collections.Counter, tabled=None) -> None:
+    extra = f"{'tabled':>8}{'galloped':>10}" if tabled is not None else ""
+    print(f"{'task':<40}{'calls':>8}{head:>10}{'per call':>10}{extra}")
     for task in sorted(calls):
-        print(f"{task:<40}{calls[task]:>8}{evals[task]:>10}{evals[task] / calls[task]:>10.1f}")
+        if tabled is not None:
+            extra = f"{tabled[task]:>8}{calls[task] - tabled[task]:>10}"
+        print(f"{task:<40}{calls[task]:>8}{evals[task]:>10}{evals[task] / calls[task]:>10.1f}{extra}")
 
 
 def main() -> None:
-    calls, evals = collections.Counter(), collections.Counter()
+    calls, evals, tabled = collections.Counter(), collections.Counter(), collections.Counter()
     golden_calls, golden_evals = collections.Counter(), collections.Counter()
     amemiya_rows = collections.Counter()
     kernel_calls = collections.Counter()
@@ -44,9 +51,13 @@ def main() -> None:
     suite = None
 
     def counting(solve, n_calls, n_evals):
-        def counted(f, *args):
-            task = args[-1]
+        signature = inspect.signature(solve)
+
+        def counted(f, *args, **kwargs):
+            bound = signature.bind(f, *args, **kwargs).arguments
+            task = bound["task"]
             n_calls[task] += 1
+            tabled[task] += bound.get("table") is not None
 
             def g(x):
                 n_evals[task] += 1
@@ -54,7 +65,7 @@ def main() -> None:
 
             if task == "minimizing the Amemiya objective":
                 amemiya_rows["searched"] += len(args[0])
-            return solve(g, *args)
+            return solve(g, *args, **kwargs)
 
         return counted
 
@@ -79,7 +90,7 @@ def main() -> None:
         young._find_root = space._find_root = find_root
         young._golden_min = space._golden_min = golden_min
         algebra._kernel_sum, space._amemiya_batch = kernel_sum, amemiya_batch
-    _table("f-evals", calls, evals)
+    _table("f-evals", calls, evals, tabled)
     print()
     _table("h-evals", golden_calls, golden_evals)
     searched_again = amemiya_rows["searched"] - amemiya_rows["given"]

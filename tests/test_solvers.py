@@ -458,7 +458,7 @@ def test_itp_brackets_are_never_wider_than_bisection_one_step_behind(f, t):
 
 def test_hopeless_equivalence_candidates_stop_within_a_few_density_evaluations():
     # conj(xlog) at c x for large c needs a maximizer near e^(c x - 1), far past
-    # its 1e200 cap: such a candidate raises after a galloping bracket, not 660 doublings
+    # its 1e200 cap: such a candidate raises from the density table, not after 660 doublings
     xlog = young._xlog()
     density, calls = _counted(xlog.derivative)
     psi = conjugate(YoungFunction(xlog.fn, "xlog", density), young._CATALOG_CAP)

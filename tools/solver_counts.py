@@ -64,7 +64,7 @@ def main() -> None:
                 return f(x)
 
             if task == "minimizing the Amemiya objective":
-                amemiya_rows["searched"] += len(args[0])
+                amemiya_rows["searched"] += len(bound["a"])
             return solve(g, *args, **kwargs)
 
         return counted

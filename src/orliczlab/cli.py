@@ -41,20 +41,18 @@ from .cocycles import (
     sup_norm_estimate,
 )
 from .errors import ConfigError, OrliczLabError
-from .harness import (
-    SUITE_ORDER,
+from .harness import SUITE_ORDER, emit_report, run_all
+from .space import orlicz_gauges
+from .specs import (
     SuiteConfig,
     _config_errors,
-    emit_report,
     format_vector,
     parse_cocycle,
     parse_group,
     parse_pair,
     parse_vector_file,
     parse_weight,
-    run_all,
 )
-from .space import orlicz_gauges
 from .young import conjugate, delta2_estimate, strong_equivalence
 
 CONFIG_ENV = "ORLICZ_LAB_CONFIG"

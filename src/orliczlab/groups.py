@@ -62,8 +62,6 @@ __all__ = [
     "Group",
     "RowIndex",
     "Weight",
-    "GrowthFit",
-    "WeightAxiomsReport",
     "trivial_weight",
     "polynomial_weight",
     "subexp_weight",

@@ -87,7 +87,6 @@ from .young import ComplementaryPair, YoungFunction, _find_root, _golden_min
 __all__ = [
     "OrliczVector",
     "VectorBatch",
-    "MembershipReport",
     "random_vector",
     "random_vectors",
     "amplitude_matrix",
@@ -484,12 +483,9 @@ def amplitude_matrix(vectors) -> np.ndarray:
 
 
 def modular(phi: YoungFunction, f: OrliczVector) -> float:
-    """sum_s Phi(|f(s)|); overflow saturates to inf rather than raising."""
-    if not f:
-        return 0.0
-    with np.errstate(over="ignore"):
-        total = float(np.sum(phi(f.abs_amplitudes())))
-    return total if math.isfinite(total) else math.inf
+    """sum_s Phi(|f(s)|), 0 for the zero vector; overflow and NaN saturate
+    to inf rather than raising."""
+    return float(_rows_modular(phi.fn, f.abs_amplitudes()[None, :])[0])
 
 
 def _row_sums(vals: np.ndarray) -> np.ndarray:

@@ -48,9 +48,7 @@ __all__ = [
     "build_from_generator",
     "young_gap",
     "delta2_estimate",
-    "Delta2Result",
     "strong_equivalence",
-    "EquivalenceResult",
     "validate_young",
     "catalog_pair",
     "catalog_names",

@@ -12,19 +12,21 @@ from orliczlab.groups import Group
 from orliczlab.harness import (
     REGISTRY,
     SUITE_ORDER,
-    SuiteConfig,
     VerificationRecord,
     emit_report,
+    run_all,
+    run_suite,
+)
+from orliczlab.space import OrliczVector
+from orliczlab.specs import (
+    SuiteConfig,
     format_vector,
     parse_cocycle,
     parse_group,
     parse_pair,
     parse_vector_file,
     parse_weight,
-    run_all,
-    run_suite,
 )
-from orliczlab.space import OrliczVector
 
 
 def test_config_round_trip_is_byte_identical():

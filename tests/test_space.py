@@ -75,6 +75,16 @@ def test_modular_saturates_to_inf():
     assert modular(catalog_pair("expm").phi, huge) == math.inf
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_modular_reads_inf_for_nan_and_zero_for_the_zero_vector(name):
+    pair = catalog_pair(name)
+    nan = OrliczVector(Z2, {(0, 0): complex(math.nan, 0.0), (1, 0): 1.0})
+    assert modular(pair.phi, nan) == math.inf
+    # the zero vector is an empty row; numeric conjugates must take it too
+    assert modular(pair.phi, OrliczVector.zero(Z2)) == 0.0
+    assert modular(pair.psi, OrliczVector.zero(Z2)) == 0.0
+
+
 def test_luxemburg_closed_forms():
     fe = OrliczVector.delta(Z2, (0, 0), 1.0)
     assert luxemburg_norm(P2.phi, fe) == pytest.approx(2.0**-0.5, abs=1e-11)

@@ -29,6 +29,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from orliczlab import algebra, harness, space, young  # noqa: E402
+from orliczlab.specs import SuiteConfig  # noqa: E402
 
 
 def _table(head: str, calls: collections.Counter, evals: collections.Counter, tabled=None) -> None:
@@ -83,7 +84,7 @@ def main() -> None:
     algebra._kernel_sum, space._amemiya_batch = counted_kernel, counted_amemiya
     records = []
     try:
-        cfg = harness.SuiteConfig()
+        cfg = SuiteConfig()
         for suite in harness.SUITE_ORDER:
             records += harness.run_suite(cfg, suite)
     finally:

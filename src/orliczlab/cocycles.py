@@ -190,7 +190,16 @@ def bilinear_phase(group: Group, B, theta: float) -> Cocycle:
         return complex(math.cos(theta * form), math.sin(theta * form))
 
     def values(S, T):
-        form = ((S @ Bm) * T).sum(axis=-1)
+        SB = S @ Bm
+        form = SB[..., 0] * T[..., 0]
+        for k in range(1, d):
+            form += SB[..., k] * T[..., k]
+        if form.size:
+            # one exp per integer in the range of the form, when that is no
+            # longer than the output; the same exp per element either way
+            lo, hi = int(form.min()), int(form.max())
+            if hi - lo < form.size:
+                return np.exp(1j * theta * np.arange(lo, hi + 1))[form - lo]
         return np.exp(1j * theta * form)
 
     return Cocycle(group, "bilinear_phase", fn, values, f"phase:{theta:g}")
@@ -251,14 +260,19 @@ def _pair_table(om: Cocycle, radius: int):
     )
 
 
-_BLOCK_BYTES = 16 * 2**20  # size cap of each temporary in the triple scan
+_BLOCK_BYTES = 2**20  # size cap of each temporary in the triple scan
 
 
 def cocycle_identity_residual(om: Cocycle, radius: int) -> float:
     """max over ball triples of |Om(r,s)Om(rs,t) - Om(s,t)Om(r,st)|.
 
     The scan runs over blocks of r so that no (r, s, t) temporary exceeds
-    _BLOCK_BYTES; the max is exact, so blocking does not change the value.
+    _BLOCK_BYTES, a size chosen for the cache rather than only as a memory
+    cap; the max is exact, so blocking does not change the value.  The
+    value blocks it reads come from values(), where Z^d word lengths and
+    bilinear forms are summed column by column and a bilinear phase reads
+    exp(i theta k) from a table over the forms' range when that range is
+    no longer than the output.
     """
     I, RS, A, B = _pair_table(om, radius)
     if np.any(RS < 0):

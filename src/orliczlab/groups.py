@@ -336,7 +336,10 @@ class Group:
     def tau_array(self, coords: np.ndarray) -> np.ndarray:
         """Word lengths of a coordinate array of shape (..., d)."""
         if self.kind == "free_abelian":
-            return np.add.reduce(np.abs(coords), axis=-1)
+            tau = np.abs(coords[..., 0])  # column by column: no (..., d) temporary
+            for k in range(1, self.dim):
+                tau += np.abs(coords[..., k])
+            return tau
         if self.kind == "cyclic":
             k = coords[..., 0] % self.param
             return np.minimum(k, self.param - k)

@@ -505,11 +505,15 @@ def _rows_modular(phi_fn: Callable, A: np.ndarray) -> np.ndarray:
 
 
 def _live_rows(A):
-    """A as a float matrix and the mask of its nonzero rows; a NaN row raises InputError."""
+    """A as a float matrix and the mask of its nonzero rows; a row holding
+    NaN or an infinity raises InputError.  Only rows whose sum is not
+    finite are searched, so a finite row whose sum overflows still solves."""
     A = np.asarray(A, dtype=float)
     sums = A.sum(axis=1)
-    if np.isnan(sums).any():
-        raise InputError(f"amplitude row {int(np.argmax(np.isnan(sums)))} holds NaN")
+    for i in np.flatnonzero(~np.isfinite(sums)):
+        if not np.isfinite(A[i]).all():
+            held = "NaN" if np.isnan(A[i]).any() else "an infinity"
+            raise InputError(f"amplitude row {i} holds {held}")
     return A, sums > 0.0
 
 
@@ -520,8 +524,8 @@ def luxemburg_batch(phi: YoungFunction, A: np.ndarray) -> np.ndarray:
     row solves modular(x f) = 1 for x = 1/N(f) with the shared root finder:
     it stops at |modular - 1| <= 1e-12 (or a bracket 1e-14 x wide), raises
     BracketOverflowError for a norm below 1e-300 and
-    SolverCapError when it runs out of steps.  A row holding NaN raises
-    InputError.
+    SolverCapError when it runs out of steps.  A row holding NaN or an
+    infinity raises InputError before any solve.
     """
     A, live = _live_rows(A)
     B, out = A[live], np.zeros(A.shape[0])
@@ -628,7 +632,8 @@ def orlicz_batch(pair: ComplementaryPair, A: np.ndarray):
 
     Each norm is the larger of the stationarity and minimization values;
     their relative gap beyond 1e-5, or a NaN gap, is an implementation
-    fault and raises.  A row holding NaN raises InputError.
+    fault and raises.  A row holding NaN or an infinity raises InputError
+    before any solve.
     """
     A, live = _live_rows(A)
     norms, gaps = np.zeros((2, A.shape[0]))

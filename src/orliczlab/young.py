@@ -394,11 +394,11 @@ def conjugate(phi: YoungFunction, cap: float = 1e3) -> YoungFunction:
     When phi carries a density the supremum is located by solving
     gen(x) = y with the shared root finder; otherwise by golden section on
     x*y - Phi(x), bracketed in [x, 4x] where the chord slope
-    (Phi(2x) - Phi(x))/x crosses y.  Both solve all y not <= 0 in one
-    vectorized call, and give 0 at the rest.  The maximizer is bracketed
-    in [2^(e-1), 2^e], and a bracket that grows past cap raises
-    BracketOverflowError naming the offending y and the cap; the stop
-    rules are the norm solvers'.
+    (Phi(2x) - Phi(x))/x crosses y.  Both solve all y > 0 in one
+    vectorized call, give NaN at NaN without a solve, and 0 at the rest.
+    The maximizer is bracketed in [2^(e-1), 2^e], and a bracket that grows
+    past cap raises BracketOverflowError naming the offending y and the
+    cap; the stop rules are the norm solvers'.
 
     A density is evaluated once, at the first solve, at every power of
     two from 2^-1022 to the cap (at most 2046 values, kept by this
@@ -437,10 +437,11 @@ def conjugate(phi: YoungFunction, cap: float = 1e3) -> YoungFunction:
             )
 
     def maximizer(y):
-        # entries solve alone, so skipping y <= 0 (not NaN) changes no bit
+        # entries solve alone, so solving only y > 0 changes no bit
         arr, scalar = _as_1d(y)
-        xs, live = np.zeros(arr.shape), ~(arr <= 0.0)
-        xs[live] = solve(arr[live])
+        xs, live = np.where(np.isnan(arr), np.nan, 0.0), arr > 0.0
+        if live.any():
+            xs[live] = solve(arr[live])
         return _restore(xs, scalar)
 
     def value(y):
@@ -748,10 +749,13 @@ def _coshm() -> YoungFunction:
     return YoungFunction(fn=fn, name="cosh", derivative=deriv)
 
 
+_MAX_DOUBLE = np.finfo(float).max
+
+
 def _expm() -> YoungFunction:
     def fn(x):
         x = np.asarray(x, dtype=float)
-        return np.expm1(x) - x
+        return np.expm1(x) - np.minimum(x, _MAX_DOUBLE)  # inf - max at +inf, not inf - inf
 
     def deriv(x):
         return np.expm1(np.asarray(x, dtype=float))
@@ -762,7 +766,7 @@ def _expm() -> YoungFunction:
 def _expm_conjugate() -> YoungFunction:
     def fn(y):
         y = np.asarray(y, dtype=float)
-        return (1.0 + y) * np.log1p(y) - y
+        return (1.0 + y) * np.log1p(y) - np.minimum(y, _MAX_DOUBLE)  # as in _expm
 
     def deriv(y):
         return np.log1p(np.asarray(y, dtype=float))

@@ -106,8 +106,7 @@ def test_identity_residual_blocks_match_the_unblocked_scan(monkeypatch):
         ),
         perturbed(coboundary_from_weight(polynomial_weight(Z2, 1.0)), (1, 0), (0, 1), 1.1),
     ]
-    radius = 3  # 25 ball elements; a 25 x 25 x 2 block is 20000 bytes
-    monkeypatch.setattr(cocycles, "_BLOCK_BYTES", 16 * 25 * 25 * 2)
+    radius = 3  # 25 ball elements; a 25 x 25 x k block of r rows is 10000 k bytes
     outer = Z2.ball(2 * radius)
     index = {g: i for i, g in enumerate(outer)}
     I = np.array([index[g] for g in Z2.ball(radius)])
@@ -118,7 +117,9 @@ def test_identity_residual_blocks_match_the_unblocked_scan(monkeypatch):
         lhs = W[np.ix_(I, I)][:, :, None] * W[RS[:, :, None], I[None, None, :]]
         rhs = W[np.ix_(I, I)][None, :, :] * W[I[:, None, None], RS[None, :, :]]
         unblocked = float(np.abs(lhs - rhs).max())
-        assert cocycle_identity_residual(om, radius) == unblocked, om.label
+        for rows in (2, 1):  # blocks of two r rows, then of one
+            monkeypatch.setattr(cocycles, "_BLOCK_BYTES", 16 * 25 * 25 * rows)
+            assert cocycle_identity_residual(om, radius) == unblocked, (om.label, rows)
 
 
 def test_perturbed_cocycle_detected():
@@ -339,6 +340,40 @@ def test_heisenberg_identity_residual_at_radius_4():
         tracemalloc.stop()
     assert residual <= 1e-10
     assert peak <= 128 * 2**20, peak
+
+
+def test_z2_identity_residual_at_radius_10_holds_one_row_of_triples():
+    om = product_cocycle(
+        coboundary_from_weight(polynomial_weight(Z2, 1.0)), bilinear_phase(Z2, PHASE_B, math.pi)
+    )
+    Z2.ball(20)  # grow the group first: the scan reads B_2R
+    tracemalloc.start()
+    try:
+        residual = cocycle_identity_residual(om, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-12
+    # the two value blocks over B_20 x B_10 take 5.7 MiB and a temporary of
+    # one r row (221 x 221 complex values) 0.75 MiB: about 15 MiB at peak,
+    # against about 70 MiB with blocks of 21 r rows
+    assert peak <= 24 * 2**20, peak
+
+
+def test_bilinear_phase_of_rows_far_apart_equals_value_without_a_table():
+    """Forms 10^12 apart fill a 2 x 2 output: the phases are evaluated
+    directly, not read from a table over the range of the form."""
+    om = bilinear_phase(Z2, np.array([[0, 1], [1, 0]]), math.pi / 3.0)
+    X = np.array([[10**6, 0], [0, 10**6]])
+    tracemalloc.start()
+    try:
+        got = om.values(X[:, None], X[None, :])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = np.array([[om.value(s, t) for t in X.tolist()] for s in X.tolist()])
+    assert got.tobytes() == want.tobytes()
+    assert peak < 2**20, peak
 
 
 @settings(max_examples=30, deadline=None)

@@ -294,6 +294,15 @@ def test_tau_array_matches_word_length():
         X = group.coords_array(ball)
         taus = group.tau_array(X)
         assert [int(t) for t in taus] == [group.word_length(g) for g in ball]
+    # Z^1 and Z^4 sum their columns too, at negative and large coordinates
+    rng = np.random.default_rng(3)
+    for d in (1, 4):
+        group = Group.free_abelian(d)
+        X = np.concatenate([rng.integers(-5, 6, (20, d)), rng.integers(-(2**60), 2**60, (20, d))])
+        X[-1] = -(2**60)
+        assert group.tau_array(X).tolist() == [sum(abs(c) for c in row) for row in X.tolist()]
+        small = X[:20].tolist()
+        assert group.tau_array(X[:20]).tolist() == [group.word_length(tuple(g)) for g in small]
 
 
 def test_locate_matches_a_dict_oracle():

@@ -3,6 +3,7 @@
 import functools
 import math
 import operator
+import time
 
 import numpy as np
 import pytest
@@ -80,6 +81,7 @@ def test_modular_reads_inf_for_nan_and_zero_for_the_zero_vector(name):
     pair = catalog_pair(name)
     nan = OrliczVector(Z2, {(0, 0): complex(math.nan, 0.0), (1, 0): 1.0})
     assert modular(pair.phi, nan) == math.inf
+    assert modular(pair.psi, nan) == math.inf  # a numeric conjugate maps NaN to NaN
     # the zero vector is an empty row; numeric conjugates must take it too
     assert modular(pair.phi, OrliczVector.zero(Z2)) == 0.0
     assert modular(pair.psi, OrliczVector.zero(Z2)) == 0.0
@@ -195,6 +197,42 @@ def test_norms_of_a_vector_holding_nan_raise():
         luxemburg_norm(P2.phi, f)
     with pytest.raises(InputError, match="NaN"):
         orlicz_norm(P2, f)
+
+
+def _fails_fast(call, match):
+    """The fastest of three calls, each of which must raise InputError."""
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=match):
+            call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["pair", "flipped"])
+@pytest.mark.parametrize("name", catalog_names())
+def test_infinite_amplitudes_raise_before_any_solve(name, flip):
+    pair = catalog_pair(name).flip() if flip else catalog_pair(name)
+    # every closed form reads inf at +inf, expm's and its conjugate's included
+    for side, fn in (("phi", pair.phi), ("psi", pair.psi)):
+        if pair.numeric_side != side:
+            assert fn(math.inf) == math.inf, side
+    f = OrliczVector(Z2, {(0, 0): math.inf, (1, 0): 1.0})
+    A = np.array([[1.0, 2.0], [1.0, -math.inf]])
+    calls = [
+        lambda: luxemburg_norm(pair.phi, f),
+        lambda: orlicz_norm(pair, f),
+        lambda: luxemburg_batch(pair.phi, A),
+        lambda: space.orlicz_batch(pair, A),
+    ]
+    for i, call in enumerate(calls):
+        assert _fails_fast(call, "row [01] holds an infinity") < 1e-3, i
+    if pair.numeric_side != "phi":
+        # a finite row whose sum overflows is not rejected: it solves
+        with np.errstate(over="ignore"):
+            norms = luxemburg_batch(pair.phi, np.array([[1e308, 1e308], [1.0, 2.0]]))
+        assert np.isfinite(norms).all() and norms[0] > 1e307
 
 
 def _holder_gap_reference(pair, f, g):

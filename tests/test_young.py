@@ -102,9 +102,26 @@ def test_conjugate_maximizer_skips_nonpositive_entries_bit_for_bit(phi, y):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_conjugate_maximizer_still_fails_on_nan():
-    with pytest.raises(SolverCapError):
-        conjugate(_XLOG, BIG).derivative(np.array([1.0, np.nan, 0.0]))
+def test_conjugate_maximizer_maps_nan_to_nan():
+    """NaN maps to NaN without a solve; the other entries keep the bits of
+    their one-element calls."""
+    calls = []
+
+    def density(x):
+        calls.append(np.size(x))
+        return _XLOG.derivative(x)
+
+    for phi in (YoungFunction(fn=_XLOG.fn, name="counted", derivative=density),
+                YoungFunction(fn=_XLOG.fn, name="xlog without density")):
+        num = conjugate(phi, BIG)
+        assert np.isnan(num.derivative(np.array([np.nan]))[0]) and not calls  # no density call
+        got = num.derivative(np.array([1.0, np.nan, 0.0]))
+        want = [num.derivative(1.0), np.nan, 0.0]
+        assert got.tobytes() == np.array(want).tobytes()
+        calls.clear()
+    psi = catalog_pair("xlog").psi
+    got = psi.fn(np.array([np.nan, 1.0]))
+    assert got.tobytes() == np.array([np.nan, psi.fn(1.0)]).tobytes()
 
 
 def test_conjugate_bracket_cap_names_y_and_cap():

@@ -54,17 +54,20 @@ order, writing the draws straight into one batch, so a batch is the
 stream of one-vector draws (random_vector is count = 1).
 
 The norms satisfy N(f) <= |f| <= 2 N(f).  Batched variants run whole
-sweeps of vectors through the same solvers at once.  Every element of a
-solve stops at its own first converged step and the Amemiya bracket
-widens per row, so a row's answer never depends on its batch mates: a
-batch of equal-width rows equals its one-row solves bit for bit.
-Zero-padded rows are invisible to every modular (Phi(0) = 0) but change
-numpy's row-sum association, so orlicz_gauges, orlicz_norms and
-luxemburg_norms bucket vectors by support size and never pad; orlicz_norm
-and luxemburg_norm are their one-vector case.  Only callers of
-amplitude_matrix pad.  holder_gaps and weighted_norms take whole batches
-of vectors the same way.  Each of these takes a batch, a vector (the
-batch of one) or a sequence of vectors, through VectorBatch.of.
+sweeps of vectors through the same solvers at once, one solve per call
+whatever the support sizes: the nonzero |amplitudes| of all rows lie in
+one flat array, a batch's with its own offsets, and every modular is one
+np.add.reduceat over it, which sums each row as it would sum that row
+alone.  Every element of a solve stops at its own first converged step
+and the Amemiya bracket widens per row, so a row's answer never depends
+on its batch mates: each vector's norms equal its one-vector solves bit
+for bit.  The matrix entry points luxemburg_batch and orlicz_batch drop
+the zeros of each row (exact, as Phi(0) = 0), so a zero-padded row of
+amplitude_matrix gets its vector's norm bit for bit.  orlicz_gauges,
+orlicz_norms, luxemburg_norms, holder_gaps and weighted_norms take a
+batch, a vector (the batch of one) or a sequence of vectors or batches,
+through VectorBatch.of; orlicz_norm and luxemburg_norm are their
+one-vector case.
 
 membership_diagnostic probes whether sum_s Psi(alpha h(s)) converges as
 the summation ball grows, for each requested alpha -- a finite-radius
@@ -80,9 +83,15 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import GroupMismatchError, InputError, MethodDisagreementError, SolverCapError
+from .errors import (
+    BracketOverflowError,
+    GroupMismatchError,
+    InputError,
+    MethodDisagreementError,
+    SolverCapError,
+)
 from .groups import Group, Weight, _sorted_runs
-from .young import ComplementaryPair, YoungFunction, _find_root, _golden_min
+from .young import _MAX_DOUBLE, ComplementaryPair, YoungFunction, _find_root, _golden_min
 
 __all__ = [
     "OrliczVector",
@@ -104,7 +113,7 @@ __all__ = [
 ]
 
 _AGREEMENT_LIMIT = 1e-5
-_NORM_CAP = 1e300  # norms outside [1/_NORM_CAP, _NORM_CAP] raise
+_NORM_CAP = 1e300  # norms below 1/_NORM_CAP raise, as do Orlicz norms past _MAX_DOUBLE
 _AMEMIYA_EXPANSIONS = 8
 _AMEMIYA_DELTA = 1e-6  # the first Amemiya bracket is [mu/(1+d), mu(1+d)]
 
@@ -178,6 +187,15 @@ def _segment_sums(seg: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(seg, values, minlength=m).astype(float)  # ints when there are no values
 
 
+def _gather(offsets: np.ndarray, idx: np.ndarray):
+    """(at, offsets) of segments idx of a ragged store: the indices of their
+    entries, in order, and the offsets of the segments they make up."""
+    sizes = np.diff(offsets)[idx]
+    out = np.zeros(len(idx) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return np.repeat(offsets[idx] - out[:-1], sizes) + np.arange(out[-1]), out
+
+
 def modulus(z) -> np.ndarray:
     """|z| of complex values with hypot, as CPython's abs forms it."""
     return np.hypot(np.real(z), np.imag(z))
@@ -220,17 +238,19 @@ class VectorBatch:
 
     @staticmethod
     def of(vectors, group: Group | None = None) -> "VectorBatch":
-        """A sequence of vectors on one group as one batch; a batch, or a
-        vector as the batch of one, keeps its store.  No vectors give the
-        empty batch on group, on no group when it is None."""
+        """A sequence of vectors (or of batches, each giving its vectors in
+        turn) on one group as one batch; a batch, or a vector as the batch
+        of one, keeps its store.  No vectors give the empty batch on group,
+        on no group when it is None."""
         if isinstance(vectors, VectorBatch):
             return VectorBatch._make(vectors.group, vectors._rows, vectors._amps, vectors._offsets)
         vectors = list(vectors)
         group = vectors[0].group if vectors else group
         if any(v.group != group for v in vectors):
             raise GroupMismatchError("vectors live on different groups")
-        offsets = np.zeros(len(vectors) + 1, dtype=np.int64)
-        np.cumsum([len(v._amps) for v in vectors], out=offsets[1:])
+        sizes = np.concatenate([np.zeros(0, dtype=np.int64)] + [v.sizes for v in vectors])
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
         dim = 0 if group is None else group.dim
         rows = np.concatenate([np.zeros((0, dim), dtype=np.int64)] + [v._rows for v in vectors])
         amps = np.concatenate([np.zeros(0, dtype=complex)] + [v._amps for v in vectors])
@@ -266,11 +286,7 @@ class VectorBatch:
     def __getitem__(self, i):
         """Vector i, or the batch of the vectors of a slice."""
         if isinstance(i, slice):
-            idx = np.arange(self._m)[i]
-            sizes = self.sizes[idx]
-            offsets = np.zeros(len(idx) + 1, dtype=np.int64)
-            np.cumsum(sizes, out=offsets[1:])
-            at = np.repeat(self._offsets[idx] - offsets[:-1], sizes) + np.arange(offsets[-1])
+            at, offsets = _gather(self._offsets, np.arange(self._m)[i])
             rows = np.take(self._rows, at, axis=0)
             return VectorBatch._make(self.group, rows, self._amps[at], offsets)
         i = range(self._m)[i]  # negative i counts from the end; IndexError past it
@@ -465,10 +481,9 @@ def random_vector(
 def amplitude_matrix(vectors) -> np.ndarray:
     """Stack |amplitudes| of many vectors into one zero-padded matrix.
 
-    Rows feed the batched norm engines; the padding is invisible to every
-    modular because Phi(0) = 0, but it changes the association of numpy's
-    row sums, so a padded row's norm may differ from its one-row norm in
-    the last bits (orlicz_norms and luxemburg_norms do not pad).
+    Rows feed the matrix entry points luxemburg_batch and orlicz_batch,
+    which drop the zeros (exact, as Phi(0) = 0), so a padded row's norm
+    equals its vector's norm bit for bit.
     """
     width = max((len(v) for v in vectors), default=1)
     out = np.zeros((len(vectors), max(width, 1)))
@@ -480,82 +495,104 @@ def amplitude_matrix(vectors) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # modulars and norms
+#
+# The solvers take amplitude rows (a, offsets): row i is a[offsets[i]:
+# offsets[i + 1]], and no row is empty.  Every modular is one np.add.reduceat
+# over a, which sums each row as it would sum that row alone.
 
 
-def modular(phi: YoungFunction, f: OrliczVector) -> float:
-    """sum_s Phi(|f(s)|), 0 for the zero vector; overflow and NaN saturate
-    to inf rather than raising."""
-    return float(_rows_modular(phi.fn, f.abs_amplitudes()[None, :])[0])
-
-
-def _row_sums(vals: np.ndarray) -> np.ndarray:
+def _saturated_sums(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Row sums of nonnegative terms; NaN and overflow saturate to inf.
 
     Summing first and then mending NaN sums equals mending NaN terms first,
     since the terms are >= 0, and is much cheaper than np.nan_to_num.
     """
-    sums = vals.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.add.reduceat(terms, offsets[:-1])
     sums[np.isnan(sums)] = math.inf
     return sums
 
 
-def _rows_modular(phi_fn: Callable, A: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _row_sums(np.asarray(phi_fn(A), dtype=float))
+def _modulars(phi_fn: Callable, rows) -> Callable:
+    """x -> the modulars sum_s Phi(x a_s) of the rows, one scale x per row."""
+    a, offsets = rows
+    sizes = np.diff(offsets)
+
+    def at(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _saturated_sums(np.asarray(phi_fn(a * np.repeat(x, sizes)), dtype=float), offsets)
+
+    return at
 
 
-def _live_rows(A):
-    """A as a float matrix and the mask of its nonzero rows; a row holding
-    NaN or an infinity raises InputError.  Only rows whose sum is not
-    finite are searched, so a finite row whose sum overflows still solves."""
-    A = np.asarray(A, dtype=float)
-    sums = A.sum(axis=1)
-    for i in np.flatnonzero(~np.isfinite(sums)):
-        if not np.isfinite(A[i]).all():
-            held = "NaN" if np.isnan(A[i]).any() else "an infinity"
-            raise InputError(f"amplitude row {i} holds {held}")
-    return A, sums > 0.0
+def _rows(A):
+    """(rows, live): the amplitude rows of the nonzero rows, and their mask.
+
+    A is a batch, whose |amplitudes| keep its offsets, or a nonnegative
+    matrix, whose zeros are dropped.  A row holding NaN or an infinity
+    raises InputError; a finite row whose sum overflows solves.
+    """
+    if isinstance(A, VectorBatch):
+        A, offsets = A.abs_amplitudes(), A._offsets
+    else:
+        A = np.asarray(A, dtype=float)
+        keep = A != 0.0
+        offsets = np.zeros(len(A) + 1, dtype=np.int64)
+        np.cumsum(keep.sum(axis=1), out=offsets[1:])
+        A = A[keep]
+    bad = ~np.isfinite(A)
+    if bad.any():
+        j = np.argmax(bad)
+        held = "NaN" if np.isnan(A[j]) else "an infinity"
+        raise InputError(f"amplitude row {np.searchsorted(offsets, j, 'right') - 1} holds {held}")
+    live = offsets[1:] > offsets[:-1]
+    return (A, offsets[np.append(True, live)]), live
 
 
-def luxemburg_batch(phi: YoungFunction, A: np.ndarray) -> np.ndarray:
-    """Luxemburg norms of the rows of a nonnegative amplitude matrix.
+def _as_rows(rows):
+    """Amplitude rows as they are, or the rows of a matrix with no zero row."""
+    return rows if isinstance(rows, tuple) else _rows(rows)[0]
 
-    Zero-padded rows are fine: Phi(0) = 0 keeps padding invisible.  Each
+
+def _solved(solve: Callable, k: int, A) -> np.ndarray:
+    """The (k, m) values of solve on the m rows of _rows(A); zero rows give 0."""
+    rows, live = _rows(A)
+    out = np.zeros((k, len(live)))
+    if live.any():
+        out[:, live] = solve(rows)
+    return out
+
+
+def modular(phi: YoungFunction, f: OrliczVector) -> float:
+    """sum_s Phi(|f(s)|), 0 for the zero vector; overflow and NaN saturate
+    to inf rather than raising."""
+    a = f.abs_amplitudes()
+    return float(_modulars(phi.fn, (a, np.array([0, a.size])))(np.ones(1))[0]) if a.size else 0.0
+
+
+def _luxemburg(phi: YoungFunction, rows) -> np.ndarray:
+    x = np.ones(len(rows[1]) - 1)
+    return 1.0 / _find_root(_modulars(phi.fn, rows), x, _NORM_CAP, "solving for a Luxemburg norm")
+
+
+def luxemburg_batch(phi: YoungFunction, A) -> np.ndarray:
+    """Luxemburg norms of the rows of a nonnegative amplitude matrix, or
+    of the vectors of a batch.
+
+    Zeros are dropped before any solve (Phi(0) = 0, so that is exact), and
+    a zero-padded row's norm equals its vector's norm bit for bit.  Each
     row solves modular(x f) = 1 for x = 1/N(f) with the shared root finder:
     it stops at |modular - 1| <= 1e-12 (or a bracket 1e-14 x wide), raises
     BracketOverflowError for a norm below 1e-300 and
     SolverCapError when it runs out of steps.  A row holding NaN or an
     infinity raises InputError before any solve.
     """
-    A, live = _live_rows(A)
-    B, out = A[live], np.zeros(A.shape[0])
-    if np.any(live):
-        x = _find_root(
-            lambda x: _rows_modular(phi.fn, B * x[:, None]),
-            np.ones(B.shape[0]),
-            _NORM_CAP,
-            "solving for a Luxemburg norm",
-        )
-        out[live] = 1.0 / x
-    return out
-
-
-def _bucketed(solve: Callable, vectors, k: int = 1) -> np.ndarray:
-    """The (k, m) values of solve(A) on the amplitude rows of the m vectors
-    of VectorBatch.of(vectors), one call per support size (unpadded, so
-    each row sums as it would alone); zero vectors give 0."""
-    batch = VectorBatch.of(vectors)
-    sizes, amps = batch.sizes, batch.abs_amplitudes()
-    out = np.zeros((k, len(sizes)))
-    for n in np.unique(sizes[sizes > 0]):
-        idx = np.flatnonzero(sizes == n)
-        out[:, idx] = solve(amps[batch._offsets[idx, None] + np.arange(n)])
-    return out
+    return _solved(lambda rows: _luxemburg(phi, rows), 1, A)[0]
 
 
 def luxemburg_norms(phi: YoungFunction, vectors) -> np.ndarray:
     """Luxemburg norms of the vectors, each equal to its luxemburg_norm bit for bit."""
-    return _bucketed(lambda A: luxemburg_batch(phi, A), vectors)[0]
+    return luxemburg_batch(phi, VectorBatch.of(vectors))
 
 
 def luxemburg_norm(phi: YoungFunction, f: OrliczVector) -> float:
@@ -563,8 +600,9 @@ def luxemburg_norm(phi: YoungFunction, f: OrliczVector) -> float:
     return float(luxemburg_norms(phi, f)[0])
 
 
-def _stationarity_batch(pair: ComplementaryPair, A: np.ndarray):
-    """(Orlicz norms, multipliers mu) via the dual optimizer v = dens(mu |f|).
+def _stationarity_batch(pair: ComplementaryPair, rows):
+    """(Orlicz norms, multipliers mu) of amplitude rows (or of a matrix
+    with no zero row) via the dual optimizer v = dens(mu |f|).
 
     The binding constraint sum Psi(v) = 1 is solved for mu = 1/lam by the
     shared root finder.  When Psi has no closed form, Psi(dens(w)) is
@@ -573,30 +611,33 @@ def _stationarity_batch(pair: ComplementaryPair, A: np.ndarray):
     conjugate would return at these points, minus its redundant inner
     root-find.
     """
+    a, offsets = _as_rows(rows)
+    sizes = np.diff(offsets)
     phi_fn = pair.phi.fn
     dens = pair.phi.derivative_or_numeric()
-    cheap_psi = pair.numeric_side != "psi"
-    psi_fn = pair.psi.fn if cheap_psi else None
+    psi_fn = pair.psi.fn if pair.numeric_side != "psi" else None
 
     def constraint(mu):
         with np.errstate(over="ignore", invalid="ignore"):
-            w = A * mu[:, None]
+            w = a * np.repeat(mu, sizes)
             v = np.asarray(dens(w), dtype=float)
-            if cheap_psi:
+            if psi_fn:
                 s = np.asarray(psi_fn(v), dtype=float)
             else:
                 s = w * v - np.asarray(phi_fn(w), dtype=float)
-        return _row_sums(s)
+        return _saturated_sums(s, offsets)
 
     mu = _find_root(
-        constraint, np.ones(A.shape[0]), _NORM_CAP, "solving the stationarity constraint"
+        constraint, np.ones(len(sizes)), _NORM_CAP, "solving the stationarity constraint"
     )
-    v = np.asarray(dens(A * mu[:, None]), dtype=float)
-    return (A * v).sum(axis=1), mu
+    with np.errstate(over="ignore", invalid="ignore"):  # _orlicz raises on an overflowed norm
+        v = np.asarray(dens(a * np.repeat(mu, sizes)), dtype=float)
+        return np.add.reduceat(a * v, offsets[:-1]), mu
 
 
-def _amemiya_batch(pair: ComplementaryPair, A: np.ndarray, centre: np.ndarray) -> np.ndarray:
-    """Orlicz norms as min_k (1 + modular(Phi, k f)) / k by golden section.
+def _amemiya_batch(pair: ComplementaryPair, rows, centre: np.ndarray) -> np.ndarray:
+    """Orlicz norms of amplitude rows (or of a matrix with no zero row) as
+    min_k (1 + modular(Phi, k f)) / k by golden section.
 
     The objective is the perspective of a convex function, hence unimodal,
     and its stationary point solves sum Psi(dens(k |f|)) = 1 (the Young
@@ -606,61 +647,77 @@ def _amemiya_batch(pair: ComplementaryPair, A: np.ndarray, centre: np.ndarray) -
     log-width from an edge, at most 8 times before SolverCapError.  A wrong
     centre only widens the search; it cannot move the minimum found.
     """
-    phi_fn = pair.phi.fn
+    a, offsets = rows = _as_rows(rows)
 
-    def h(B, k):
-        with np.errstate(over="ignore"):  # subnormal k for norms near 1e308
-            return (1.0 + _rows_modular(phi_fn, B * k[:, None])) / k
+    def h(rows):
+        modulars = _modulars(pair.phi.fn, rows)
+
+        def at(k):
+            with np.errstate(over="ignore"):  # subnormal k for norms near 1e308
+                return (1.0 + modulars(k)) / k
+
+        return at
 
     k = np.zeros_like(centre)
-    rows = np.arange(len(centre))  # the rows still to search
+    todo, search = np.arange(len(centre)), h(rows)  # the rows still to search
     delta = np.full(len(centre), _AMEMIYA_DELTA)
     for _ in range(_AMEMIYA_EXPANSIONS):
-        B, grow = A[rows], 1.0 + delta[rows]
-        lo, hi, edge = centre[rows] / grow, centre[rows] * grow, grow**0.1
-        kr = _golden_min(lambda x: h(B, x), lo, hi, "minimizing the Amemiya objective")
-        k[rows] = kr
-        rows = rows[(kr < lo * edge) | (kr > hi / edge)]
-        if not rows.size:
-            return h(A, k)
-        delta[rows] *= 256.0
+        grow = 1.0 + delta[todo]
+        lo, hi, edge = centre[todo] / grow, centre[todo] * grow, grow**0.1
+        kr = _golden_min(search, lo, hi, "minimizing the Amemiya objective")
+        k[todo] = kr
+        todo = todo[(kr < lo * edge) | (kr > hi / edge)]
+        if not todo.size:
+            return h(rows)(k)
+        delta[todo] *= 256.0
+        at, sub = _gather(offsets, todo)
+        search = h((a[at], sub))
     raise SolverCapError("bracketing the Amemiya minimum", _AMEMIYA_EXPANSIONS)
 
 
-def orlicz_batch(pair: ComplementaryPair, A: np.ndarray):
-    """(norms, agreement gaps) for the rows of an amplitude matrix.
+def _orlicz(pair: ComplementaryPair, rows):
+    """(norms, agreement gaps) of amplitude rows.
 
     Each norm is the larger of the stationarity and minimization values;
     their relative gap beyond 1e-5, or a NaN gap, is an implementation
-    fault and raises.  A row holding NaN or an infinity raises InputError
-    before any solve.
+    fault and raises.  A stationarity norm past the largest double raises
+    BracketOverflowError before the minimization.
     """
-    A, live = _live_rows(A)
-    norms, gaps = np.zeros((2, A.shape[0]))
-    if not np.any(live):
-        return norms, gaps
-    B = A[live]
-    stat, mu = _stationarity_batch(pair, B)
-    amem = _amemiya_batch(pair, B, mu)
+    stat, mu = _stationarity_batch(pair, rows)
+    over = ~np.isfinite(stat)
+    if over.any():
+        raise BracketOverflowError(float(stat[over][0]), float(_MAX_DOUBLE), "taking an Orlicz norm")
+    amem = _amemiya_batch(pair, rows, mu)
     rel = np.abs(stat - amem) / np.maximum(np.maximum(stat, amem), 1e-300)
     if not np.max(rel) <= _AGREEMENT_LIMIT:
         i = int(np.argmax(rel))  # the first NaN, if any
         raise MethodDisagreementError(float(stat[i]), float(amem[i]), float(rel[i]), _AGREEMENT_LIMIT)
-    norms[live] = np.maximum(stat, amem)
-    gaps[live] = rel
-    return norms, gaps
+    return np.maximum(stat, amem), rel
+
+
+def orlicz_batch(pair: ComplementaryPair, A):
+    """(norms, agreement gaps) for the rows of a nonnegative amplitude
+    matrix, its zeros dropped as luxemburg_batch drops them, or for the
+    vectors of a batch.
+
+    A row holding NaN or an infinity raises InputError before any solve,
+    and a row whose norm passes the largest double BracketOverflowError.
+    """
+    return _solved(lambda rows: _orlicz(pair, rows), 2, A)
 
 
 def orlicz_gauges(pair: ComplementaryPair, vectors) -> np.ndarray:
     """(norms, agreement gaps, Luxemburg norms N_Phi) of the vectors as the
     rows of a (3, len(vectors)) array, each column equal to its vector's
     one-vector call bit for bit."""
-    return _bucketed(lambda A: (*orlicz_batch(pair, A), luxemburg_batch(pair.phi, A)), vectors, 3)
+    return _solved(
+        lambda rows: (*_orlicz(pair, rows), _luxemburg(pair.phi, rows)), 3, VectorBatch.of(vectors)
+    )
 
 
 def orlicz_norms(pair: ComplementaryPair, vectors) -> np.ndarray:
     """Orlicz norms of the vectors, each equal to its orlicz_norm bit for bit."""
-    return _bucketed(lambda A: orlicz_batch(pair, A)[0], vectors)[0]
+    return orlicz_batch(pair, VectorBatch.of(vectors))[0]
 
 
 def orlicz_norm(pair: ComplementaryPair, f: OrliczVector) -> float:

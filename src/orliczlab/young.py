@@ -154,6 +154,7 @@ _STEEP_RTOL = 1e-6  # a collapsed bracket must still be this close (a jump is no
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MIN_EXP = -1022  # 2**_MIN_EXP is the smallest normal double
 _ITP_K1 = 0.2  # the ITP truncation is 0.2 w^2 / w0 (kappa1 = 0.2 / w0, kappa2 = 2)
+_POWERS = np.concatenate([[0.0], np.ldexp(1.0, np.arange(_MIN_EXP, 1024))])  # 0, then 2^-1022 up
 
 
 def _bracket(f: Callable, t: np.ndarray, cap: float, task: str, table=None):
@@ -251,19 +252,23 @@ def _density_table(f: Callable, cap: float):
 def _read_bracket(table: np.ndarray, t: np.ndarray, cap: float, task: str):
     """_bracket read from a _density_table, in which index i holds f(2^(i - 1022)).
 
-    e below is the index of hi; lo is 0 where e = 0.
+    e below is the index of hi; lo is 0 where e = 0.  One binary search
+    finds the first f(hi) >= t: the bracket upward from 2, and downward
+    the first f(hi) > t unless f(hi) = t.  Only targets equal to their
+    entry (the table may have plateaus) search again, for f(hi) > t.
     """
     two = 1 - _MIN_EXP  # the index of f(2)
-    up = table[two] < t
-    e = np.searchsorted(table, t, "left")  # upward: the first f(hi) >= t
-    over = up & (e == len(table))
+    e, live = np.searchsorted(table, t), t > 0.0
+    over = (e == len(table)) & live  # NaN targets sort past the end
     if over.any():
         raise BracketOverflowError(float(t[over][0]), cap, task)
-    down = np.minimum(np.searchsorted(table, t, "right"), two)  # the first f(hi) > t, or 2
-    e = np.where(up, e, np.where(t > 0.0, down, two))
-    lo = np.where(e > 0, np.ldexp(1.0, e - (1 - _MIN_EXP)), 0.0)
-    flo = np.where((t > 0.0) & (e > 0), table[np.maximum(e - 1, 0)], 0.0)
-    return lo, np.ldexp(1.0, e + _MIN_EXP), flo, table[e]
+    flat = (e < two) & (table[np.minimum(e, two)] == t)
+    if flat.any():
+        e[flat] = np.minimum(np.searchsorted(table, t[flat], "right"), two)
+    e[~live] = two
+    flo = table[e - 1]
+    flo[~live | (e == 0)] = 0.0
+    return _POWERS[e], _POWERS[e + 1], flo, table[e]
 
 
 def _itp_probe(t, lo, hi, flo, fhi, w0, j: int) -> np.ndarray:

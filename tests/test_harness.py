@@ -1,12 +1,13 @@
 """Harness tests: config round-trip, suites, registry, determinism, CLI."""
 
+import collections
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from orliczlab import algebra, cli, harness
+from orliczlab import algebra, cli, harness, space
 from orliczlab.errors import ConfigError, OrliczLabError
 from orliczlab.groups import Group
 from orliczlab.harness import (
@@ -27,6 +28,7 @@ from orliczlab.specs import (
     parse_vector_file,
     parse_weight,
 )
+from orliczlab.young import catalog_names
 
 
 def test_config_round_trip_is_byte_identical():
@@ -175,6 +177,22 @@ def test_nan_associativity_residual_fails_the_law(monkeypatch):
     (law,) = [law for law in harness._LAWS if law.case == "associativity"]
     rec = harness._Run(SuiteConfig(samples=100)).record(law)
     assert rec.verdict == "fail" and math.isnan(rec.residual)
+
+
+def test_the_triangle_law_solves_each_norm_once_per_pair(monkeypatch):
+    # f + g, f and g go through one segmented solve per catalog pair (six
+    # per pair when each support size was solved alone)
+    tasks, real = collections.Counter(), space._find_root
+
+    def counted(f, targets, cap, task, table=None):
+        tasks[task] += 1
+        return real(f, targets, cap, task, table)
+
+    monkeypatch.setattr(space, "_find_root", counted)
+    (law,) = [law for law in harness._LAWS if (law.suite, law.case) == ("norms", "triangle")]
+    assert harness._Run(SuiteConfig()).record(law).verdict == "pass"
+    pairs = len(catalog_names())
+    assert tasks == {"solving for a Luxemburg norm": pairs, "solving the stationarity constraint": pairs}
 
 
 def test_the_product_suites_make_one_kernel_call_per_batch(monkeypatch):

@@ -13,6 +13,7 @@ from orliczlab.groups import Group
 from orliczlab.space import (
     OrliczVector,
     _amemiya_batch,
+    amplitude_matrix,
     luxemburg_batch,
     luxemburg_norm,
     luxemburg_norms,
@@ -207,6 +208,21 @@ def test_bucketed_norms_equal_the_per_vector_norms_bitwise(which, sizes, seed):
     want = np.array([luxemburg_norm(pair.phi, v) for v in vectors])
     assert luxemburg_norms(pair.phi, vectors).tobytes() == want.tobytes()
     assert want[-1] == 0.0
+
+
+@pytest.mark.parametrize(("name", "flip"), _PAIRS)
+def test_padded_matrix_rows_equal_their_vectors_norms_bitwise(name, flip):
+    # zeros are dropped before the solve, so padding changes no bit
+    pair, z2 = _pair(name, flip), Group.free_abelian(2)
+    rng = np.random.default_rng(11)
+    vectors = [random_vector(z2, rng, 3, k) if k else OrliczVector.zero(z2) for k in (4, 1, 9, 0, 6, 2, 9)]
+    A = amplitude_matrix(vectors)
+    norms, gaps, lux = orlicz_gauges(pair, vectors)
+    got_norms, got_gaps = orlicz_batch(pair, A)
+    assert got_norms.tobytes() == norms.tobytes()
+    assert got_gaps.tobytes() == gaps.tobytes()
+    assert luxemburg_batch(pair.phi, A).tobytes() == lux.tobytes()
+    assert norms[3] == lux[3] == 0.0
 
 
 def _recording_golden_min(monkeypatch):
@@ -608,6 +624,29 @@ _GALLOPING = {  # a nested density (the conjugate of a numeric conjugate), NaN f
     "decreasing at 2^17": (lambda: _dip, np.logspace(-3, 4, 15), 1e200),
     "cap below 2": (lambda: np.sqrt, np.logspace(-3, 0.1, 9), 1.5),
 }
+
+
+def _plateaus(x):
+    """Flat at 1/2 on [1/2, 4], across 1 and 2, and at 4.5 on [8, 64]."""
+    x = np.asarray(x, dtype=float)
+    return np.minimum(x, 0.5) + np.minimum(np.maximum(x - 4.0, 0.0), 4.0) + np.maximum(x - 64.0, 0.0)
+
+
+def _dead_below(x):
+    """0 up to 2^-10: the table starts with a plateau of zeros."""
+    return np.maximum(np.asarray(x, dtype=float) - 2.0**-10, 0.0)
+
+
+@pytest.mark.parametrize("f", [_plateaus, _dead_below, _flat])
+def test_a_bracket_read_on_a_plateau_equals_the_gallop_bit_for_bit(f):
+    # targets equal to a plateau's value are the ones the read searches twice for
+    table = _density_table(f, 1e200)
+    flat = np.unique(table[:-1][table[1:] == table[:-1]])
+    assert flat.size
+    t = np.concatenate([flat, np.nextafter(flat, 0.0), np.nextafter(flat, np.inf), table[::7], [0.0, np.nan]])
+    for one in t:
+        _assert_same_brackets(f, np.array([one]), 1e200)
+    _assert_same_brackets(f, t, 1e200)
 
 
 @pytest.mark.parametrize("name", sorted(_GALLOPING))

@@ -4,12 +4,15 @@ import functools
 import math
 import operator
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orliczlab import space
-from orliczlab.errors import GroupMismatchError, InputError, MethodDisagreementError
+from orliczlab.errors import BracketOverflowError, GroupMismatchError, InputError, MethodDisagreementError
 from orliczlab.groups import Group, polynomial_weight, subexp_weight, trivial_weight
 from orliczlab.space import (
     OrliczVector,
@@ -235,6 +238,65 @@ def test_infinite_amplitudes_raise_before_any_solve(name, flip):
         assert np.isfinite(norms).all() and norms[0] > 1e307
 
 
+def test_a_finite_row_that_overflows_warns_nothing():
+    # the overflow row above, and Orlicz norms past the largest double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name in catalog_names():
+            for pair in (catalog_pair(name), catalog_pair(name).flip()):
+                if pair.numeric_side != "phi":
+                    norms = luxemburg_batch(pair.phi, np.array([[1e308, 1e308], [1.0, 2.0]]))
+                    assert np.isfinite(norms).all() and norms[0] > 1e307
+        with pytest.raises(BracketOverflowError):
+            space.orlicz_batch(P2, np.array([[1e308, 1e308]]))
+
+
+# Orlicz norms at the top of the doubles: (pair, row, the norm's bits or None for past the largest double)
+_TOP_ROWS = [
+    (name, row, None) for name in ("pnorm:2", "pnorm:1.5", "expm") for row in ([1e308, 1e308], [1.7e308])
+] + [
+    ("pnorm:2", [1e307, 1e307], "0x1.c7b1f3cac7435p+1020"),
+    ("pnorm:1.5", [1e307, 1e307], "0x1.04d2027f9f002p+1021"),
+    ("expm", [1e307, 1e307], "0x1.07492f71fa71ap+1021"),
+]
+
+
+@pytest.mark.parametrize(("name", "row", "bits"), _TOP_ROWS, ids=[f"{n}-{r}" for n, r, _ in _TOP_ROWS])
+def test_an_orlicz_norm_past_the_largest_double_overflows_its_bracket(name, row, bits, monkeypatch):
+    pair, A = catalog_pair(name), np.array([row])
+    if bits is not None:
+        assert space.orlicz_batch(pair, A)[0][0] == float.fromhex(bits)
+        return
+
+    def no_search(*_args):
+        raise AssertionError("the Amemiya search ran")
+
+    monkeypatch.setattr(space, "_amemiya_batch", no_search)
+    with pytest.raises(BracketOverflowError, match="Orlicz norm") as err:
+        space.orlicz_batch(pair, A)
+    assert err.value.task == "taking an Orlicz norm" and err.value.y == math.inf
+    with pytest.raises(BracketOverflowError):
+        orlicz_norm(pair, OrliczVector(Z2, {(i, 0): a for i, a in enumerate(row)}))
+
+
+# ragged arrays: 1-7 segments of 1-300 entries (one-point ones included), magnitudes 1e-8 to 1e8
+_SEGMENTS = st.lists(
+    st.lists(st.floats(-8.0, 8.0).map(lambda e: 10.0**e), min_size=1, max_size=300),
+    min_size=1,
+    max_size=7,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(segments=_SEGMENTS)
+def test_a_segmented_sum_equals_each_segment_summed_alone(segments):
+    offsets = np.cumsum([0] + [len(seg) for seg in segments])
+    sums = space._saturated_sums(np.concatenate([np.array(seg) for seg in segments]), offsets)
+    for i, seg in enumerate(segments):
+        alone = space._saturated_sums(np.array(seg), np.array([0, len(seg)]))
+        assert sums[i : i + 1].tobytes() == alone.tobytes()
+
+
 def _holder_gap_reference(pair, f, g):
     """The per-pair Hoelder gap, one (f, g) at a time."""
     at = dict(g.items())
@@ -260,7 +322,7 @@ def test_holder_gap_cases():
     rng = np.random.default_rng(9)
     for name in catalog_names():
         pair = catalog_pair(name)
-        # support sizes 0-7 on both sides, so the buckets of fs and gs split
+        # support sizes 0-7 on both sides, zero vectors among them, in one solve each
         fs = [random_vector(C7, rng, 3, k) if k else zero for k in (5, 1, 7, 0, 3, 5, 2, 1)]
         gs = [random_vector(C7, rng, 3, k) if k else zero for k in (5, 4, 2, 6, 0, 5, 1, 7)]
         fs, gs = fs + [fd, fd, zero], gs + [fd, zero, fd]

@@ -74,7 +74,7 @@ from .space import (
     cdiv,
     cmul,
     modulus,
-    orlicz_norms,
+    orlicz_batch,
     random_vectors,
 )
 from .young import ComplementaryPair
@@ -374,8 +374,10 @@ def submultiplicativity_probe(
     for i, radius in enumerate(radii):
         # per-radius derived seed; f and g alternate in the stream
         fs, gs = random_vectors(om.group, (seed, i), radius, _SUPPORT, 2 * samples).deal(2)
-        num = orlicz_norms(pair, twisted_convolve(om, fs, gs))
-        den = orlicz_norms(pair, fs) * orlicz_norms(pair, gs)
+        # one solve for |f*g|, |f| and |g|: each vector's norm is its own, bit for bit
+        prods = twisted_convolve(om, fs, gs)
+        num, nf, ng = orlicz_batch(pair, VectorBatch.of([prods, fs, gs]))[0].reshape(3, -1)
+        den = nf * ng
         live = den > 0.0
         ratios = num[live] / den[live]
         rows.append((radius, float(np.max(ratios, initial=0.0)), samples))  # NaN propagates

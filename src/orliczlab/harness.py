@@ -77,16 +77,15 @@ from .space import (
     OrliczVector,
     VectorBatch,
     luxemburg_batch,
-    luxemburg_norms,
     membership_diagnostic,
     cdiv,
     cmul,
     holder_gaps,
     modular,
     modulus,
+    orlicz_batch,
     orlicz_gauges,
     orlicz_norm,
-    orlicz_norms,
     random_vector,
     random_vectors,
     weighted_norms,
@@ -397,10 +396,10 @@ def _unit_ball(run, seed):
     fs = [f for f in random_vectors(_C7(), seed, 2, 5, 100) if f]
     scaled = [
         f.scale(c / n)
-        for f, n in zip(fs, luxemburg_norms(pair.phi, fs).tolist())
+        for f, n in zip(fs, luxemburg_batch(pair.phi, fs).tolist())
         for c in (0.5, 0.9, 1.0, 1.1, 2.0)
     ]
-    for fc, nc in zip(scaled, luxemburg_norms(pair.phi, scaled).tolist()):
+    for fc, nc in zip(scaled, luxemburg_batch(pair.phi, scaled).tolist()):
         m = modular(pair.phi, fc)
         if nc <= 1.0 and m > 1.0:
             yield m - 1.0
@@ -412,13 +411,15 @@ def _unit_ball(run, seed):
 def _homogeneity(_run, seed):
     rng = np.random.default_rng(seed)
     group = _Z2()
+    cs = (0.3, 2.5, 0.7 + 0.4j)
     for pair in _catalog()[:4]:
         vecs = random_vectors(group, rng, 4, 6, 50)
-        orl, _, lux = orlicz_gauges(pair, vecs)
-        for c in (0.3, 2.5, 0.7 + 0.4j):
-            orl_c, _, lux_c = orlicz_gauges(pair, vecs.scale(c))
-            yield _rel_err(lux_c, abs(c) * lux)
-            yield _rel_err(orl_c, abs(c) * orl)
+        # one solve for f and its three multiples, as in _triangle
+        batch = VectorBatch.of([vecs, *(vecs.scale(c) for c in cs)])
+        orl, _, lux = orlicz_gauges(pair, batch).reshape(3, 1 + len(cs), -1)
+        for i, c in enumerate(cs, 1):
+            yield _rel_err(lux[i], abs(c) * lux[0])
+            yield _rel_err(orl[i], abs(c) * orl[0])
 
 
 @_law("norms", "triangle", "norm(f + g) <= norm(f) + norm(g) for both norms", 1e-9)
@@ -482,7 +483,7 @@ def _weighted_norm_identity(_run, seed):
     f = OrliczVector.delta(group, (2, 1))
     yield np.abs(weighted_norms(pair, polynomial_weight(group, 1.0), f) - 4.0 * math.sqrt(2.0))
     vs = random_vectors(group, seed, 4, 6, 20)
-    yield np.abs(weighted_norms(pair, trivial_weight(group), vs) - orlicz_norms(pair, vs))
+    yield np.abs(weighted_norms(pair, trivial_weight(group), vs) - orlicz_batch(pair, vs)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -797,8 +798,8 @@ def _action_norm_bound(run, seed):
     pair = catalog_pair(run.cfg.pair)
     c_hat = algebra.submultiplicativity_probe(pair, om, (3,), 300, seed)[0][1]
     gs, hs = random_vectors(om.group, seed, 3, 5, 200).deal(2)
-    lhs = orlicz_norms(pair.flip(), algebra.module_action_left(om, gs, hs))
-    yield lhs - 2.0 * c_hat * orlicz_norms(pair, gs) * luxemburg_norms(pair.psi, hs)
+    lhs = orlicz_batch(pair.flip(), algebra.module_action_left(om, gs, hs))[0]
+    yield lhs - 2.0 * c_hat * orlicz_batch(pair, gs)[0] * luxemburg_batch(pair.psi, hs)
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +896,7 @@ def _isometry(run, seed):
     pair = catalog_pair(run.cfg.pair)
     fs = random_vectors(w.group, seed, 4, 6, 100)
     a = weighted_norms(pair, w, algebra.lambda_transform(w, fs))
-    yield _rel_err(a, orlicz_norms(pair, fs))
+    yield _rel_err(a, orlicz_batch(pair, fs)[0])
 
 
 @_law(

@@ -63,11 +63,10 @@ and the Amemiya bracket widens per row, so a row's answer never depends
 on its batch mates: each vector's norms equal its one-vector solves bit
 for bit.  The matrix entry points luxemburg_batch and orlicz_batch drop
 the zeros of each row (exact, as Phi(0) = 0), so a zero-padded row of
-amplitude_matrix gets its vector's norm bit for bit.  orlicz_gauges,
-orlicz_norms, luxemburg_norms, holder_gaps and weighted_norms take a
-batch, a vector (the batch of one) or a sequence of vectors or batches,
-through VectorBatch.of; orlicz_norm and luxemburg_norm are their
-one-vector case.
+amplitude_matrix gets its vector's norm bit for bit.  They, orlicz_gauges,
+holder_gaps and weighted_norms also take a batch, a vector (the batch of
+one) or a sequence of vectors or batches, through VectorBatch.of;
+orlicz_norm and luxemburg_norm are their one-vector case.
 
 membership_diagnostic probes whether sum_s Psi(alpha h(s)) converges as
 the summation ball grows, for each requested alpha -- a finite-radius
@@ -101,9 +100,7 @@ __all__ = [
     "amplitude_matrix",
     "modular",
     "luxemburg_norm",
-    "luxemburg_norms",
     "orlicz_norm",
-    "orlicz_norms",
     "orlicz_gauges",
     "holder_gaps",
     "weighted_norms",
@@ -528,18 +525,20 @@ def _modulars(phi_fn: Callable, rows) -> Callable:
 def _rows(A):
     """(rows, live): the amplitude rows of the nonzero rows, and their mask.
 
-    A is a batch, whose |amplitudes| keep its offsets, or a nonnegative
-    matrix, whose zeros are dropped.  A row holding NaN or an infinity
-    raises InputError; a finite row whose sum overflows solves.
+    A is a nonnegative matrix (an np.ndarray), whose zeros are dropped, or
+    anything VectorBatch.of takes, whose |amplitudes| keep the batch's
+    offsets.  A row holding NaN or an infinity raises InputError; a finite
+    row whose sum overflows solves.
     """
-    if isinstance(A, VectorBatch):
-        A, offsets = A.abs_amplitudes(), A._offsets
-    else:
+    if isinstance(A, np.ndarray):
         A = np.asarray(A, dtype=float)
         keep = A != 0.0
         offsets = np.zeros(len(A) + 1, dtype=np.int64)
         np.cumsum(keep.sum(axis=1), out=offsets[1:])
         A = A[keep]
+    else:
+        A = VectorBatch.of(A)
+        A, offsets = A.abs_amplitudes(), A._offsets
     bad = ~np.isfinite(A)
     if bad.any():
         j = np.argmax(bad)
@@ -547,11 +546,6 @@ def _rows(A):
         raise InputError(f"amplitude row {np.searchsorted(offsets, j, 'right') - 1} holds {held}")
     live = offsets[1:] > offsets[:-1]
     return (A, offsets[np.append(True, live)]), live
-
-
-def _as_rows(rows):
-    """Amplitude rows as they are, or the rows of a matrix with no zero row."""
-    return rows if isinstance(rows, tuple) else _rows(rows)[0]
 
 
 def _solved(solve: Callable, k: int, A) -> np.ndarray:
@@ -577,7 +571,8 @@ def _luxemburg(phi: YoungFunction, rows) -> np.ndarray:
 
 def luxemburg_batch(phi: YoungFunction, A) -> np.ndarray:
     """Luxemburg norms of the rows of a nonnegative amplitude matrix, or
-    of the vectors of a batch.
+    of vectors as VectorBatch.of takes them, each equal to its one-vector
+    call bit for bit.
 
     Zeros are dropped before any solve (Phi(0) = 0, so that is exact), and
     a zero-padded row's norm equals its vector's norm bit for bit.  Each
@@ -590,19 +585,14 @@ def luxemburg_batch(phi: YoungFunction, A) -> np.ndarray:
     return _solved(lambda rows: _luxemburg(phi, rows), 1, A)[0]
 
 
-def luxemburg_norms(phi: YoungFunction, vectors) -> np.ndarray:
-    """Luxemburg norms of the vectors, each equal to its luxemburg_norm bit for bit."""
-    return luxemburg_batch(phi, VectorBatch.of(vectors))
-
-
 def luxemburg_norm(phi: YoungFunction, f: OrliczVector) -> float:
     """inf { k > 0 : modular(f / k) <= 1 }; 0 for the zero vector."""
-    return float(luxemburg_norms(phi, f)[0])
+    return float(luxemburg_batch(phi, f)[0])
 
 
 def _stationarity_batch(pair: ComplementaryPair, rows):
-    """(Orlicz norms, multipliers mu) of amplitude rows (or of a matrix
-    with no zero row) via the dual optimizer v = dens(mu |f|).
+    """(Orlicz norms, multipliers mu) of amplitude rows (a, offsets) via
+    the dual optimizer v = dens(mu |f|).
 
     The binding constraint sum Psi(v) = 1 is solved for mu = 1/lam by the
     shared root finder.  When Psi has no closed form, Psi(dens(w)) is
@@ -611,7 +601,7 @@ def _stationarity_batch(pair: ComplementaryPair, rows):
     conjugate would return at these points, minus its redundant inner
     root-find.
     """
-    a, offsets = _as_rows(rows)
+    a, offsets = rows
     sizes = np.diff(offsets)
     phi_fn = pair.phi.fn
     dens = pair.phi.derivative_or_numeric()
@@ -636,7 +626,7 @@ def _stationarity_batch(pair: ComplementaryPair, rows):
 
 
 def _amemiya_batch(pair: ComplementaryPair, rows, centre: np.ndarray) -> np.ndarray:
-    """Orlicz norms of amplitude rows (or of a matrix with no zero row) as
+    """Orlicz norms of amplitude rows (a, offsets) as
     min_k (1 + modular(Phi, k f)) / k by golden section.
 
     The objective is the perspective of a convex function, hence unimodal,
@@ -647,7 +637,7 @@ def _amemiya_batch(pair: ComplementaryPair, rows, centre: np.ndarray) -> np.ndar
     log-width from an edge, at most 8 times before SolverCapError.  A wrong
     centre only widens the search; it cannot move the minimum found.
     """
-    a, offsets = rows = _as_rows(rows)
+    a, offsets = rows
 
     def h(rows):
         modulars = _modulars(pair.phi.fn, rows)
@@ -697,8 +687,9 @@ def _orlicz(pair: ComplementaryPair, rows):
 
 def orlicz_batch(pair: ComplementaryPair, A):
     """(norms, agreement gaps) for the rows of a nonnegative amplitude
-    matrix, its zeros dropped as luxemburg_batch drops them, or for the
-    vectors of a batch.
+    matrix, its zeros dropped as luxemburg_batch drops them, or for
+    vectors as VectorBatch.of takes them, each column equal to its
+    one-vector call bit for bit.
 
     A row holding NaN or an infinity raises InputError before any solve,
     and a row whose norm passes the largest double BracketOverflowError.
@@ -710,18 +701,11 @@ def orlicz_gauges(pair: ComplementaryPair, vectors) -> np.ndarray:
     """(norms, agreement gaps, Luxemburg norms N_Phi) of the vectors as the
     rows of a (3, len(vectors)) array, each column equal to its vector's
     one-vector call bit for bit."""
-    return _solved(
-        lambda rows: (*_orlicz(pair, rows), _luxemburg(pair.phi, rows)), 3, VectorBatch.of(vectors)
-    )
-
-
-def orlicz_norms(pair: ComplementaryPair, vectors) -> np.ndarray:
-    """Orlicz norms of the vectors, each equal to its orlicz_norm bit for bit."""
-    return orlicz_batch(pair, VectorBatch.of(vectors))[0]
+    return _solved(lambda rows: (*_orlicz(pair, rows), _luxemburg(pair.phi, rows)), 3, vectors)
 
 
 def orlicz_norm(pair: ComplementaryPair, f: OrliczVector) -> float:
-    return float(orlicz_norms(pair, f)[0])
+    return float(orlicz_batch(pair, f)[0][0])
 
 
 def holder_gaps(pair: ComplementaryPair, fs, gs) -> np.ndarray:
@@ -736,7 +720,7 @@ def holder_gaps(pair: ComplementaryPair, fs, gs) -> np.ndarray:
 
 def weighted_norms(pair: ComplementaryPair, w: Weight, vectors) -> np.ndarray:
     """Orlicz norms of the pointwise products f * w (the weighted-space norms)."""
-    return orlicz_norms(pair, VectorBatch.of(vectors, w.group).pointwise_mul(w.at))
+    return orlicz_batch(pair, VectorBatch.of(vectors, w.group).pointwise_mul(w.at))[0]
 
 
 # ---------------------------------------------------------------------------

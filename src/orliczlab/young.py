@@ -11,8 +11,8 @@ exactly at y = Phi'(x).  This module provides:
 
 - numeric convex conjugation (conjugate), with the derivative of the
   conjugate recovered from the maximizer;
-- the density construction Phi(x) = int_0^x gen, Psi(y) = int_0^y gen^{-1}
-  (build_from_generator), via adaptive composite Simpson quadrature;
+- the density construction Phi(x) = int_0^x gen, by adaptive composite
+  Simpson quadrature, with Psi its numeric conjugate (build_from_generator);
 - the Delta_2 diagnostic sup_x Phi(2x)/Phi(x) (delta2_estimate);
 - strong-equivalence witnesses Phi1(a x) <= Phi2(x) <= Phi1(b x)
   (strong_equivalence);
@@ -72,7 +72,7 @@ class Tolerances:
 
 
 # the density-integral construction: monotonicity probe grid, quadrature
-# tolerance and panel doublings, and the bracket cap of the inverse density
+# tolerance and panel doublings, and the maximizer cap of the conjugate
 _PROBE_GRID = np.logspace(-3, 2, 41)
 _QUAD_TOL = 1e-10
 _MAX_PANEL_DOUBLINGS = 22
@@ -143,12 +143,12 @@ def _restore(values: np.ndarray, scalar: bool):
 
 # ---------------------------------------------------------------------------
 # the shared solvers: every root and every minimum in the package (conjugate
-# maximizers, generator inverses, Luxemburg gauges, stationarity multipliers,
-# Amemiya minima) goes through _find_root or _golden_min, elementwise on
-# arrays of any shape.
+# maximizers, Luxemburg gauges, stationarity multipliers, Amemiya minima)
+# goes through _find_root or _golden_min, elementwise on arrays of any shape.
 
 _MAX_STEPS = 200
-_ROOT_RTOL = 1e-12  # converged once |f - t| <= _ROOT_RTOL * t
+_ROOT_RTOL = 1e-12  # converged once |f - t| <= _ROOT_RTOL * t ...
+_ROOT_ATOL = math.ulp(0.0)  # ... or one subnormal step, where that underflows (t below 5e-312)
 _WIDTH_RTOL = 1e-14  # ... or once the bracket is this wide relative to x
 _STEEP_RTOL = 1e-6  # a collapsed bracket must still be this close (a jump is not)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -313,7 +313,8 @@ def _find_root(f: Callable, targets, cap: float, task: str, table=None) -> np.nd
     so no element takes more steps than bisection would, bar one.
 
     Each element's root is its probe at the first step where that
-    element has |f - t| <= 1e-12 t, or a bracket 1e-14 x wide with
+    element has |f - t| <= 1e-12 t (or <= 5e-324, one subnormal step, where
+    1e-12 t underflows below it), or a bracket 1e-14 x wide with
     |f - t| <= 1e-6 t (a steep f); the loop ends once every element has
     one.  So an element's root does not depend on the other elements,
     when f acts elementwise.  A jump across t meets neither, so a
@@ -322,7 +323,7 @@ def _find_root(f: Callable, targets, cap: float, task: str, table=None) -> np.nd
     """
     t = np.asarray(targets, dtype=float)
     dead = t <= 0.0
-    root_tol = np.where(dead, np.inf, _ROOT_RTOL * t)
+    root_tol = np.where(dead, np.inf, np.maximum(_ROOT_RTOL * t, _ROOT_ATOL))
     lo, hi, flo, fhi = _bracket(f, t, cap, task, table)
     root = np.zeros(t.shape)
     if not t.size:
@@ -493,10 +494,11 @@ def _simpson_adaptive(fn: Callable, b: float) -> float:
 def build_from_generator(phi_gen: Callable) -> ComplementaryPair:
     """Build a complementary pair from a strictly increasing density.
 
-    Phi(x) = int_0^x gen and Psi(y) = int_0^y gen^{-1}, where gen^{-1} is
-    obtained by the shared root finder.  The density is probed for strict monotonicity
-    on the probe grid first; a violation raises with the offending sample
-    pair.
+    Phi(x) = int_0^x gen, and Psi = conjugate(Phi), whose maximizer solves
+    gen(x) = y: Psi(y) = y gen^{-1}(y) - Phi(gen^{-1}(y)), which equals
+    int_0^y gen^{-1} by the Young equality.  The density is probed for
+    strict monotonicity on the probe grid first; a violation raises with
+    the offending sample pair.
     """
     vals = np.asarray(phi_gen(_PROBE_GRID), dtype=float)
     if abs(float(phi_gen(0.0))) > 1e-12:
@@ -508,25 +510,13 @@ def build_from_generator(phi_gen: Callable) -> ComplementaryPair:
             float(_PROBE_GRID[i]), float(_PROBE_GRID[i + 1]), float(vals[i]), float(vals[i + 1])
         )
 
-    def gen_inverse(x):
-        arr, scalar = _as_1d(x)
-        return _restore(
-            _find_root(phi_gen, arr, _INVERSE_CAP, "inverting the generator"), scalar
-        )
-
     def phi_fn(x):
         arr, scalar = _as_1d(x)
         out = np.array([_simpson_adaptive(phi_gen, xi) for xi in arr])
         return _restore(out, scalar)
 
-    def psi_fn(y):
-        arr, scalar = _as_1d(y)
-        out = np.array([_simpson_adaptive(gen_inverse, yi) for yi in arr])
-        return _restore(out, scalar)
-
     phi = YoungFunction(fn=phi_fn, name="built", derivative=phi_gen)
-    psi = YoungFunction(fn=psi_fn, name="built-conjugate", derivative=gen_inverse)
-    return ComplementaryPair(phi, psi, numeric_side="psi")
+    return ComplementaryPair(phi, conjugate(phi, _INVERSE_CAP), numeric_side="psi")
 
 
 # ---------------------------------------------------------------------------

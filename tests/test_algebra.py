@@ -283,15 +283,18 @@ def test_unit_check_propagates_nan():
 
 
 def test_probe_constant_propagates_nan(monkeypatch):
-    real, calls = algebra.orlicz_norms, itertools.count()
+    real, calls = algebra.orlicz_batch, itertools.count()
 
-    def nan_numerators(pair, vectors):  # each radius asks for all |f*g| first, then |f| and |g|
-        norms = real(pair, vectors)
-        return np.full_like(norms, math.nan) if next(calls) % 3 == 0 else norms
+    def nan_numerators(pair, vectors):  # one call per radius: all |f*g| first, then |f| and |g|
+        next(calls)
+        norms, gaps = real(pair, vectors)
+        norms[: len(norms) // 3] = math.nan
+        return norms, gaps
 
-    monkeypatch.setattr(algebra, "orlicz_norms", nan_numerators)
+    monkeypatch.setattr(algebra, "orlicz_batch", nan_numerators)
     rows = algebra.submultiplicativity_probe(catalog_pair("pnorm:2"), OM, radii=(3,), samples=5)
     assert math.isnan(rows[0][1])
+    assert next(calls) == 1
 
 
 def test_xi_eta_definitions_and_zeta_crosscheck():

@@ -179,9 +179,23 @@ def test_nan_associativity_residual_fails_the_law(monkeypatch):
     assert rec.verdict == "fail" and math.isnan(rec.residual)
 
 
-def test_the_triangle_law_solves_each_norm_once_per_pair(monkeypatch):
-    # f + g, f and g go through one segmented solve per catalog pair (six
-    # per pair when each support size was solved alone)
+_LUX, _STAT = "solving for a Luxemburg norm", "solving the stationarity constraint"
+
+
+@pytest.mark.parametrize(
+    ("suite", "case", "want"),
+    [
+        # f + g, f and g: one segmented solve per catalog pair (three per pair
+        # when solved apart, six when each support size was solved alone)
+        ("norms", "triangle", {_LUX: len(catalog_names()), _STAT: len(catalog_names())}),
+        # f and its three multiples, for the first four catalog pairs
+        ("norms", "homogeneity", {_LUX: 4, _STAT: 4}),
+        # |f*g|, |f| and |g| at each of the two radii, under pnorm:2
+        ("twisted", "submultiplicativity-probe", {_STAT: 2}),
+    ],
+    ids=["triangle", "homogeneity", "submultiplicativity-probe"],
+)
+def test_batched_norm_laws_solve_each_norm_once_per_pair(suite, case, want, monkeypatch):
     tasks, real = collections.Counter(), space._find_root
 
     def counted(f, targets, cap, task, table=None):
@@ -189,10 +203,9 @@ def test_the_triangle_law_solves_each_norm_once_per_pair(monkeypatch):
         return real(f, targets, cap, task, table)
 
     monkeypatch.setattr(space, "_find_root", counted)
-    (law,) = [law for law in harness._LAWS if (law.suite, law.case) == ("norms", "triangle")]
+    (law,) = [law for law in harness._LAWS if (law.suite, law.case) == (suite, case)]
     assert harness._Run(SuiteConfig()).record(law).verdict == "pass"
-    pairs = len(catalog_names())
-    assert tasks == {"solving for a Luxemburg norm": pairs, "solving the stationarity constraint": pairs}
+    assert tasks == want
 
 
 def test_the_product_suites_make_one_kernel_call_per_batch(monkeypatch):

@@ -1,6 +1,7 @@
 """The shared root finder and minimizer, and the norms built on them."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,11 +17,9 @@ from orliczlab.space import (
     amplitude_matrix,
     luxemburg_batch,
     luxemburg_norm,
-    luxemburg_norms,
     orlicz_batch,
     orlicz_gauges,
     orlicz_norm,
-    orlicz_norms,
     random_vector,
 )
 from orliczlab.young import (
@@ -118,7 +117,7 @@ def test_amemiya_raises_when_its_bracket_widenings_run_out():
     # the minimum of (1 + k^2/2)/k sits at sqrt 2; a centre 1e30 times too
     # small keeps it beyond the widest bracket, which reaches 7.2e10 times out
     with pytest.raises(SolverCapError):
-        _amemiya_batch(catalog_pair("pnorm:2"), np.array([[1.0]]), np.array([math.sqrt(2.0) * 1e-30]))
+        _amemiya_batch(catalog_pair("pnorm:2"), _rows([[1.0]]), np.array([math.sqrt(2.0) * 1e-30]))
 
 
 @pytest.mark.parametrize("a", [1e-60, 1e-100])
@@ -135,6 +134,11 @@ _PAIRS = [(name, flip) for name in catalog_names() for flip in (False, True)]
 
 def _pair(name, flip):
     return catalog_pair(name).flip() if flip else catalog_pair(name)
+
+
+def _rows(A):
+    """The amplitude rows (a, offsets) of a matrix with no zero row."""
+    return space._rows(np.array(A, dtype=float))[0]
 
 _SCALED = st.one_of(
     st.tuples(
@@ -202,11 +206,11 @@ def test_bucketed_norms_equal_the_per_vector_norms_bitwise(which, sizes, seed):
     vectors = [random_vector(z2, rng, 3, k) if k else OrliczVector.zero(z2) for k in sizes]
     vectors.append(OrliczVector.zero(z2))
     want = np.array([orlicz_norm(pair, v) for v in vectors])
-    assert orlicz_norms(pair, vectors).tobytes() == want.tobytes()
+    assert orlicz_batch(pair, vectors)[0].tobytes() == want.tobytes()
     one_by_one = np.stack([orlicz_gauges(pair, [v])[:, 0] for v in vectors], axis=1)
     assert orlicz_gauges(pair, vectors).tobytes() == one_by_one.tobytes()
     want = np.array([luxemburg_norm(pair.phi, v) for v in vectors])
-    assert luxemburg_norms(pair.phi, vectors).tobytes() == want.tobytes()
+    assert luxemburg_batch(pair.phi, vectors).tobytes() == want.tobytes()
     assert want[-1] == 0.0
 
 
@@ -244,12 +248,12 @@ def test_a_row_that_widens_its_amemiya_bracket_leaves_its_batch_mates_alone(monk
     pair = catalog_pair("expm")
     A = np.random.default_rng(0).uniform(0.0, 1.0, size=(40, 6)) ** 4
     moved = np.arange(len(A)) % 3 == 0
-    centre = space._stationarity_batch(pair, A)[1] * np.where(moved, 1.0 + 1e-4, 1.0)
+    centre = space._stationarity_batch(pair, _rows(A))[1] * np.where(moved, 1.0 + 1e-4, 1.0)
     searched = _recording_golden_min(monkeypatch)
-    batch = _amemiya_batch(pair, A, centre)
+    batch = _amemiya_batch(pair, _rows(A), centre)
     assert searched == [len(A), np.count_nonzero(moved)]
     for i in range(len(A)):
-        one = _amemiya_batch(pair, A[i : i + 1], centre[i : i + 1])
+        one = _amemiya_batch(pair, _rows(A[i : i + 1]), centre[i : i + 1])
         assert one.tobytes() == batch[i : i + 1].tobytes()
     norms, _ = orlicz_batch(pair, A)
     for i in range(len(A)):
@@ -768,3 +772,19 @@ def test_strong_equivalence_raises_errors_before_the_first_passing_candidate():
         with pytest.raises(SolverCapError) as err:
             search(phi1, phi2)
         assert err.value.task == "testing"
+
+
+@pytest.mark.parametrize(("name", "flip"), _PAIRS)
+def test_subnormal_arguments_meet_the_stop_rule(name, flip):
+    # below t ~ 5e-312 the relative stop 1e-12 t underflows to 0, so a
+    # subnormal maximizer needs the one-step floor to converge at all
+    pair = _pair(name, flip)
+    for fn in (pair.phi, pair.psi):
+        for y in (5e-324, 1e-310):
+            fastest = math.inf
+            for _ in range(3):  # the first call of a numeric conjugate fills its density table
+                start = time.perf_counter()
+                value = fn(y)
+                fastest = min(fastest, time.perf_counter() - start)
+            assert math.isfinite(value) and value >= 0.0, (fn.name, y, value)
+            assert fastest < 1e-3, (fn.name, y, fastest)

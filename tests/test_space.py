@@ -23,9 +23,9 @@ from orliczlab.space import (
     luxemburg_norm,
     membership_diagnostic,
     modular,
+    orlicz_batch,
     orlicz_gauges,
     orlicz_norm,
-    orlicz_norms,
     random_vector,
     random_vectors,
     weighted_norms,
@@ -189,7 +189,7 @@ def test_method_disagreement_is_a_hard_error():
 
 
 def test_a_nan_agreement_gap_is_a_hard_error(monkeypatch):
-    monkeypatch.setattr(space, "_amemiya_batch", lambda pair, A, lux: np.full(len(A), math.nan))
+    monkeypatch.setattr(space, "_amemiya_batch", lambda pair, rows, mu: np.full_like(mu, math.nan))
     with pytest.raises(MethodDisagreementError):
         orlicz_norm(P2, OrliczVector(Z2, {(0, 0): 3.0, (1, 0): 4.0}))
 
@@ -343,7 +343,7 @@ def test_a_vector_is_a_batch_of_one_and_not_a_sequence():
     one = VectorBatch.of(f)
     assert type(one) is VectorBatch and len(one) == 1 and len(f) == 5
     assert list(one[0].items()) == list(f.items())
-    assert orlicz_norms(P2, f).tolist() == [orlicz_norm(P2, f)]
+    assert orlicz_batch(P2, f)[0].tolist() == [orlicz_norm(P2, f)]
     assert orlicz_gauges(P2, f).tolist() == orlicz_gauges(P2, [f]).tolist()
     assert holder_gaps(P2, f, g).tolist() == holder_gaps(P2, [f], [g]).tolist()
     assert weighted_norms(P2, w, f).tolist() == weighted_norms(P2, w, [f]).tolist()

@@ -21,7 +21,8 @@ Two norms are computed and cross-checked:
   assumed).  By the Young equality the minimizer is the mu of (a), where
   (b) starts its search; (b) still minimizes the objective itself and
   widens past a wrong mu.  The two must agree to 1e-5 relative or a hard
-  MethodDisagreementError fires.
+  MethodDisagreementError fires.  On a numeric Phi = conj(Psi), (b) solves
+  the maximizers of each search cold at its ends only, its probes inside.
 
 Every root above is found by the shared root finder of the young module
 and the Amemiya minimum by its shared golden-section minimizer, so one
@@ -82,6 +83,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import young
 from .errors import (
     BracketOverflowError,
     GroupMismatchError,
@@ -113,6 +115,7 @@ _AGREEMENT_LIMIT = 1e-5
 _NORM_CAP = 1e300  # norms below 1/_NORM_CAP raise, as do Orlicz norms past _MAX_DOUBLE
 _AMEMIYA_EXPANSIONS = 8
 _AMEMIYA_DELTA = 1e-6  # the first Amemiya bracket is [mu/(1+d), mu(1+d)]
+_AMEMIYA_MARGIN = 1e-9  # maximizer ends are solved this far outside a golden bracket
 
 
 def complex_array(re, im) -> np.ndarray:
@@ -527,8 +530,8 @@ def _rows(A):
 
     A is a nonnegative matrix (an np.ndarray), whose zeros are dropped, or
     anything VectorBatch.of takes, whose |amplitudes| keep the batch's
-    offsets.  A row holding NaN or an infinity raises InputError; a finite
-    row whose sum overflows solves.
+    offsets; anything else (a nested list) raises InputError, as does a
+    row holding NaN or an infinity.  A finite row whose sum overflows solves.
     """
     if isinstance(A, np.ndarray):
         A = np.asarray(A, dtype=float)
@@ -537,6 +540,12 @@ def _rows(A):
         np.cumsum(keep.sum(axis=1), out=offsets[1:])
         A = A[keep]
     else:
+        if not isinstance(A, VectorBatch):
+            A = list(A) if isinstance(A, Iterable) else [A]
+            odd = [type(v).__name__ for v in A if not isinstance(v, VectorBatch)]
+            if odd:
+                kinds = "an np.ndarray matrix, a VectorBatch, an OrliczVector or a sequence of these"
+                raise InputError(f"amplitude rows are {kinds}, not a {odd[0]}")
         A = VectorBatch.of(A)
         A, offsets = A.abs_amplitudes(), A._offsets
     bad = ~np.isfinite(A)
@@ -625,6 +634,47 @@ def _stationarity_batch(pair: ComplementaryPair, rows):
         return np.add.reduceat(a * v, offsets[:-1]), mu
 
 
+def _maximizer_ends(pair: ComplementaryPair, rows, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(m_lo, m_hi, psi(m_lo), psi(m_hi)) per element: the maximizers of a
+    numeric Phi = conj(Psi) at k a_s, solved cold at k = lo (1 - 1e-9) and
+    hi (1 + 1e-9), so they bracket m(k a_s) for every k in [lo, hi] of the
+    row.  A bracket from 0 or wider than a factor 2 (a cold solve's), and
+    those of a row whose solve raises (each row solves alone once the
+    joint solve raises), read psi(m_lo) = NaN: none holds y."""
+    a, offsets = rows
+    ks = np.concatenate([lo * (1.0 - _AMEMIYA_MARGIN), hi * (1.0 + _AMEMIYA_MARGIN)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            m = pair.phi.derivative(np.tile(a, 2) * np.repeat(ks, np.tile(np.diff(offsets), 2)))
+        except (BracketOverflowError, SolverCapError):
+            if len(lo) == 1:
+                return np.full((4, len(a)), math.nan)
+            one = [(a[i:j], np.array([0, j - i])) for i, j in zip(offsets[:-1], offsets[1:])]
+            return np.hstack([_maximizer_ends(pair, r, lo[[n]], hi[[n]]) for n, r in enumerate(one)])
+        ends = np.concatenate([m, pair.psi.derivative(m)]).reshape(4, -1)
+    ends[2, (ends[0] <= 0.0) | (ends[1] > 2.0 * ends[0])] = math.nan
+    return ends
+
+
+def _conjugate_within(pair: ComplementaryPair, ends: np.ndarray) -> Callable:
+    """y -> Phi(y) = y m - Psi(m), as conj(Psi) gives it, m solving psi(m) = y
+    inside the bracket of _maximizer_ends.  A y outside its bracket, whose
+    bracketed solve could run out of steps, solves cold."""
+
+    def phi(y):
+        inside = (ends[2] <= y) & (y <= ends[3])
+        out = np.empty_like(y)
+        if not inside.all():
+            out[~inside] = pair.phi.fn(y[~inside])
+        if inside.any():
+            t, task = y[inside], "conjugating within the Amemiya bracket"
+            m = young._find_root(pair.psi.derivative, t, math.inf, task, bracket=ends[:, inside])
+            out[inside] = np.maximum(m * t - pair.psi.fn(m), 0.0)
+        return out
+
+    return phi
+
+
 def _amemiya_batch(pair: ComplementaryPair, rows, centre: np.ndarray) -> np.ndarray:
     """Orlicz norms of amplitude rows (a, offsets) as
     min_k (1 + modular(Phi, k f)) / k by golden section.
@@ -636,32 +686,40 @@ def _amemiya_batch(pair: ComplementaryPair, rows, centre: np.ndarray) -> np.ndar
     with d 256-fold while its minimizer lies within 5% of the bracket's
     log-width from an edge, at most 8 times before SolverCapError.  A wrong
     centre only widens the search; it cannot move the minimum found.
+    When Phi is a numeric conjugate of a Psi with a density, each search
+    solves its maximizers cold only at its ends (_maximizer_ends), and its
+    probes and final k inside that bracket (_conjugate_within).
     """
     a, offsets = rows
+    within = pair.numeric_side == "phi" and pair.psi.derivative is not None
+    ends = np.full((4, len(a) if within else 0), math.nan)  # of each element's latest search
 
-    def h(rows):
-        modulars = _modulars(pair.phi.fn, rows)
+    def h(rows, at):
+        phi = _conjugate_within(pair, ends[:, at]) if within else pair.phi.fn
+        modulars = _modulars(phi, rows)
 
-        def at(k):
+        def at_k(k):
             with np.errstate(over="ignore"):  # subnormal k for norms near 1e308
                 return (1.0 + modulars(k)) / k
 
-        return at
+        return at_k
 
     k = np.zeros_like(centre)
-    todo, search = np.arange(len(centre)), h(rows)  # the rows still to search
+    todo, at, sub = np.arange(len(centre)), slice(None), rows  # the rows still to search
     delta = np.full(len(centre), _AMEMIYA_DELTA)
     for _ in range(_AMEMIYA_EXPANSIONS):
         grow = 1.0 + delta[todo]
         lo, hi, edge = centre[todo] / grow, centre[todo] * grow, grow**0.1
-        kr = _golden_min(search, lo, hi, "minimizing the Amemiya objective")
+        if within:
+            ends[:, at] = _maximizer_ends(pair, sub, lo, hi)
+        kr = _golden_min(h(sub, at), lo, hi, "minimizing the Amemiya objective")
         k[todo] = kr
         todo = todo[(kr < lo * edge) | (kr > hi / edge)]
         if not todo.size:
-            return h(rows)(k)
+            return h(rows, slice(None))(k)
         delta[todo] *= 256.0
-        at, sub = _gather(offsets, todo)
-        search = h((a[at], sub))
+        at, sub_offsets = _gather(offsets, todo)
+        sub = (a[at], sub_offsets)
     raise SolverCapError("bracketing the Amemiya minimum", _AMEMIYA_EXPANSIONS)
 
 

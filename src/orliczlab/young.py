@@ -116,7 +116,8 @@ class ComplementaryPair:
     numeric_side records which member (if any) is a numerically built
     conjugate, so norm code can route evaluations through the cheap
     closed-form side (the conjugate of the numeric side IS the closed
-    side, by biconjugation).
+    side, by biconjugation): the stationarity solve on a numeric Psi, and
+    the Amemiya search on a numeric Phi = conj(Psi) with a density.
     """
 
     phi: YoungFunction
@@ -299,11 +300,12 @@ def _itp_probe(t, lo, hi, flo, fhi, w0, j: int) -> np.ndarray:
     return x
 
 
-def _find_root(f: Callable, targets, cap: float, task: str, table=None) -> np.ndarray:
+def _find_root(f: Callable, targets, cap: float, task: str, table=None, bracket=None) -> np.ndarray:
     """Solve f(x) = t per element for increasing f with f(0) = 0; t <= 0 gives 0.
 
     Brackets with _bracket (read from table, a _density_table of f, when
-    given), then takes ITP steps (interpolate, truncate,
+    given), or copies the given bracket (lo, hi, f(lo), f(hi)), which must
+    hold f(lo) <= t <= f(hi), then takes ITP steps (interpolate, truncate,
     project: Oliveira and Takahashi, ACM TOMS 47(1), 2020, with
     kappa1 = 0.2 / w0, kappa2 = 2 and n0 = 1).  Step j probes the regula
     falsi point of the bracket [lo, hi], moved toward the midpoint by
@@ -324,7 +326,7 @@ def _find_root(f: Callable, targets, cap: float, task: str, table=None) -> np.nd
     t = np.asarray(targets, dtype=float)
     dead = t <= 0.0
     root_tol = np.where(dead, np.inf, np.maximum(_ROOT_RTOL * t, _ROOT_ATOL))
-    lo, hi, flo, fhi = _bracket(f, t, cap, task, table)
+    lo, hi, flo, fhi = _bracket(f, t, cap, task, table) if bracket is None else np.array(bracket)
     root = np.zeros(t.shape)
     if not t.size:
         return root

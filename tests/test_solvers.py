@@ -1,5 +1,6 @@
 """The shared root finder and minimizer, and the norms built on them."""
 
+import collections
 import math
 import time
 
@@ -298,6 +299,160 @@ def test_a_wrong_stationarity_multiplier_is_a_method_disagreement(name, flip, mo
     monkeypatch.setattr(space, "_find_root", off)
     with pytest.raises(MethodDisagreementError):
         orlicz_batch(_pair(name, flip), _LIVE_ROWS)
+
+
+# ---------------------------------------------------------------------------
+# the Amemiya search on a numeric Phi: maximizers solved inside the bracket of
+# the search's two ends
+
+_NUMERIC_PHI = ["xlog", "cosh"]  # flipped, Phi is their numeric conjugate
+_WITHIN = "conjugating within the Amemiya bracket"
+
+
+@pytest.mark.parametrize("name", _NUMERIC_PHI)
+def test_an_amemiya_search_on_a_numeric_phi_solves_cold_only_at_its_ends(name, monkeypatch):
+    solves, searches, in_amemiya = collections.Counter(), [], [False]
+    find_root, amemiya = young._find_root, space._amemiya_batch
+
+    def counted(f, targets, cap, task, table=None, bracket=None):
+        solves[in_amemiya[0], task, bracket is not None] += 1
+        return find_root(f, targets, cap, task, table, bracket)
+
+    def counted_amemiya(pair, rows, centre):
+        in_amemiya[0] = True
+        try:
+            return amemiya(pair, rows, centre)
+        finally:
+            in_amemiya[0] = False
+
+    def counted_golden(h, a, b, task):
+        searches.append(0)
+
+        def g(k):
+            searches[-1] += 1
+            return h(k)
+
+        return _golden_min(g, a, b, task)
+
+    monkeypatch.setattr(young, "_find_root", counted)
+    monkeypatch.setattr(space, "_amemiya_batch", counted_amemiya)
+    monkeypatch.setattr(space, "_golden_min", counted_golden)
+    orlicz_batch(_pair(name, True), _LIVE_ROWS)
+    amemiya_solves = {key: n for key, n in solves.items() if key[0]}
+    assert searches and amemiya_solves[True, "conjugating", False] <= 2 * len(searches)
+    # one bracketed solve per probe and one for the final evaluation, nothing else
+    assert amemiya_solves[True, _WITHIN, True] == sum(searches) + 1
+    assert len(amemiya_solves) == 2
+
+
+def _ends(pair, y, m, w, u):
+    """The bracket [m / (1 + w)^u, m (1 + w)^(1 - u)] of maximizers, with its
+    density values, and the target y clipped into it."""
+    lo = m / (1.0 + w) ** u
+    ends = np.array([lo, lo * (1.0 + w), 0.0, 0.0])
+    ends[2:] = pair.psi.derivative(ends[:2])
+    return ends[:, None], np.clip(np.array([y]), ends[2], ends[3])
+
+
+# targets up to where conj(xlog)'s maximizer e^(y-1) passes its 1e200 cap, and
+# up to 1e300 for conj(cosh - 1)
+_WITHIN_TARGETS = {"xlog": 460.0, "cosh": 1e300}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(_NUMERIC_PHI),
+    e=st.floats(0.0, 1.0),
+    w=st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+    u=st.floats(0.0, 1.0),
+)
+def test_phi_through_a_given_bracket_equals_the_numeric_conjugate(name, e, w, u):
+    pair = _pair(name, True)
+    y = 10.0 ** (-300.0 + e * (300.0 + math.log10(_WITHIN_TARGETS[name])))
+    with np.errstate(over="ignore"):  # sinh probed past 710, by the cold solves too
+        ends, t = _ends(pair, y, pair.phi.derivative(y), w, u)
+        got, want = space._conjugate_within(pair, ends)(t)[0], pair.phi(t)[0]
+        m = pair.phi.derivative(t)[0]
+    # both evaluate y m - Psi(m), at maximizers within 1e-12 of each other,
+    # and Phi is stationary in m: they differ by the rounding of the two
+    # terms, and of cosh(m) - 1, whose cancellation costs ulp(cosh m)
+    rounding = 2.0 * math.ulp(math.cosh(m)) if name == "cosh" else 0.0
+    assert abs(got - want) <= 1e-14 * (t[0] * m + pair.psi(m)) + rounding + 4 * math.ulp(0.0)
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["low end raised", "high end lowered"])
+@pytest.mark.parametrize("name", _NUMERIC_PHI)
+def test_a_target_outside_its_given_bracket_solves_cold(name, end, monkeypatch):
+    pair = _pair(name, True)
+    y = np.geomspace(1e-3, 300.0, 25)
+    ends = space._maximizer_ends(pair, (y, np.array([0, len(y)])), np.ones(1), np.ones(1))
+    ends[end] *= (1.0 + 1e-6) if end == 0 else 1.0 / (1.0 + 1e-6)
+    ends[2 + end] = pair.psi.derivative(ends[end])  # a consistent bracket, missing its target
+    bracketed = []
+
+    def spying(f, targets, cap, task, table=None, bracket=None):
+        bracketed.append(bracket is not None)
+        return _find_root(f, targets, cap, task, table, bracket)
+
+    monkeypatch.setattr(young, "_find_root", spying)
+    got = space._conjugate_within(pair, ends)(y)
+    assert not any(bracketed)
+    assert got.tobytes() == pair.phi(y).tobytes()
+
+
+@pytest.mark.parametrize("name", _NUMERIC_PHI)
+def test_amemiya_brackets_that_miss_or_are_wide_fall_back_to_cold_solves(name, monkeypatch):
+    pair = _pair(name, True)
+    rows = _rows(_LIVE_ROWS)
+    _, mu = space._stationarity_batch(pair, rows)
+    want = _amemiya_batch(pair, rows, mu)
+    ends = space._maximizer_ends
+
+    def perturbed(p, rows, lo, hi):
+        out = ends(p, rows, lo, hi)
+        out[0] *= 1.0 + 1e-6  # psi(m_lo) rises past the lowest probes' targets
+        out[2] = np.where(np.isnan(out[2]), np.nan, p.psi.derivative(out[0]))
+        return out
+
+    monkeypatch.setattr(space, "_maximizer_ends", perturbed)
+    np.testing.assert_allclose(_amemiya_batch(pair, rows, mu), want, rtol=1e-12, atol=0.0)
+    # a bracket wider than a factor 2 holds no target, nor do the brackets of
+    # a search whose end solve raises: every element of it solves cold
+    wide = ends(pair, rows, mu / 10.0, mu * 10.0)
+    assert np.isnan(wide[2]).all() and not np.isnan(wide[0]).any()
+
+    def raising(y):
+        raise SolverCapError("testing", 0)
+
+    cold_only = young.ComplementaryPair(young.YoungFunction(pair.phi.fn, "cold", raising), pair.psi, "phi")
+    assert np.isnan(ends(cold_only, rows, mu, mu)).all()
+    plain = young.ComplementaryPair(pair.phi, pair.psi)
+    assert _amemiya_batch(cold_only, rows, mu).tobytes() == _amemiya_batch(plain, rows, mu).tobytes()
+
+
+@pytest.mark.parametrize("name", _NUMERIC_PHI)
+def test_a_row_whose_maximizer_ends_raise_leaves_its_batch_mates_alone(name):
+    pair = _pair(name, True)
+    A = np.array([[0.5, 2.0], [30.0, 1.0], [1.0, 3.0]])
+    rows = _rows(A)
+    _, mu = space._stationarity_batch(pair, rows)
+    top = 30.0 * mu[1] * (1.0 + 1e-6)  # the largest target of row 1's probes
+    maximizer = pair.phi.derivative
+
+    def capped(y):
+        # a cap between row 1's probes and its upper end solve, 1e-9 above them
+        if np.any(np.asarray(y) > top * (1.0 + 5e-10)):
+            raise BracketOverflowError(top, 1e200, "conjugating")
+        return maximizer(y)
+
+    capped_pair = young.ComplementaryPair(young.YoungFunction(pair.phi.fn, "capped", capped), pair.psi, "phi")
+    ends = space._maximizer_ends(capped_pair, rows, mu / (1.0 + 1e-6), mu * (1.0 + 1e-6))
+    assert np.isnan(ends[2, 2:4]).all() and not np.isnan(ends[2, [0, 1, 4, 5]]).any()
+    batch = _amemiya_batch(capped_pair, rows, mu)
+    for i in range(len(A)):
+        one = _amemiya_batch(capped_pair, _rows(A[i : i + 1]), mu[i : i + 1])
+        assert one.tobytes() == batch[i : i + 1].tobytes()
+    np.testing.assert_allclose(batch, _amemiya_batch(pair, rows, mu), rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,18 @@ def test_norms_of_a_vector_holding_nan_raise():
         orlicz_norm(P2, f)
 
 
+@pytest.mark.parametrize("rows", [[[3.0, 4.0]], 3.0, [OrliczVector(Z2, {(0, 0): 1.0}), [1.0]]])
+def test_norms_of_rows_that_are_not_a_matrix_or_vectors_raise_input_errors(rows):
+    calls = [
+        lambda: luxemburg_batch(P2.phi, rows),
+        lambda: orlicz_batch(P2, rows),
+        lambda: orlicz_gauges(P2, rows),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="np.ndarray matrix, a VectorBatch, an OrliczVector"):
+            call()
+
+
 def _fails_fast(call, match):
     """The fastest of three calls, each of which must raise InputError."""
     best = math.inf

@@ -116,8 +116,8 @@ class ComplementaryPair:
     numeric_side records which member (if any) is a numerically built
     conjugate, so norm code can route evaluations through the cheap
     closed-form side (the conjugate of the numeric side IS the closed
-    side, by biconjugation): the stationarity solve on a numeric Psi, and
-    the Amemiya search on a numeric Phi = conj(Psi) with a density.
+    side, by biconjugation).  Only the stationarity solve on a numeric Psi
+    is routed so; the Amemiya search evaluates Phi as given.
     """
 
     phi: YoungFunction
@@ -151,6 +151,7 @@ _MAX_STEPS = 200
 _ROOT_RTOL = 1e-12  # converged once |f - t| <= _ROOT_RTOL * t ...
 _ROOT_ATOL = math.ulp(0.0)  # ... or one subnormal step, where that underflows (t below 5e-312)
 _WIDTH_RTOL = 1e-14  # ... or once the bracket is this wide relative to x
+_GOLDEN_RTOL = math.sqrt(np.finfo(float).eps)  # a golden search stops this wide relative to b
 _STEEP_RTOL = 1e-6  # a collapsed bracket must still be this close (a jump is not)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MIN_EXP = -1022  # 2**_MIN_EXP is the smallest normal double
@@ -300,13 +301,12 @@ def _itp_probe(t, lo, hi, flo, fhi, w0, j: int) -> np.ndarray:
     return x
 
 
-def _find_root(f: Callable, targets, cap: float, task: str, table=None, bracket=None) -> np.ndarray:
+def _find_root(f: Callable, targets, cap: float, task: str, table=None) -> np.ndarray:
     """Solve f(x) = t per element for increasing f with f(0) = 0; t <= 0 gives 0.
 
-    Brackets with _bracket (read from table, a _density_table of f, when
-    given), or copies the given bracket (lo, hi, f(lo), f(hi)), which must
-    hold f(lo) <= t <= f(hi), then takes ITP steps (interpolate, truncate,
-    project: Oliveira and Takahashi, ACM TOMS 47(1), 2020, with
+    Brackets every element itself with _bracket (read from table, a
+    _density_table of f, when given), then takes ITP steps (interpolate,
+    truncate, project: Oliveira and Takahashi, ACM TOMS 47(1), 2020, with
     kappa1 = 0.2 / w0, kappa2 = 2 and n0 = 1).  Step j probes the regula
     falsi point of the bracket [lo, hi], moved toward the midpoint by
     0.2 w^2 / w0 and kept within w0 2^-j - w/2 of it, for the bracket
@@ -326,7 +326,7 @@ def _find_root(f: Callable, targets, cap: float, task: str, table=None, bracket=
     t = np.asarray(targets, dtype=float)
     dead = t <= 0.0
     root_tol = np.where(dead, np.inf, np.maximum(_ROOT_RTOL * t, _ROOT_ATOL))
-    lo, hi, flo, fhi = _bracket(f, t, cap, task, table) if bracket is None else np.array(bracket)
+    lo, hi, flo, fhi = _bracket(f, t, cap, task, table)
     root = np.zeros(t.shape)
     if not t.size:
         return root
@@ -358,8 +358,11 @@ def _golden_min(h: Callable, a, b, task: str) -> np.ndarray:
     Keeps one interior point x and probes the other golden point of
     [a, b], recomputed from the ends so rounding cannot drift it; each step
     costs one evaluation of h.  Each element's minimizer is its midpoint at
-    the first step where its own b - a <= 1e-14 b; the loop ends once every
-    element has one, and 200 steps without that raise SolverCapError.
+    the first step where its own b - a <= sqrt(eps) b (1.5e-8 b): h is
+    flat to second order there, so narrower brackets are decided by
+    rounding (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 5).  The loop ends once every element has one, and 200
+    steps without that raise SolverCapError.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     x = a + _INVPHI * (b - a)
@@ -371,7 +374,7 @@ def _golden_min(h: Callable, a, b, task: str) -> np.ndarray:
     todo = np.ones(x.shape, dtype=bool)  # elements yet to converge
     for _ in range(_MAX_STEPS):
         width = b - a
-        now = (width <= _WIDTH_RTOL * b) & todo
+        now = (width <= _GOLDEN_RTOL * b) & todo
         if now.any():
             np.copyto(best, 0.5 * (a + b), where=now)
             todo &= ~now
@@ -738,7 +741,7 @@ def _xlog() -> YoungFunction:
 def _coshm() -> YoungFunction:
     def fn(x):
         x = np.asarray(x, dtype=float)
-        return np.cosh(x) - 1.0
+        return 2.0 * np.sinh(0.5 * x) ** 2  # cosh(x) - 1 without cancelling below 1e-8
 
     def deriv(x):
         return np.sinh(np.asarray(x, dtype=float))

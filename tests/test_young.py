@@ -1,5 +1,7 @@
 """Young-engine tests: conjugation, construction, doubling, equivalence."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,16 @@ def test_numeric_conjugate_of_cosh_matches_its_closed_form():
     want = y * np.arcsinh(y) - np.sqrt(1.0 + y * y) + 1.0
     got = np.asarray(catalog_pair("cosh").psi(y))
     assert np.max(np.abs(got - want) / want) <= 1e-9
+
+
+def test_cosh_phi_does_not_cancel_at_small_arguments():
+    # cosh(x) - 1 reads 0.0 below 1e-8; 2 sinh(x/2)^2 keeps x^2/2
+    phi = catalog_pair("cosh").phi
+    assert abs(phi(1e-9) - 5e-19) <= 4 * math.ulp(5e-19)
+    assert (np.diff(phi(np.geomspace(1e-12, 1e-6, 50))) > 0.0).all()
+    x = np.linspace(709.0, 711.0, 20001)
+    with np.errstate(over="ignore"):  # both overflow past ln(2 * max double), 710.48
+        assert (np.isinf(phi(x)) == np.isinf(np.cosh(x) - 1.0)).all()
 
 
 def test_conjugate_without_derivative_uses_golden_section():

@@ -7,18 +7,16 @@ and in `space`, which imports them by name) and `algebra._kernel_sum` and
 `space._amemiya_batch` wrapped likewise.  The first table has one line per
 root-finder task: the calls, the evaluations of f (each one call of f on
 all elements of a solve), the evaluations per call, and how many of the
-calls read their brackets from a conjugate's density table, how many
-were given their brackets by the caller (the maximizers of a numeric Phi
-inside an Amemiya search, task "conjugating within the Amemiya bracket")
-and how many galloped (the table's own evaluation of the density is not
-counted: it is made outside the root finder, once per conjugate).  The
-second has the same for each golden-section task, counting evaluations of
-h.  A solve nested inside another solve's f counts under its own task.
-Then comes the number of Amemiya rows that searched again in a wider
-bracket (the rows of its golden searches less the rows it was given).  The
-last table has one line per suite: the `_kernel_sum` calls and their terms
-(the support pairs summed, over all vectors of each batch).  The last line
-counts the laws that passed; the exit status is 1 unless every law passes.
+calls read their brackets from a conjugate's density table and how many
+galloped (the table's own evaluation of the density is not counted: it
+is made outside the root finder, once per conjugate).  The second has
+the same for each golden-section task, counting evaluations of h.  A solve
+nested inside another solve's f counts under its own task.  Then comes the
+number of Amemiya rows that searched again in a wider bracket (the rows of
+its golden searches less the rows it was given).  The last table has one
+line per suite: the `_kernel_sum` calls and their terms (the support pairs
+summed, over all vectors of each batch).  The last line counts the laws
+that passed; the exit status is 1 unless every law passes.
 Run from anywhere:
 
     python tools/solver_counts.py
@@ -35,19 +33,17 @@ from orliczlab import algebra, harness, space, young  # noqa: E402
 from orliczlab.specs import SuiteConfig  # noqa: E402
 
 
-def _table(head: str, calls: collections.Counter, evals: collections.Counter, tabled=None, given=None) -> None:
-    extra = f"{'tabled':>8}{'bracketed':>11}{'galloped':>10}" if tabled is not None else ""
+def _table(head: str, calls: collections.Counter, evals: collections.Counter, tabled=None) -> None:
+    extra = f"{'tabled':>8}{'galloped':>10}" if tabled is not None else ""
     print(f"{'task':<40}{'calls':>8}{head:>10}{'per call':>10}{extra}")
     for task in sorted(calls):
         if tabled is not None:
-            galloped = calls[task] - tabled[task] - given[task]
-            extra = f"{tabled[task]:>8}{given[task]:>11}{galloped:>10}"
+            extra = f"{tabled[task]:>8}{calls[task] - tabled[task]:>10}"
         print(f"{task:<40}{calls[task]:>8}{evals[task]:>10}{evals[task] / calls[task]:>10.1f}{extra}")
 
 
 def main() -> int:
     calls, evals, tabled = collections.Counter(), collections.Counter(), collections.Counter()
-    given = collections.Counter()
     golden_calls, golden_evals = collections.Counter(), collections.Counter()
     amemiya_rows = collections.Counter()
     kernel_calls = collections.Counter()
@@ -64,7 +60,6 @@ def main() -> int:
             task = bound["task"]
             n_calls[task] += 1
             tabled[task] += bound.get("table") is not None
-            given[task] += bound.get("bracket") is not None
 
             def g(x):
                 n_evals[task] += 1
@@ -97,7 +92,7 @@ def main() -> int:
         young._find_root = space._find_root = find_root
         young._golden_min = space._golden_min = golden_min
         algebra._kernel_sum, space._amemiya_batch = kernel_sum, amemiya_batch
-    _table("f-evals", calls, evals, tabled, given)
+    _table("f-evals", calls, evals, tabled)
     print()
     _table("h-evals", golden_calls, golden_evals)
     searched_again = amemiya_rows["searched"] - amemiya_rows["given"]

@@ -151,7 +151,7 @@ def _cmd_young(args) -> int:
         pair = parse_pair(args.phi)
         with _config_errors("list of numbers", args.at):
             ys = np.array([float(v) for v in args.at.split(",")])
-        psi = pair.psi if pair.numeric_side == "psi" else conjugate(pair.phi)
+        psi = pair.psi if pair.psi.numeric else conjugate(pair.phi)
         for y, val in zip(ys, np.atleast_1d(psi(ys))):
             print(f"conj({args.phi})({y:g}) = {float(val)!r}")
         return 0

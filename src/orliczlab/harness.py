@@ -790,16 +790,18 @@ def _action_oracle(_run, seed):
 @_law(
     "duality",
     "action-norm-bound",
-    "|g*'h|_Psi <= 2 C |g|_Phi N_Psi(h) with the probed constant",
+    "|g*'h|_Psi <= 2 C |g|_Phi N_Psi(h) with C = sup|Om| N_Psi(1_G)",
     1e-9,
 )
 def _action_norm_bound(run, seed):
-    om = _c7_coboundary()
+    # |g*'h|_Psi <= sup|Om| |g|_1 |h|_Psi (the lattice property and translation
+    # invariance), |g|_1 <= |g|_Phi N_Psi(1_G) (Hoelder) and |h|_Psi <= 2 N_Psi(h)
+    om = _c7_coboundary()  # B_3 is all of Z_7
     pair = catalog_pair(run.cfg.pair)
-    c_hat = algebra.submultiplicativity_probe(pair, om, (3,), 300, seed)[0][1]
+    c = sup_norm_estimate(om, 3) * luxemburg_batch(pair.psi, np.ones((1, 7)))[0]
     gs, hs = random_vectors(om.group, seed, 3, 5, 200).deal(2)
     lhs = orlicz_batch(pair.flip(), algebra.module_action_left(om, gs, hs))[0]
-    yield lhs - 2.0 * c_hat * orlicz_batch(pair, gs)[0] * luxemburg_batch(pair.psi, hs)
+    yield lhs - 2.0 * c * orlicz_batch(pair, gs)[0] * luxemburg_batch(pair.psi, hs)
 
 
 # ---------------------------------------------------------------------------

@@ -570,9 +570,13 @@ def modular(phi: YoungFunction, f: OrliczVector) -> float:
     return float(_modulars(phi.fn, (a, np.array([0, a.size])))(np.ones(1))[0]) if a.size else 0.0
 
 
+def _gauge(fn: Callable, rows, task: str) -> np.ndarray:
+    """The x of each row with sum_s fn(x a_s) = 1, by the shared root finder."""
+    return _find_root(_modulars(fn, rows), np.ones(len(rows[1]) - 1), _NORM_CAP, task)
+
+
 def _luxemburg(phi: YoungFunction, rows) -> np.ndarray:
-    x = np.ones(len(rows[1]) - 1)
-    return 1.0 / _find_root(_modulars(phi.fn, rows), x, _NORM_CAP, "solving for a Luxemburg norm")
+    return 1.0 / _gauge(phi.fn, rows, "solving for a Luxemburg norm")
 
 
 def luxemburg_batch(phi: YoungFunction, A) -> np.ndarray:
@@ -600,34 +604,24 @@ def _stationarity_batch(pair: ComplementaryPair, rows):
     """(Orlicz norms, multipliers mu) of amplitude rows (a, offsets) via
     the dual optimizer v = dens(mu |f|).
 
-    The binding constraint sum Psi(v) = 1 is solved for mu = 1/lam by the
-    shared root finder.  When Psi has no closed form, Psi(dens(w)) is
-    evaluated through the equality case of the Young inequality,
-    Psi(dens(w)) = w*dens(w) - Phi(w), which is exactly what the numeric
-    conjugate would return at these points, minus its redundant inner
-    root-find.
+    mu = 1/lam is the gauge of Psi(dens(.)): the root of the binding
+    constraint sum Psi(dens(mu a_s)) = 1.  When Psi is numeric (a
+    conjugate), Psi(dens(w)) is evaluated through the equality case of
+    the Young inequality, Psi(dens(w)) = w*dens(w) - Phi(w), which is
+    exactly what the numeric conjugate would return at these points,
+    minus its redundant inner root-find.
     """
     a, offsets = rows
-    sizes = np.diff(offsets)
-    phi_fn = pair.phi.fn
+    phi_fn, psi_fn = pair.phi.fn, pair.psi.fn
     dens = pair.phi.derivative_or_numeric()
-    psi_fn = pair.psi.fn if pair.numeric_side != "psi" else None
 
-    def constraint(mu):
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = a * np.repeat(mu, sizes)
-            v = np.asarray(dens(w), dtype=float)
-            if psi_fn:
-                s = np.asarray(psi_fn(v), dtype=float)
-            else:
-                s = w * v - np.asarray(phi_fn(w), dtype=float)
-        return _saturated_sums(s, offsets)
+    def psi_of_dens(w):
+        v = np.asarray(dens(w), dtype=float)
+        return w * v - np.asarray(phi_fn(w), dtype=float) if pair.psi.numeric else psi_fn(v)
 
-    mu = _find_root(
-        constraint, np.ones(len(sizes)), _NORM_CAP, "solving the stationarity constraint"
-    )
+    mu = _gauge(psi_of_dens, rows, "solving the stationarity constraint")
     with np.errstate(over="ignore", invalid="ignore"):  # _orlicz raises on an overflowed norm
-        v = np.asarray(dens(a * np.repeat(mu, sizes)), dtype=float)
+        v = np.asarray(dens(a * np.repeat(mu, np.diff(offsets))), dtype=float)
         return np.add.reduceat(a * v, offsets[:-1]), mu
 
 
@@ -638,37 +632,30 @@ def _amemiya_batch(pair: ComplementaryPair, rows, centre: np.ndarray) -> np.ndar
     The objective is the perspective of a convex function, hence unimodal,
     and its stationary point solves sum Psi(dens(k |f|)) = 1 (the Young
     equality), so its minimizer is the mu of _stationarity_batch, passed as
-    centre c.  Each row searches [c/(1+d), c(1+d)] with d = 1e-6, and again
-    with d 256-fold while its minimizer lies within 5% of the bracket's
-    log-width from an edge, at most 8 times before SolverCapError.  A wrong
-    centre only widens the search; it cannot move the minimum found.  Every
-    h evaluates pair.phi.fn, a numeric Phi solving its maximizers cold.
+    centre c.  Each row searches [c/(1+d), c(1+d)] with d = 1e-6, and d
+    grows 256-fold for each row whose minimizer lies within 5% of its
+    bracket's log-width from an edge, at most 8 times before
+    SolverCapError.  Every round searches every row in its own bracket;
+    rows solve alone, so a row that did not widen finds its minimizer
+    again bit for bit.  A wrong centre only widens the search; it cannot
+    move the minimum found.  Every h evaluates pair.phi.fn, a numeric Phi
+    solving its maximizers cold.
     """
-    a, offsets = rows
+    modulars = _modulars(pair.phi.fn, rows)
 
-    def h(rows):
-        modulars = _modulars(pair.phi.fn, rows)
+    def h(k):
+        with np.errstate(over="ignore"):  # subnormal k for norms near 1e308
+            return (1.0 + modulars(k)) / k
 
-        def at(k):
-            with np.errstate(over="ignore"):  # subnormal k for norms near 1e308
-                return (1.0 + modulars(k)) / k
-
-        return at
-
-    k = np.zeros_like(centre)
-    todo, search = np.arange(len(centre)), h(rows)  # the rows still to search
     delta = np.full(len(centre), _AMEMIYA_DELTA)
     for _ in range(_AMEMIYA_EXPANSIONS):
-        grow = 1.0 + delta[todo]
-        lo, hi, edge = centre[todo] / grow, centre[todo] * grow, grow**0.1
-        kr = _golden_min(search, lo, hi, "minimizing the Amemiya objective")
-        k[todo] = kr
-        todo = todo[(kr < lo * edge) | (kr > hi / edge)]
-        if not todo.size:
-            return h(rows)(k)
-        delta[todo] *= 256.0
-        at, sub = _gather(offsets, todo)
-        search = h((a[at], sub))
+        grow = 1.0 + delta
+        lo, hi, edge = centre / grow, centre * grow, grow**0.1
+        k = _golden_min(h, lo, hi, "minimizing the Amemiya objective")
+        pinned = (k < lo * edge) | (k > hi / edge)
+        if not pinned.any():
+            return h(k)
+        delta[pinned] *= 256.0
     raise SolverCapError("bracketing the Amemiya minimum", _AMEMIYA_EXPANSIONS)
 
 

@@ -85,11 +85,13 @@ class YoungFunction:
 
     fn maps nonnegative reals (scalar or ndarray) to nonnegative reals.
     derivative, when present, is the density gen with Phi(x) = int_0^x gen.
+    numeric marks a numeric conjugate, each value of which is a solve.
     """
 
     fn: Callable
     name: str
     derivative: Optional[Callable] = None
+    numeric: bool = False
 
     def __call__(self, x):
         return self.fn(x)
@@ -113,20 +115,16 @@ class YoungFunction:
 class ComplementaryPair:
     """A Young function together with its complementary partner.
 
-    numeric_side records which member (if any) is a numerically built
-    conjugate, so norm code can route evaluations through the cheap
-    closed-form side (the conjugate of the numeric side IS the closed
-    side, by biconjugation).  Only the stationarity solve on a numeric Psi
-    is routed so; the Amemiya search evaluates Phi as given.
+    Either member may be a numeric conjugate (marked numeric by
+    conjugate); the norm code reads that mark where it can route a
+    numeric Psi through the closed-form Phi (the stationarity solve).
     """
 
     phi: YoungFunction
     psi: YoungFunction
-    numeric_side: str = "none"  # "phi" | "psi" | "none"
 
     def flip(self) -> "ComplementaryPair":
-        swapped = {"phi": "psi", "psi": "phi"}.get(self.numeric_side, "none")
-        return ComplementaryPair(self.psi, self.phi, swapped)
+        return ComplementaryPair(self.psi, self.phi)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +418,8 @@ def conjugate(phi: YoungFunction, cap: float = 1e3) -> YoungFunction:
     gallop; the brackets, and so the values, are the same either way.
 
     The returned function carries the maximizer as its derivative, which
-    is exact for conjugates of smooth strictly convex functions.
+    is exact for conjugates of smooth strictly convex functions, and is
+    marked numeric.
     """
     gen = phi.derivative
     fn = phi.fn
@@ -462,7 +461,7 @@ def conjugate(phi: YoungFunction, cap: float = 1e3) -> YoungFunction:
         vals = np.maximum(vals, 0.0)  # sup includes x = 0
         return _restore(vals, scalar)
 
-    return YoungFunction(fn=value, name=f"conj({phi.name})", derivative=maximizer)
+    return YoungFunction(fn=value, name=f"conj({phi.name})", derivative=maximizer, numeric=True)
 
 
 def young_gap(pair: ComplementaryPair, x, y):
@@ -521,7 +520,7 @@ def build_from_generator(phi_gen: Callable) -> ComplementaryPair:
         return _restore(out, scalar)
 
     phi = YoungFunction(fn=phi_fn, name="built", derivative=phi_gen)
-    return ComplementaryPair(phi, conjugate(phi, _INVERSE_CAP), numeric_side="psi")
+    return ComplementaryPair(phi, conjugate(phi, _INVERSE_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -792,10 +791,10 @@ def catalog_pair(name: str) -> ComplementaryPair:
         return pnorm_pair(float(name.split(":", 1)[1]))
     if name == "xlog":
         phi = _xlog()
-        return ComplementaryPair(phi, conjugate(phi, _CATALOG_CAP), numeric_side="psi")
+        return ComplementaryPair(phi, conjugate(phi, _CATALOG_CAP))
     if name == "cosh":
         phi = _coshm()
-        return ComplementaryPair(phi, conjugate(phi, _CATALOG_CAP), numeric_side="psi")
+        return ComplementaryPair(phi, conjugate(phi, _CATALOG_CAP))
     if name == "expm":
         return ComplementaryPair(_expm(), _expm_conjugate())
     raise InputError(f"unknown Young-function name {name!r}")

@@ -15,11 +15,12 @@ from orliczlab.cocycles import (
     decomposition_witness,
     perturbed,
     product_cocycle,
+    sup_norm_estimate,
     trivial_cocycle,
 )
 from orliczlab.errors import FactorizationError, GroupMismatchError
 from orliczlab.groups import Group, polynomial_weight, subexp_log_weight, subexp_weight
-from orliczlab.space import OrliczVector, luxemburg_norm, orlicz_norm, random_vector
+from orliczlab.space import OrliczVector, luxemburg_batch, luxemburg_norm, orlicz_norm, random_vector
 from orliczlab.young import catalog_pair
 
 Z2 = Group.free_abelian(2)
@@ -381,17 +382,21 @@ def test_probe_reports_and_is_deterministic():
     assert num / den == pytest.approx(expect, rel=1e-10)
 
 
-def test_dual_action_norm_bound_with_probed_constant():
+def test_dual_action_norm_bound_with_a_certified_constant():
+    # |g*'h|_Psi <= sup|Om| |g|_1 |h|_Psi, |g|_1 <= |g|_Phi N_Psi(1_G) and
+    # |h|_Psi <= 2 N_Psi(h): C = sup|Om| N_Psi(1_G) bounds the sampled pairs
+    # from above, where a probed constant bounds C from below
     rng = np.random.default_rng(33)
     pair = catalog_pair("pnorm:2")
     om7 = coboundary_from_weight(polynomial_weight(C7, 1.0))
-    c_hat = algebra.submultiplicativity_probe(pair, om7, radii=(3,), samples=200, seed=12)[0][1]
+    c = sup_norm_estimate(om7, 3) * luxemburg_batch(pair.psi, np.ones((1, 7)))[0]
+    assert c == pytest.approx(math.sqrt(3.5), rel=1e-12)  # sup|Om| = 1, N_Psi(1_G) = sqrt(7/2)
     for _ in range(40):
         g = random_vector(C7, rng, 3, 5)
         h = random_vector(C7, rng, 3, 5)
         action = algebra.module_action_left(om7, g, h)
         lhs = orlicz_norm(pair.flip(), action)
-        rhs = 2.0 * c_hat * orlicz_norm(pair, g) * luxemburg_norm(pair.psi, h)
+        rhs = 2.0 * c * orlicz_norm(pair, g) * luxemburg_norm(pair.psi, h)
         assert lhs <= rhs + 1e-9
 
 

@@ -23,6 +23,7 @@ from orliczlab.space import (
     random_vector,
 )
 from orliczlab.young import (
+    ComplementaryPair,
     EquivalenceResult,
     Tolerances,
     YoungFunction,
@@ -244,20 +245,40 @@ def _recording_golden_min(monkeypatch):
 def test_a_row_that_widens_its_amemiya_bracket_leaves_its_batch_mates_alone(monkeypatch):
     # Centres 1e-4 above the multiplier put those rows' minima left of the
     # first bracket (half-width 1e-6), so they widen once (to 2.56e-4); the
-    # rest keep their first minimum.
+    # second search takes every row, and the rest find their first minimum
+    # again.
     pair = catalog_pair("expm")
     A = np.random.default_rng(0).uniform(0.0, 1.0, size=(40, 6)) ** 4
     moved = np.arange(len(A)) % 3 == 0
     centre = space._stationarity_batch(pair, _rows(A))[1] * np.where(moved, 1.0 + 1e-4, 1.0)
     searched = _recording_golden_min(monkeypatch)
     batch = _amemiya_batch(pair, _rows(A), centre)
-    assert searched == [len(A), np.count_nonzero(moved)]
+    assert searched == [len(A), len(A)]
     for i in range(len(A)):
         one = _amemiya_batch(pair, _rows(A[i : i + 1]), centre[i : i + 1])
         assert one.tobytes() == batch[i : i + 1].tobytes()
     norms, _ = orlicz_batch(pair, A)
     for i in range(len(A)):
         assert orlicz_batch(pair, A[i : i + 1])[0].tobytes() == norms[i : i + 1].tobytes()
+
+
+def test_a_hand_built_pair_with_a_numeric_psi_solves_stationarity_without_conjugating(monkeypatch):
+    # conjugate marks its result numeric, so the pair needs no tag: the
+    # stationarity solve takes the Young equality, as the catalog pair does
+    phi = catalog_pair("xlog").phi
+    tasks = []
+
+    def recording(f, targets, cap, task, table=None):
+        tasks.append(task)
+        return _find_root(f, targets, cap, task, table)
+
+    monkeypatch.setattr(young, "_find_root", recording)
+    monkeypatch.setattr(space, "_find_root", recording)
+    got = space._stationarity_batch(ComplementaryPair(phi, conjugate(phi)), _rows(_LIVE_ROWS))
+    assert tasks == ["solving the stationarity constraint"]
+    want = space._stationarity_batch(catalog_pair("xlog"), _rows(_LIVE_ROWS))
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 # the stationarity multiplier as a mutant would get it wrong: the two-method
@@ -533,7 +554,7 @@ _TABLED = {
     f"{name} {side}": getattr(catalog_pair(name), side).derivative
     for name in catalog_names()
     for side in ("phi", "psi")
-    if catalog_pair(name).numeric_side != side
+    if not getattr(catalog_pair(name), side).numeric
 }
 _TABLED["flat"] = _flat
 _TABLE_CAPS = [2.0, 3.0, 1e3, 1e200, 2.0**1023]

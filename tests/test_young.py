@@ -311,10 +311,10 @@ def test_monotone_conjugacy():
 
 def test_pair_flip_tracks_numeric_side():
     pair = catalog_pair("xlog")
-    assert pair.numeric_side == "psi"
-    assert pair.flip().numeric_side == "phi"
-    closed = catalog_pair("pnorm:2")
-    assert closed.flip().numeric_side == "none"
+    assert pair.psi.numeric and not pair.phi.numeric
+    assert pair.flip().phi.numeric and not pair.flip().psi.numeric
+    closed = catalog_pair("pnorm:2").flip()
+    assert not closed.phi.numeric and not closed.psi.numeric
 
 
 def test_pnorm_requires_exponent_above_one():

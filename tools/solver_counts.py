@@ -12,8 +12,10 @@ galloped (the table's own evaluation of the density is not counted: it
 is made outside the root finder, once per conjugate).  The second has
 the same for each golden-section task, counting evaluations of h.  A solve
 nested inside another solve's f counts under its own task.  Then comes the
-number of Amemiya rows that searched again in a wider bracket (the rows of
-its golden searches less the rows it was given).  The last table has one
+number of Amemiya rows searched again (the rows of its golden searches less
+the rows it was given): every row of a batch is searched again in each
+widening round, so this is the rows given times the rounds past the first
+of every batch in which some row widened.  The last table has one
 line per suite: the `_kernel_sum` calls and their terms (the support pairs
 summed, over all vectors of each batch).  The last line counts the laws
 that passed; the exit status is 1 unless every law passes.
@@ -96,7 +98,8 @@ def main() -> int:
     print()
     _table("h-evals", golden_calls, golden_evals)
     searched_again = amemiya_rows["searched"] - amemiya_rows["given"]
-    print(f"\nAmemiya rows searched again: {searched_again} of {amemiya_rows['given']}")
+    given = amemiya_rows["given"]
+    print(f"\nAmemiya rows searched again (whole batches that widened): {searched_again} of {given}")
     print(f"\n{'suite':<40}{'kernel calls':>14}{'terms':>10}")
     for name in kernel_calls:
         print(f"{name:<40}{kernel_calls[name]:>14}{kernel_terms[name]:>10}")
